@@ -53,8 +53,6 @@ from .special import (
     predict_minus2n,
 )
 from .transforms import (
-    IntervalMap,
-    Prefactor,
     euler_reflect,
     invert,
     pfaff,
@@ -68,13 +66,11 @@ __all__ = [
     "CountPrediction",
     "GeometryObservation",
     "GeometryPrediction",
-    "IntervalMap",
     "InvalidParameterError",
     "KleinXYZ",
     "NonConvergenceError",
     "Params",
     "Poly",
-    "Prefactor",
     "Root",
     "RootSet",
     "SturmChain",

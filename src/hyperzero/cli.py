@@ -162,7 +162,7 @@ def cmd_classify(args) -> int:
 def cmd_roots(args) -> int:
     p = _params_from(args)
     q = coefficients(p)
-    rs = oracle.all_roots(q, tol=args.tol)
+    rs = oracle.all_roots(q)
     if args.format == "json":
         payload = {
             "mode": p.mode,
@@ -439,17 +439,19 @@ def _identity_sample(which: str, rng: random.Random, fixed: Optional[Params],
                      n_fixed: Optional[int]) -> float:
     if which == "euler":
         p = fixed or _random_params(rng, avoid_euler=True)
-        target, scale = transforms.euler_reflect(p)
+        target = transforms.euler_reflect(p)
         z = _random_z(rng)
         lhs = evaluate(coefficients(p), 1 - z)
+        scale = pochhammer(p.c - p.b, p.n) / pochhammer(p.c, p.n)
         rhs = scale * evaluate(coefficients(target), z)
         return _deviation(lhs, rhs)
     if which == "invert":
         p = fixed or _random_params(rng, avoid_invert=True)
-        target, pref = transforms.invert(p)
+        target = transforms.invert(p)
         z = _random_z(rng, annulus=True)
         lhs = evaluate(coefficients(p), z)
-        rhs = pref.apply(z) * evaluate(coefficients(target), 1 / z)
+        prefactor = pochhammer(p.b, p.n) / pochhammer(p.c, p.n) * (-z) ** p.n
+        rhs = prefactor * evaluate(coefficients(target), 1 / z)
         return _deviation(lhs, rhs)
     if which == "pfaff":
         p = fixed or _random_params(rng)
@@ -545,36 +547,37 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hyperzero", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, need_n=True):
-        if need_n:
-            sp.add_argument("-n", type=int, required=True, help="polynomial degree")
+    def add_params(sp):
+        sp.add_argument("-n", type=int, required=True, help="polynomial degree")
         sp.add_argument("-b", type=str, default=None, help="b parameter (rational p/q or float)")
         sp.add_argument("-c", type=str, default=None, help="c parameter (rational p/q or float)")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--samples", type=int, default=100)
+
+    def add_grid(sp):
+        sp.add_argument("--b-range", type=str, default=None, help="MIN:MAX:STEPS")
+        sp.add_argument("--c-range", type=str, default=None, help="MIN:MAX:STEPS")
+        sp.add_argument("--margin", type=str, default=None, help="offset added to every grid point")
 
     sp = sub.add_parser("classify", help="predict per-interval zero counts")
-    add_common(sp)
+    add_params(sp)
+    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("roots", help="compute all complex roots")
-    add_common(sp)
+    add_params(sp)
+    sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.set_defaults(func=cmd_roots)
 
     sp = sub.add_parser("verify", help="check predictions against the oracle")
-    add_common(sp)
-    sp.add_argument("--b-range", type=str, default=None, help="MIN:MAX:STEPS")
-    sp.add_argument("--c-range", type=str, default=None, help="MIN:MAX:STEPS")
-    sp.add_argument("--margin", type=str, default=None, help="offset added to every grid point")
+    add_params(sp)
+    sp.add_argument("--format", choices=("json", "text"), default="text")
+    sp.add_argument("--tol", type=float, default=1e-9)
+    add_grid(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="CSV region map over a (b, c) grid")
-    add_common(sp)
-    sp.add_argument("--b-range", type=str, default=None, help="MIN:MAX:STEPS")
-    sp.add_argument("--c-range", type=str, default=None, help="MIN:MAX:STEPS")
-    sp.add_argument("--margin", type=str, default=None, help="offset added to every grid point")
+    add_params(sp)
+    add_grid(sp)
+    sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("identity", help="random-sample functional identity checks")
@@ -582,7 +585,7 @@ def build_parser() -> _Parser:
     sp.add_argument("-n", type=int, default=None)
     sp.add_argument("-b", type=str, default=None)
     sp.add_argument("-c", type=str, default=None)
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--samples", type=int, default=100)
     sp.set_defaults(func=cmd_identity)

@@ -158,12 +158,6 @@ class Poly:
                 return i
         return -1
 
-    def derivative(self) -> "Poly":
-        if len(self.coeffs) == 1:
-            zero = Fraction(0) if self.is_exact else 0.0
-            return Poly((zero,), self.mode)
-        return Poly(tuple(k * a for k, a in enumerate(self.coeffs) if k > 0), self.mode)
-
     def float_coeffs(self) -> Tuple[float, ...]:
         return tuple(float(a) for a in self.coeffs)
 
@@ -219,14 +213,6 @@ def evaluate(q: Poly, z):
     """Horner evaluation; exact when both the poly and the point are rational."""
     acc = 0
     for a in reversed(q.coeffs):
-        acc = acc * z + a
-    return acc
-
-
-def horner(coeffs, z):
-    """Horner on a raw ascending coefficient sequence."""
-    acc = 0
-    for a in reversed(coeffs):
         acc = acc * z + a
     return acc
 
@@ -329,7 +315,6 @@ class RootSet:
 
     roots: Tuple[Root, ...]
     iterations: int
-    tol: float
 
     @property
     def total_multiplicity(self) -> int:

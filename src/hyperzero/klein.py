@@ -54,10 +54,6 @@ class CountPrediction:
             raise ValueError("negative count in prediction")
 
     @property
-    def total(self) -> int:
-        return self.n1 + self.n2 + self.n3 + 2 * self.nonreal_pairs
-
-    @property
     def counts(self):
         return (self.n1, self.n2, self.n3)
 
@@ -155,15 +151,9 @@ def predict_counts(p: Params) -> CountPrediction:
     if 0 in (s1, s2, s3):
         # Unreachable when the hypothesis holds; kept as a hard guard.
         raise BoundaryParameterError("a condition sign product is zero")
-    n1 = _branch_count(k.x, s1)
-    n2 = _branch_count(k.y, s2)
-    n3 = _branch_count(k.z, s3)
-    rest = n - n1 - n2 - n3
-    if rest < 0 or rest % 2:
-        raise RuntimeError(
-            f"count accounting failed for {p}: counts ({n1},{n2},{n3}) vs degree {n}"
-        )
-    return CountPrediction(n1, n2, n3, rest // 2, "thm3.1")
+    return _prediction(
+        n, _branch_count(k.x, s1), _branch_count(k.y, s2), _branch_count(k.z, s3), "thm3.1"
+    )
 
 
 def _strict_floor(v) -> int:
@@ -240,13 +230,28 @@ def _classify_all_negative(p: Params) -> CountPrediction:
     return _prediction(n, n1, n2, n3, f"thm3.4(j={j},k={k},l={ell})")
 
 
+def _carried_back(n: int, sub: CountPrediction, *maps: str) -> CountPrediction:
+    """Counts of the input whose reduction through maps, in order, gave sub.
+
+    Each map's interval swap (transforms.REDUCTIONS) is undone, last map
+    first, and each map's equation tag is prefixed to the provenance.
+    """
+    counts = list(sub.counts)
+    for name in reversed(maps):
+        i, j = transforms.REDUCTIONS[name].swap
+        counts[i], counts[j] = counts[j], counts[i]
+    via = "".join(f"reduced-via-{transforms.REDUCTIONS[name].tag}->" for name in maps)
+    return _prediction(n, *counts, via + sub.provenance)
+
+
 def classify_region(p: Params) -> CountPrediction:
     """Counts with provenance naming the parameter region that decided them.
 
     c > 0 is handled directly.  For c < 0 the input is reduced through the
-    reflection, inversion and Pfaff maps (tagged "(2.1)", "(2.2)", "(3.8)"
-    in the provenance string), whose interval permutations transport the
-    counts back, until a directly analyzed region applies.  Any
+    reflection, inversion and Pfaff maps until a directly analyzed region
+    applies; the counts are carried back through the interval swaps in
+    transforms.REDUCTIONS, and each map's equation tag ("(2.1)", "(2.2)",
+    "(3.8)") is recorded as a "reduced-via-<tag>->" provenance prefix.  Any
     case-boundary equality raises BoundaryParameterError.
     """
     _require_hypothesis(p)
@@ -255,40 +260,23 @@ def classify_region(p: Params) -> CountPrediction:
         return _classify_c_positive(p)
 
     if c - b < 1 - n:
-        # Reflection target has c' = 1-n+b-c > 0; zeros transport via z -> 1-z.
-        target, _ = transforms.euler_reflect(p)
-        sub = _classify_c_positive(target)
-        return _prediction(
-            n, sub.n3, sub.n2, sub.n1, f"reduced-via-(2.1)->{sub.provenance}"
-        )
+        # Reflection target has c' = 1-n+b-c > 0.
+        sub = _classify_c_positive(transforms.euler_reflect(p))
+        return _carried_back(n, sub, "euler_reflect")
     if b < 1 - n:
-        # Inversion target has c' = 1-b-n > 0; zeros transport via z -> 1/z.
-        target, _ = transforms.invert(p)
-        sub = _classify_c_positive(target)
-        return _prediction(
-            n, sub.n2, sub.n1, sub.n3, f"reduced-via-(2.2)->{sub.provenance}"
-        )
+        # Inversion target has c' = 1-b-n > 0.
+        sub = _classify_c_positive(transforms.invert(p))
+        return _carried_back(n, sub, "invert")
     if b > 0:
         return _classify_c_negative_b_positive(p)
     if c - b > 0:
         # Pfaff target has numerator parameter c-b > 0 and the same c < 0.
-        target = transforms.pfaff(p)
-        sub = _classify_c_negative_b_positive(target)
-        return _prediction(
-            n, sub.n1, sub.n3, sub.n2, f"reduced-via-(3.8)->{sub.provenance}"
-        )
+        sub = _classify_c_negative_b_positive(transforms.pfaff(p))
+        return _carried_back(n, sub, "pfaff")
     if c > 1 - n:
         return _classify_all_negative(p)
     # Remaining sliver: b, c-b in (1-n, 0) with c < 1-n.  Reflect first
     # (new c' lands in (1-n, 0) with c'-b > 0), then Pfaff into the
     # directly analyzed region.
-    t1, _ = transforms.euler_reflect(p)
-    t2 = transforms.pfaff(t1)
-    sub = _classify_c_negative_b_positive(t2)
-    return _prediction(
-        n,
-        sub.n2,
-        sub.n3,
-        sub.n1,
-        f"reduced-via-(2.1)->reduced-via-(3.8)->{sub.provenance}",
-    )
+    sub = _classify_c_negative_b_positive(transforms.pfaff(transforms.euler_reflect(p)))
+    return _carried_back(n, sub, "euler_reflect", "pfaff")

@@ -151,16 +151,6 @@ def squarefree_decomposition(cs: List[int]) -> List[Tuple[List[int], int]]:
     return out
 
 
-def squarefree_part(cs: List[int]) -> List[int]:
-    f = _primitive(_trim(list(cs)))
-    if len(f) <= 1:
-        return f
-    d = _poly_gcd(f, _derive(f))
-    if len(d) == 1:
-        return f
-    return _exact_div(f, d)
-
-
 def _to_int_coeffs(q: Poly) -> List[int]:
     if not q.is_exact:
         raise InvalidParameterError("exact rational coefficients required")
@@ -275,8 +265,10 @@ def sturm_counts(q: Poly) -> SturmCounts:
 
     The root z = 1 is deflated first and reported as a multiplicity (it is
     the one admissible multiple-zero location with nonzero abscissa); any
-    z = 0 factors are stripped; the remainder is reduced to its squarefree
-    part and counted by sign variations at -inf, 0, 1, +inf.
+    z = 0 factors are stripped.  The remainder is counted by sign variations
+    of its Sturm chain at -inf, 0, 1, +inf; the chain of a non-squarefree
+    polynomial still counts distinct roots (generalized Sturm theorem)
+    because none of the finite query points is a root.
     """
     cs = _to_int_coeffs(q)
     mult_at_1 = 0
@@ -287,8 +279,7 @@ def sturm_counts(q: Poly) -> SturmCounts:
         cs = cs[1:]
     if len(cs) <= 1:
         return SturmCounts(0, 0, 0, mult_at_1)
-    s = squarefree_part(cs)
-    chain = _build_chain(s)
+    chain = _build_chain(cs)
     v_neg = chain.variations_at_neg_inf()
     v0 = chain.variations_at(Fraction(0))
     v1 = chain.variations_at(Fraction(1))
@@ -586,7 +577,7 @@ def _pair_conjugates(
     return out
 
 
-def all_roots(q: Poly, tol: float = 1e-10, max_sweeps: int = 1000) -> RootSet:
+def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
     """All complex roots of q with multiplicities and polished residuals.
 
     Exact inputs are split into squarefree factors first, so multiple roots
@@ -675,7 +666,7 @@ def all_roots(q: Poly, tol: float = 1e-10, max_sweeps: int = 1000) -> RootSet:
         )
     found.sort(key=lambda t: (t[0].real, t[0].imag))
     roots = tuple(Root(z, m, r) for z, m, r in found)
-    return RootSet(roots, total_sweeps, tol)
+    return RootSet(roots, total_sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +818,7 @@ def verify(p: Params, tol: float = 1e-9) -> VerificationReport:
     q = coefficients(p)
     deg = q.effective_degree
     sturm = sturm_counts(q) if (p.is_exact and deg >= 1) else None
-    rootset = all_roots(q) if deg >= 1 else RootSet((), 0, tol)
+    rootset = all_roots(q) if deg >= 1 else RootSet((), 0)
     numeric = interval_counts(rootset, band=tol)
     observation = geometry_report(rootset, tol=tol)
 

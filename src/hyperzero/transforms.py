@@ -1,70 +1,46 @@
 """Parameter transformations and the quadratic-class template detector.
 
-Each transform here is a two-sided functional identity between two
-hypergeometric polynomials, together with the Moebius map that carries
-zeros of one onto zeros of the other.  The three canonical real intervals
-(-inf,0), (0,1), (1,inf) are permuted as a set by every map, which is what
-lets interval zero counts be transported between parameter regions.
+Each transform here is a parameter map between two hypergeometric
+polynomials tied by a two-sided functional identity, together with the
+Moebius map that carries zeros of one onto zeros of the other.  Each
+Moebius map swaps two of the intervals (1,inf), (0,1), (-inf,0) and fixes
+the third; REDUCTIONS states those swaps once, so interval zero counts can
+be carried between parameter regions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
 from .core import (
     InvalidParameterError,
     Params,
-    Scalar,
-    as_scalar,
     in_excluded_set,
-    pochhammer,
     scalar_is_exact,
 )
 
-NEG = "(-inf,0)"
-MID = "(0,1)"
-POS = "(1,inf)"
-INTERVALS = (NEG, MID, POS)
+
+class Reduction(NamedTuple):
+    """Equation tag of a parameter map and the two count positions it swaps.
+
+    Count positions index (n1, n2, n3): 0 is (1,inf), 1 is (0,1) and 2 is
+    (-inf,0).
+    """
+
+    tag: str
+    swap: Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class IntervalMap:
-    source: str
-    target: str
-    transform: str
-
-
-# z -> z/(z-1): swaps (-inf,0) and (0,1), fixes (1,inf) as a set.
-PFAFF_MAPS = (
-    IntervalMap(NEG, MID, "pfaff"),
-    IntervalMap(MID, NEG, "pfaff"),
-    IntervalMap(POS, POS, "pfaff"),
-)
-
-# z -> 1-z: swaps (-inf,0) and (1,inf), fixes (0,1) as a set.
-EULER_MAPS = (
-    IntervalMap(NEG, POS, "euler"),
-    IntervalMap(MID, MID, "euler"),
-    IntervalMap(POS, NEG, "euler"),
-)
-
-# z -> 1/z: swaps (0,1) and (1,inf), fixes (-inf,0) as a set.
-INVERSION_MAPS = (
-    IntervalMap(MID, POS, "inversion"),
-    IntervalMap(POS, MID, "inversion"),
-    IntervalMap(NEG, NEG, "inversion"),
-)
-
-# w = 1 - 2/z: Jacobi-argument correspondence.  Source labels are the
-# argument intervals (1,inf), (-inf,-1), (-1,1) of the Jacobi variable and
-# targets are z-intervals.
-JACOBI_ARGUMENT_MAPS = (
-    IntervalMap("(1,inf)w", NEG, "jacobi-argument"),
-    IntervalMap("(-inf,-1)w", MID, "jacobi-argument"),
-    IntervalMap("(-1,1)w", POS, "jacobi-argument"),
-)
+# Keyed by the name of the parameter map in this module.
+REDUCTIONS = {
+    # z -> 1-z swaps (1,inf) and (-inf,0), fixes (0,1) as a set.
+    "euler_reflect": Reduction("(2.1)", (0, 2)),
+    # z -> 1/z swaps (1,inf) and (0,1), fixes (-inf,0) as a set.
+    "invert": Reduction("(2.2)", (0, 1)),
+    # z -> z/(z-1) swaps (0,1) and (-inf,0), fixes (1,inf) as a set.
+    "pfaff": Reduction("(3.8)", (1, 2)),
+}
 
 
 def pfaff_point(z):
@@ -79,11 +55,10 @@ def inversion_point(z):
     return 1 / z
 
 
-def euler_reflect(p: Params) -> Tuple[Params, Scalar]:
-    """Reflection z -> 1-z as a parameter map.
+def euler_reflect(p: Params) -> Params:
+    """Reflection z -> 1-z as a parameter map to (n, b, 1-n+b-c).
 
-    Returns (target, scale) with F_source(1-z) = scale * F_target(z) where
-    target = (n, b, 1-n+b-c) and scale = (c-b)_n / (c)_n.  Zeros transport
+    F_source(1-z) = (c-b)_n / (c)_n * F_target(z), so zeros transport
     through z -> 1-z.
     """
     n, b, c = p.n, p.b, p.c
@@ -92,27 +67,14 @@ def euler_reflect(p: Params) -> Tuple[Params, Scalar]:
         raise InvalidParameterError(
             f"reflection target c'={c_target} lies in the excluded set for n={n}"
         )
-    scale = pochhammer(c - b, n) / pochhammer(c, n)
-    return Params(n, b, c_target), scale
+    return Params(n, b, c_target)
 
 
-class Prefactor(NamedTuple):
-    """Multiplier ratio * (-z)**power standing in front of a transformed series."""
+def invert(p: Params) -> Params:
+    """Inversion z -> 1/z as a parameter map to (n, 1-c-n, 1-b-n).
 
-    ratio: Scalar
-    power: int
-
-    def apply(self, z):
-        return self.ratio * (-z) ** self.power
-
-
-def invert(p: Params) -> Tuple[Params, Prefactor]:
-    """Inversion z -> 1/z as a parameter map.
-
-    Returns (target, prefactor) with
-    F_source(z) = prefactor.apply(z) * F_target(1/z), target = (n, 1-c-n, 1-b-n)
-    and prefactor ratio (b)_n / (c)_n.  Applying it twice restores the
-    original parameters exactly.
+    F_source(z) = (b)_n / (c)_n * (-z)^n * F_target(1/z).  Applying it
+    twice restores the original parameters exactly.
     """
     n, b, c = p.n, p.b, p.c
     c_target = 1 - b - n
@@ -120,8 +82,7 @@ def invert(p: Params) -> Tuple[Params, Prefactor]:
         raise InvalidParameterError(
             f"inversion target c'={c_target} lies in the excluded set for n={n}"
         )
-    ratio = pochhammer(b, n) / pochhammer(c, n)
-    return Params(n, 1 - c - n, c_target), Prefactor(ratio, n)
+    return Params(n, 1 - c - n, c_target)
 
 
 def pfaff(p: Params) -> Params:

@@ -267,3 +267,23 @@ def test_identity_fixed_params(capsys):
                        "--samples", "20")
     assert code == 0
     assert "PASS" in out
+
+
+# ---------------------------------------------------------------------------
+# options
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "-n", "2", "-b", "1/2", "-c", "1", "--samples", "5"),
+    ("classify", "-n", "2", "-b", "1/2", "-c", "1", "--tol", "1e-6"),
+    ("roots", "-n", "2", "-b", "1/2", "-c", "1", "--out", "roots.txt"),
+    ("roots", "-n", "2", "-b", "1/2", "-c", "1", "--format", "csv"),
+    ("verify", "-n", "2", "-b", "1/2", "-c", "1", "--format", "csv"),
+    ("sweep", "-n", "2", "-b", "1/2", "-c", "1", "--format", "json"),
+    ("identity", "pfaff", "--format", "csv"),
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err

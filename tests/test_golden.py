@@ -1,0 +1,94 @@
+"""Golden output: the CLI's exact bytes on a fixed set of commands.
+
+The sweeps cover every thm3.* window, all four reduced-via chains and
+boundary and undefined rows in exact and float mode; the verify points
+cover one input per reduction chain and per geometry template; the
+identity runs are seeded.  A change that alters any printed byte fails
+here.  After an intended output change, regenerate the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from hyperzero import cli
+
+FIXTURE = Path(__file__).parent / "data" / "golden_cli.json"
+SEED = "20240817"
+
+SWEEPS = [
+    ("sweep", "-n", "5", "--b-range", "-9:9:37", "--c-range", "-9:9:37"),
+    ("sweep", "-n", "5", "--b-range", "-9.0:9.0:37", "--c-range", "-9.0:9.0:37",
+     "--margin", "0.013"),
+    # a float grid without margin: undefined rows in float mode
+    ("sweep", "-n", "3", "--b-range", "-2.0:2.0:9", "--c-range", "-3.0:1.0:9"),
+]
+
+VERIFY_POINTS = [
+    ("5", "5/2", "-7/3"),     # reduced-via-(2.1)
+    ("5", "-11/2", "-7/3"),   # reduced-via-(2.2)
+    ("5", "-7/2", "-4/3"),    # reduced-via-(3.8)
+    ("5", "-5/2", "-31/6"),   # reduced-via-(2.1)->reduced-via-(3.8)
+    ("5", "7/3", "-4/3"),     # thm3.3 directly
+    ("5", "-1/3", "-5/6"),    # thm3.4
+    ("5", "7/3", "14/3"),     # template c=2b
+    ("5", "7/3", "1/2"),      # template c=1/2
+    ("5", "7/3", "-10"),      # template c=-2n
+    ("5", "2.5", "-2.3"),     # float mode, reduced-via-(2.1)
+]
+
+IDENTITIES = [
+    ("identity", which, "--samples", "20", "--format", "json")
+    for which in ("euler", "invert")
+]
+
+CASES = (
+    SWEEPS
+    + [("verify", "-n", n, "-b", b, "-c", c, "--format", "json") for n, b, c in VERIFY_POINTS]
+    + IDENTITIES
+)
+
+
+def _run(argv):
+    """(exit code, stdout lines) of one in-process CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, buf.getvalue().splitlines(keepends=True)
+
+
+def _expected():
+    return {tuple(case["argv"]): case for case in json.loads(FIXTURE.read_text())["cases"]}
+
+
+def test_fixture_covers_every_case():
+    assert set(_expected()) == set(CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_is_byte_identical(argv, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV, SEED)
+    want = _expected()[argv]
+    code, lines = _run(argv)
+    assert code == want["exit"]
+    assert lines == want["stdout"]
+
+
+def _write_fixture():
+    os.environ[cli.SEED_ENV] = SEED
+    cases = []
+    for argv in CASES:
+        code, lines = _run(argv)
+        cases.append({"argv": list(argv), "exit": code, "stdout": lines})
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps({"seed": SEED, "cases": cases}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    _write_fixture()

@@ -237,7 +237,7 @@ def test_euler_covariance():
     while done < 60:
         p = general_position_params(rng)
         try:
-            target, _ = euler_reflect(p)
+            target = euler_reflect(p)
             a = predict_counts(p)
             t = predict_counts(target)
         except (InvalidParameterError, BoundaryParameterError):

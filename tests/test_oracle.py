@@ -19,7 +19,7 @@ from hyperzero import (
     verify,
 )
 from hyperzero.core import InvalidParameterError, Root, RootSet, horner_with_derivative
-from hyperzero.oracle import squarefree_decomposition, squarefree_part, _to_int_coeffs
+from hyperzero.oracle import squarefree_decomposition, _to_int_coeffs
 
 from conftest import general_position_params, random_params
 
@@ -56,6 +56,13 @@ def test_sturm_linear():
 def test_sturm_hand_built_product():
     cs = from_roots([1, 1, Fraction(1, 2), -2])
     assert sturm_counts(poly(cs)) == (0, 1, 1, 2)
+
+
+def test_sturm_repeated_roots_count_once():
+    # (z-1/2)^2 (z+3)^3 (z-5): repeated roots away from 0 and 1 count as
+    # distinct roots, straight from the chain of the non-squarefree input
+    cs = from_roots([Fraction(1, 2)] * 2 + [-3] * 3 + [5])
+    assert sturm_counts(poly(cs)) == (1, 1, 1, 0)
 
 
 def test_sturm_endpoint_exclusion():
@@ -95,12 +102,14 @@ def test_sturm_chain_interval_query():
 
 def test_squarefree_part_on_general_position_params():
     # multiple zeros can only sit at 0 or 1, and neither occurs in general
-    # position, so gcd(q, q') must be constant
+    # position, so the polynomial is its own single squarefree factor
     rng = random.Random(61)
     for _ in range(40):
         p = general_position_params(rng, n_hi=8)
         cs = _to_int_coeffs(coefficients(p))
-        assert len(squarefree_part(cs)) == len(cs)
+        [(factor, mult)] = squarefree_decomposition(cs)
+        assert mult == 1
+        assert len(factor) == len(cs)
 
 
 def test_squarefree_decomposition_multiplicities():
@@ -264,7 +273,7 @@ def test_fundamental_accounting():
 
 
 def _rootset(values):
-    return RootSet(tuple(Root(v, 1, 0.0) for v in values), 0, 1e-10)
+    return RootSet(tuple(Root(v, 1, 0.0) for v in values), 0)
 
 
 def test_geometry_report_circle_pair():
@@ -280,7 +289,7 @@ def test_geometry_report_unit_interval_pair():
 
 
 def test_geometry_report_empty():
-    obs = geometry_report(RootSet((), 0, 1e-10))
+    obs = geometry_report(RootSet((), 0))
     assert obs.on_circle == obs.real_gt1 == obs.real_in01 == obs.real_neg == 0
     assert obs.nonreal_pairs == 0
 

@@ -16,12 +16,10 @@ from hyperzero import (
     pfaff,
     quadratic_class_match,
 )
-from hyperzero.core import InvalidParameterError, agree
+from hyperzero.core import InvalidParameterError, agree, pochhammer
 from hyperzero.transforms import (
-    EULER_MAPS,
-    INVERSION_MAPS,
-    PFAFF_MAPS,
     QUADRATIC_TEMPLATES,
+    REDUCTIONS,
     euler_point,
     inversion_point,
     pfaff_point,
@@ -30,11 +28,27 @@ from hyperzero.transforms import (
 from conftest import random_params
 
 
-def test_interval_maps_are_permutations():
-    for maps in (PFAFF_MAPS, EULER_MAPS, INVERSION_MAPS):
-        sources = {m.source for m in maps}
-        targets = {m.target for m in maps}
-        assert sources == targets == {"(-inf,0)", "(0,1)", "(1,inf)"}
+def euler_scale(p):
+    """(c-b)_n / (c)_n in F_source(1-z) = scale * F_target(z)."""
+    return pochhammer(p.c - p.b, p.n) / pochhammer(p.c, p.n)
+
+
+def invert_prefactor(p, z):
+    """(b)_n / (c)_n * (-z)^n in F_source(z) = prefactor * F_target(1/z)."""
+    return pochhammer(p.b, p.n) / pochhammer(p.c, p.n) * (-z) ** p.n
+
+
+def test_reduction_swaps_match_point_maps():
+    # count positions 0, 1, 2 are (1,inf), (0,1), (-inf,0)
+    position = [lambda x: x > 1, lambda x: 0 < x < 1, lambda x: x < 0]
+    samples = [Fraction(7, 2), Fraction(1, 3), Fraction(-5, 4)]
+    point_maps = {"euler_reflect": euler_point, "invert": inversion_point, "pfaff": pfaff_point}
+    assert set(REDUCTIONS) == set(point_maps)
+    for name, reduction in REDUCTIONS.items():
+        i, j = reduction.swap
+        image = {i: j, j: i}
+        for k, x in enumerate(samples):
+            assert position[image.get(k, k)](point_maps[name](x)), (name, x)
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +57,9 @@ def test_interval_maps_are_permutations():
 
 def test_euler_reflect_example():
     # hand check: F(-1,3;1;1-z) = -2 + 3z and -2*F(-1,3;2;z) = -2(1 - 3z/2)
-    target, scale = euler_reflect(Params(1, 3, 1))
+    target = euler_reflect(Params(1, 3, 1))
     assert (target.n, target.b, target.c) == (1, 3, 2)
+    scale = euler_scale(Params(1, 3, 1))
     assert scale == -2
     z = Fraction(2, 5)
     lhs = evaluate(coefficients(Params(1, 3, 1)), 1 - z)
@@ -54,9 +69,9 @@ def test_euler_reflect_example():
 
 def test_euler_reflect_midpoint_is_fixed():
     p = Params(3, Fraction(5, 2), Fraction(3, 4))
-    target, scale = euler_reflect(p)
+    target = euler_reflect(p)
     z = Fraction(1, 2)
-    assert evaluate(coefficients(p), 1 - z) == scale * evaluate(coefficients(target), z)
+    assert evaluate(coefficients(p), 1 - z) == euler_scale(p) * evaluate(coefficients(target), z)
 
 
 def test_euler_reflect_invalid_target():
@@ -71,12 +86,12 @@ def test_euler_reflect_random_functional_identity():
     while count < 50:
         p = random_params(rng)
         try:
-            target, scale = euler_reflect(p)
+            target = euler_reflect(p)
         except InvalidParameterError:
             continue
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         lhs = evaluate(coefficients(p), 1 - z)
-        rhs = scale * evaluate(coefficients(target), z)
+        rhs = euler_scale(p) * evaluate(coefficients(target), z)
         assert agree(lhs, rhs, 1e-10), (p, z)
         count += 1
 
@@ -87,12 +102,12 @@ def test_euler_reflect_random_functional_identity():
 
 def test_invert_example_symbolic():
     p = Params(1, 2, 3)
-    target, pref = invert(p)
+    target = invert(p)
     assert (target.n, target.b, target.c) == (1, -3, -2)
-    assert pref.ratio == Fraction(2, 3)
+    assert pochhammer(p.b, p.n) / pochhammer(p.c, p.n) == Fraction(2, 3)
     # both sides expand to 1 - 2z/3
     for z in (Fraction(1, 2), Fraction(5, 1), Fraction(-7, 3)):
-        assert evaluate(coefficients(p), z) == pref.apply(z) * evaluate(
+        assert evaluate(coefficients(p), z) == invert_prefactor(p, z) * evaluate(
             coefficients(target), 1 / z
         )
 
@@ -102,8 +117,7 @@ def test_invert_is_involution():
     for _ in range(30):
         p = random_params(rng)
         try:
-            t1, _ = invert(p)
-            t2, _ = invert(t1)
+            t2 = invert(invert(p))
         except InvalidParameterError:
             continue
         assert (t2.n, t2.b, t2.c) == (p.n, p.b, p.c)
@@ -121,13 +135,13 @@ def test_invert_random_functional_identity():
     while count < 50:
         p = random_params(rng)
         try:
-            target, pref = invert(p)
+            target = invert(p)
         except InvalidParameterError:
             continue
         r = rng.uniform(0.1, 10)
         z = r * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
         lhs = evaluate(coefficients(p), z)
-        rhs = pref.apply(z) * evaluate(coefficients(target), 1 / z)
+        rhs = invert_prefactor(p, z) * evaluate(coefficients(target), 1 / z)
         assert agree(lhs, rhs, 1e-10), (p, z)
         count += 1
 
@@ -210,7 +224,7 @@ def test_zero_transport(seed):
         src_roots = all_roots(coefficients(p)).values()
         # reflection
         try:
-            tgt, _ = euler_reflect(p)
+            tgt = euler_reflect(p)
         except InvalidParameterError:
             tgt = None
         if tgt is not None and tgt.degeneration == 0:
@@ -230,7 +244,7 @@ def test_zero_transport(seed):
             _match_multisets([pfaff_point(z) for z in keep], tgt_roots, 1e-8)
         # inversion
         try:
-            tgt, _ = invert(p)
+            tgt = invert(p)
         except InvalidParameterError:
             tgt = None
         if tgt is not None:
