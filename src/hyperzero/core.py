@@ -61,8 +61,8 @@ def scalar_is_exact(value) -> bool:
 def in_excluded_set(value: Scalar, n: int, tol: float = INTEGRALITY_TOL) -> bool:
     """True when value lies in {0, -1, ..., -(n-1)}, exactly or within tol."""
     if scalar_is_exact(value):
-        v = Fraction(value)
-        return v.denominator == 1 and 1 - n <= v <= 0
+        # int and Fraction both carry .denominator
+        return value.denominator == 1 and 1 - n <= value <= 0
     k = round(value)
     return abs(value - k) < tol and 1 - n <= k <= 0
 
@@ -74,8 +74,7 @@ def nearby_integer(value: Scalar, tol: float = INTEGRALITY_TOL):
     within tol of one.
     """
     if scalar_is_exact(value):
-        v = Fraction(value)
-        return int(v) if v.denominator == 1 else None
+        return int(value) if value.denominator == 1 else None
     k = round(value)
     return k if abs(value - k) < tol else None
 

@@ -16,6 +16,7 @@ multiple zero can hide) are exact.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,8 +282,9 @@ def sturm_counts(q: Poly) -> SturmCounts:
         return SturmCounts(0, 0, 0, mult_at_1)
     chain = _build_chain(cs)
     v_neg = chain.variations_at_neg_inf()
-    v0 = chain.variations_at(Fraction(0))
-    v1 = chain.variations_at(Fraction(1))
+    # p(0) is the constant term and p(1) the coefficient sum
+    v0 = _count_flips([_sign(p[0]) for p in chain.polys])
+    v1 = _count_flips([_sign(sum(p)) for p in chain.polys])
     v_pos = chain.variations_at_pos_inf()
     return SturmCounts(v1 - v_pos, v0 - v1, v_neg - v0, mult_at_1)
 
@@ -291,7 +293,7 @@ def sturm_counts(q: Poly) -> SturmCounts:
 # numeric root solving
 
 
-def _residual_scale(coeffs: Tuple[float, ...], z: complex) -> float:
+def _residual_scale(coeffs: List[float], z: complex) -> float:
     scale = 0.0
     zp = 1.0
     az = abs(z)
@@ -320,6 +322,39 @@ def _root_bound(coeffs: List[float]) -> float:
     return 2.0 * math.exp(best) + 1e-3
 
 
+def _newton_polygon_starts(coeffs: List[float]) -> List[complex]:
+    """Initial guesses on the circles of the Newton polygon (Bini 1996).
+
+    The upper convex hull of the points (k, log|a_k|), zero coefficients
+    skipped, has an edge from i to j when about j - i roots have modulus
+    near (|a_i|/|a_j|)**(1/(j-i)).  Each edge puts that many points on that
+    circle, at angles 2*pi*t/(j-i) + 2*pi*i/d + 0.7, so every group of
+    roots starts on its own scale; the 0.7 keeps the starts off the real
+    axis, where a real polynomial's iteration could not leave it.  A root
+    at 0 (leading zero coefficients) starts at 0.
+    """
+    d = len(coeffs) - 1
+    hull: List[Tuple[int, float]] = []
+    for k, a in enumerate(coeffs):
+        if a == 0:
+            continue
+        y = math.log(abs(a))
+        # drop the last hull point unless it lies strictly above the chord
+        while len(hull) >= 2 and (
+            (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+            <= (y - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append((k, y))
+    zs = [0j] * hull[0][0]
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        m = j - i
+        radius = math.exp((yi - yj) / m)
+        offset = 2 * math.pi * i / d + 0.7
+        zs.extend(radius * cmath.exp(1j * (2 * math.pi * t / m + offset)) for t in range(m))
+    return zs
+
+
 def _is_finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
@@ -327,62 +362,73 @@ def _is_finite(z: complex) -> bool:
 def _aberth(
     coeffs: List[float],
     max_sweeps: int,
-    evaluator=None,
+    exact: Optional[List[int]] = None,
     warm: Optional[List[complex]] = None,
     frozen: Optional[List[bool]] = None,
 ) -> Tuple[List[complex], int]:
-    """Simultaneous iteration from perturbed-circle initial guesses.
+    """Simultaneous Aberth iteration, started on the Newton polygon circles.
 
-    Termination is residual-driven: a sweep with no movement but leftover
-    residual means the configuration stalled (typically two points shadowing
-    one root), and the unconverged points are reseeded on the initial circle
-    at fresh angles instead of being accepted.
+    A cold start takes its points from `_newton_polygon_starts`; `warm`
+    replaces them.  Termination is residual-driven: a sweep with no movement
+    but leftover residual means the configuration stalled (typically two
+    points shadowing one root), and the unconverged points are reseeded at
+    fresh angles on the `_root_bound` circle instead of being accepted.
 
-    With the default float evaluator, "converged" can only mean small
-    backward error (|p| below roundoff at the evaluation scale).  An exact
-    evaluator tightens that to a true Newton-distance criterion, which is
-    what the rescue pass for ill-conditioned high-degree inputs uses.
+    With float evaluation, "converged" can only mean small backward error:
+    |p| at most 1e-14 of sum |a_k| |z|**k, which the same Horner pass
+    computes.  With `exact` (the integer coefficients of the same
+    polynomial) p and p' are evaluated exactly, which tightens that to a
+    true Newton-distance criterion; the rescue pass for ill-conditioned
+    high-degree inputs uses it.  Points marked `frozen` are already
+    validated: they take part in the repulsion sums of the others but are
+    neither evaluated nor moved.
     """
     d = len(coeffs) - 1
-    exact_eval = evaluator is not None
-    if evaluator is None:
-        def evaluator(z):
-            return horner_with_derivative(coeffs, z)
     if d == 1:
         return [complex(-coeffs[0] / coeffs[1])], 0
+    if exact is None:
+        terms = [(a, abs(a)) for a in reversed(coeffs)]
+
+        def evaluate(z: complex) -> Tuple[complex, complex, float]:
+            p = dp = 0j
+            scale = 0.0
+            az = abs(z)
+            for a, size in terms:
+                dp = dp * z + p
+                p = p * z + a
+                scale = scale * az + size
+            return p, dp, 1e-14 * scale
+    else:
+        def evaluate(z: complex) -> Tuple[complex, complex, float]:
+            p, dp = _exact_eval_pair(exact, z)
+            return p, dp, (1e-14 * abs(dp) * (1 + abs(z)) if dp != 0 else -1.0)
+
     center = complex(-coeffs[-2] / (d * coeffs[-1]))
     if not _is_finite(center) or abs(center) > 1e12:
         center = 0j
     radius = _root_bound(coeffs)
 
-    def seed(k: int, salt: int) -> complex:
+    def reseed(k: int, salt: int) -> complex:
         angle = 2 * math.pi * (k + 0.5) / d + 0.4 + 0.77 * salt
         return center + radius * cmath.exp(1j * angle)
 
-    def point_settled(z: complex, p: complex, dp: complex) -> bool:
-        if exact_eval:
-            return dp != 0 and abs(p) <= 1e-14 * abs(dp) * (1 + abs(z))
-        return abs(p) <= 1e-14 * _residual_scale(tuple(coeffs), z)
-
-    zs = list(warm) if warm is not None else [seed(k, 0) for k in range(d)]
+    zs = list(warm) if warm is not None else _newton_polygon_starts(coeffs)
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         moved = False
         settled_flags = [False] * d
         for k in range(d):
             if frozen is not None and frozen[k]:
-                # already validated; participates in the repulsion sums of
-                # the others but is not re-evaluated or moved
                 settled_flags[k] = True
                 continue
             z = zs[k]
-            p, dp = evaluator(z)
+            p, dp, settle = evaluate(z)
             if not (_is_finite(p) and _is_finite(dp)):
                 # evaluation overflowed; pull the point toward the cluster
                 zs[k] = center + (z - center) * 0.5
                 moved = True
                 continue
-            if point_settled(z, p, dp):
+            if abs(p) <= settle:
                 settled_flags[k] = True
                 continue
             if dp == 0:
@@ -390,14 +436,8 @@ def _aberth(
                 moved = True
                 continue
             w = p / dp
-            acc = 0j
-            for j in range(d):
-                if j == k:
-                    continue
-                diff = z - zs[j]
-                if diff == 0:
-                    diff = 1e-12 * (1 + abs(z))
-                acc += 1 / diff
+            tiny = 1e-12 * (1 + abs(z))
+            acc = sum([1 / ((z - zj) or tiny) for zj in zs[:k] + zs[k + 1:]])
             denom = 1 - w * acc
             step = w if denom == 0 else w / denom
             if not _is_finite(step):
@@ -412,7 +452,7 @@ def _aberth(
             if not stuck:
                 return zs, sweeps
             for k in stuck:
-                zs[k] = seed(k, sweeps)
+                zs[k] = reseed(k, sweeps)
     raise NonConvergenceError(
         f"root iteration did not settle within {max_sweeps} sweeps",
         best=zs,
@@ -457,7 +497,10 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     Float components are dyadic rationals, so z = (mr + mi*i) / 2**s with
     integers mr, mi; the Horner recurrences then run in pure integer
     arithmetic with a power-of-two scale and no gcd normalization, which is
-    what keeps exact evaluation affordable at degree 100.
+    what keeps exact evaluation affordable at degree 100.  One pass carries
+    both partials: with P~_j = P_j * 2**(s*j) and D~_j = D_j * 2**(s*(j-1)),
+    P~_j = P~_{j-1} * m + a_{d-j} * 2**(s*j) and D~_j = D~_{j-1} * m + P~_{j-1},
+    where m = mr + mi*i.
     """
     nr, dr_den = z.real.as_integer_ratio()
     ni, di_den = z.imag.as_integer_ratio()
@@ -467,48 +510,38 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     mr = nr << (s - sr)
     mi = ni << (s - si)
 
-    def eval_scaled(cs: List[int]) -> Tuple[int, int, int]:
-        # accumulates P_j(z) * 2**(s*j) over the Horner partials
-        ar = ai = 0
-        shift = 0
-        for idx, a in enumerate(reversed(cs)):
-            if idx:
-                ar, ai = ar * mr - ai * mi, ar * mi + ai * mr
-            ar += a << shift
-            shift += s
-        return ar, ai, shift - s
-
-    pr, pi, pbits = eval_scaled(int_cs)
-    der = _derive(int_cs)
-    qr, qi, qbits = eval_scaled(der)
+    pr = pi = dr = di = 0
+    shift = 0
+    for a in reversed(int_cs):
+        dr, di = dr * mr - di * mi + pr, dr * mi + di * mr + pi
+        pr, pi = pr * mr - pi * mi + (a << shift), pr * mi + pi * mr
+        shift += s
+    pbits = shift - s
+    dbits = pbits - s
     p = complex(_big_to_float(pr, pbits), _big_to_float(pi, pbits))
-    dp = complex(_big_to_float(qr, qbits), _big_to_float(qi, qbits))
+    dp = complex(_big_to_float(dr, dbits), _big_to_float(di, dbits))
     return p, dp
 
 
-def _exact_newton(int_cs: List[int], z: complex, steps: int = 2) -> complex:
+def _exact_newton(int_cs: List[int], z: complex) -> complex:
     """Newton steps with exact evaluation, for roots the float path cannot pin.
 
     Double-precision Horner limits the root error to roughly
     eps * scale / |p'|; evaluating p and p' exactly at the float iterate
-    removes that floor while the step itself stays a float, so two steps
-    reach the representable neighborhood of the true root.
+    removes that floor while the step itself stays a float.  Steps go on
+    until one moves z by at most 1e-12 (1 + |z|), which leaves a simple
+    root within roundoff; two usually suffice, a start inside a cluster
+    of roots may need more.
     """
-    for _ in range(steps):
+    for _ in range(8):
         p, dp = _exact_eval_pair(int_cs, z)
         if p == 0 or dp == 0:
             break
-        z = z - p / dp
+        step = p / dp
+        z = z - step
+        if abs(step) <= 1e-12 * (1 + abs(z)):
+            break
     return z
-
-
-def _exact_evaluator(int_cs: List[int]):
-    """Evaluator computing p, p' exactly and rounding the values to floats."""
-
-    def evaluate(z: complex) -> Tuple[complex, complex]:
-        return _exact_eval_pair(int_cs, z)
-
-    return evaluate
 
 
 def _exact_root_distance(int_cs: List[int], z: complex) -> float:
@@ -545,7 +578,7 @@ def _real_snap(coeffs: List[float], z: complex, res: float) -> Tuple[complex, fl
             x, px, dpx, rx = x_next, p_next, dp_next, abs(p_next)
         else:
             break
-    allowance = max(2.0 * res, 1e-13 * _residual_scale(tuple(coeffs), complex(x)))
+    allowance = max(2.0 * res, 1e-13 * _residual_scale(coeffs, complex(x)))
     if rx <= allowance:
         return complex(x), rx
     return z, res
@@ -610,11 +643,16 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
             z, res = _real_snap(fac, z, res)
         else:
             res = abs(horner_with_derivative(fac, z)[0])
+        if int_fac is None:
+            return z, res
         _, dp = horner_with_derivative(fac, z)
-        if int_fac is not None and dp != 0 and (not float_polish or res > 1e-11 * abs(dp)):
-            # Float evaluation noise caps the attainable accuracy at
-            # roughly res/|p'|; exact evaluation lifts that cap.  Real
-            # iterates stay exactly real through the exact steps.
+        # Float evaluation noise caps the attainable accuracy at roughly
+        # res/|p'|; exact evaluation lifts that cap.  A point this close to
+        # the axis may also be a real root whose imaginary part is float
+        # noise above interval_counts' absolute band; exact steps decide.
+        # Real iterates stay exactly real through the exact steps.
+        near_axis = 0 < abs(z.imag) <= 1e-6 * (1.0 + abs(z.real))
+        if dp != 0 and (not float_polish or near_axis or res > 1e-11 * abs(dp)):
             z = _exact_newton(int_fac, z)
             if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
                 z = complex(z.real, 0.0)
@@ -622,9 +660,16 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
         return z, res
 
     def sound_mask(int_fac: List[int], points: List[Tuple[complex, float]]) -> List[bool]:
-        return [
-            _exact_root_distance(int_fac, z) <= 1e-9 * (1 + abs(z)) for z, _ in points
-        ]
+        zs = [z for z, _ in points]
+        dist = [_exact_root_distance(int_fac, z) for z in zs]
+        sound = [r <= 1e-9 * (1 + abs(z)) for z, r in zip(zs, dist)]
+        # Polishing can carry a point onto a neighbour's root and leave
+        # another root unfound; a squarefree factor has no double roots, so
+        # of two coincident points the one farther from a root is unsound.
+        for i, j in itertools.combinations(range(len(zs)), 2):
+            if abs(zs[i] - zs[j]) <= 1e-9 * (1 + abs(zs[i])):
+                sound[j if dist[j] >= dist[i] else i] = False
+        return sound
 
     total_sweeps = 0
     found: List[Tuple[complex, int, float]] = []
@@ -637,11 +682,14 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
             if not all(sound):
                 # Backward-stable pseudo-roots: the float landscape is flat
                 # at the evaluation scale, so rerun the iteration with exact
-                # evaluation from the current points, keeping the validated
-                # ones frozen in place.
+                # evaluation, keeping the validated points frozen in place.
+                # The others restart from their Aberth positions before
+                # polishing: a polished duplicate sits on a root already
+                # taken and would settle there at once.
                 solved, sweeps = _aberth(
-                    fac, max_sweeps, evaluator=_exact_evaluator(int_fac),
-                    warm=[z for z, _ in polished], frozen=sound,
+                    fac, max_sweeps, exact=int_fac,
+                    warm=[zp if ok else z0 for (zp, _), z0, ok in zip(polished, solved, sound)],
+                    frozen=sound,
                 )
                 total_sweeps += sweeps
                 # float polishing would wander in the flat landscape that

@@ -257,6 +257,31 @@ def test_high_degree_pseudo_roots_are_rescued():
         assert abs(abs(z - 1) - 1) <= 1e-8  # all on the circle in this window
 
 
+@pytest.mark.parametrize("n,b,c", [
+    (35, Fraction(113, 12), Fraction(-19, 3)),
+    (12, Fraction(-241, 11), Fraction(-24)),
+    (35, Fraction(-134, 3), Fraction(480, 7)),
+    (50, Fraction(-375, 4), Fraction(-139, 9)),
+    (20, Fraction(191, 7), Fraction(382, 7)),
+], ids=str)
+def test_roots_are_distinct_and_verify_passes(n, b, c):
+    # polishing once carried points onto a neighbour's root here, a real
+    # root kept an imaginary part of 1.6e-9, above the real/non-real band,
+    # and two exact Newton steps left a c = 2b root 1.5e-9 off the circle
+    p = Params(n, b, c)
+    assert verify(p).status == "pass"
+    vals = all_roots(coefficients(p)).values()
+    for i, z in enumerate(vals):
+        for w in vals[i + 1:]:
+            assert abs(z - w) > 1e-9 * (1 + abs(z)), (z, w)
+
+
+def test_newton_polygon_starts_keep_sweeps_low():
+    # one start circle for every root needed about 2n sweeps here
+    rs = all_roots(coefficients(Params(35, Fraction(-134, 3), Fraction(480, 7))))
+    assert rs.iterations <= 50
+
+
 def test_fundamental_accounting():
     rng = random.Random(65)
     for _ in range(30):
