@@ -8,6 +8,7 @@ with an exact Sturm counter plus a numeric complex root solver.
 
 from .core import (
     BoundaryParameterError,
+    Counts,
     InvalidParameterError,
     NonConvergenceError,
     Params,
@@ -26,7 +27,6 @@ from .core import (
     poly,
 )
 from .klein import (
-    CountPrediction,
     KleinXYZ,
     binomial_sign,
     classify_region,
@@ -35,9 +35,7 @@ from .klein import (
     xyz,
 )
 from .oracle import (
-    GeometryObservation,
     SturmChain,
-    SturmCounts,
     VerificationReport,
     all_roots,
     geometry_report,
@@ -47,7 +45,7 @@ from .oracle import (
     verify,
 )
 from .special import (
-    GeometryPrediction,
+    Geometry,
     predict_2b,
     predict_half,
     predict_minus2n,
@@ -63,9 +61,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryParameterError",
-    "CountPrediction",
-    "GeometryObservation",
-    "GeometryPrediction",
+    "Counts",
+    "Geometry",
     "InvalidParameterError",
     "KleinXYZ",
     "NonConvergenceError",
@@ -74,7 +71,6 @@ __all__ = [
     "Root",
     "RootSet",
     "SturmChain",
-    "SturmCounts",
     "VerificationReport",
     "agree",
     "all_roots",

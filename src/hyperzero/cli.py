@@ -3,7 +3,8 @@
 Parameters written as fractions ("7/3") or integers are parsed exactly and
 routed through the exact arithmetic path; decimals route to float mode.
 Exit codes: 0 success, 1 usage or invalid parameter, 2 theorem boundary,
-3 oracle mismatch.
+3 oracle mismatch, failed identity, or solver did not converge (then stdout
+is empty and stderr reads "solver did not converge").
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ from typing import List, Optional, Tuple
 from . import klein, oracle, transforms
 from .core import (
     BoundaryParameterError,
+    Counts,
     InvalidParameterError,
     NonConvergenceError,
     Params,
     Scalar,
     coefficients,
     evaluate,
-    gegenbauer,
+    gegenbauer_sides,
     jacobi,
+    jacobi_form_sides,
     pochhammer,
 )
 
@@ -114,7 +117,7 @@ def _rng() -> random.Random:
 # classify
 
 
-def _prediction_dict(pred: klein.CountPrediction, mode: str) -> dict:
+def _prediction_dict(pred: Counts, mode: str) -> dict:
     return {
         "n1": pred.n1,
         "n2": pred.n2,
@@ -480,13 +483,7 @@ def _identity_sample(which: str, rng: random.Random, fixed: Optional[Params],
         lhs = evaluate(coefficients(p), z)
         rhs = math.factorial(n) / pochhammer(alpha + 1, n) * jacobi(n, alpha, beta, 1 - 2 * z)
         dev = _deviation(lhs, rhs)
-        w = _random_z(rng)
-        lhs = evaluate(coefficients(p), w)
-        rhs = (
-            math.factorial(n) * w ** n / pochhammer(p.c, n)
-            * jacobi(n, -n - p.b, p.b - p.c - n, 1 - 2 / w)
-        )
-        return max(dev, _deviation(lhs, rhs))
+        return max(dev, _deviation(*jacobi_form_sides(p, _random_z(rng))))
     if which == "gegenbauer":
         if fixed is not None:
             n, lam = fixed.n, fixed.b
@@ -500,11 +497,7 @@ def _identity_sample(which: str, rng: random.Random, fixed: Optional[Params],
                         break
                     except InvalidParameterError:
                         continue
-        half = Fraction(1, 2) if isinstance(lam, Fraction) else 0.5
-        z = _random_z(rng)
-        lhs = evaluate(coefficients(Params(n, n + 2 * lam, lam + half)), z)
-        rhs = math.factorial(n) / pochhammer(2 * lam, n) * gegenbauer(n, lam, 1 - 2 * z)
-        return _deviation(lhs, rhs)
+        return _deviation(*gegenbauer_sides(n, lam, _random_z(rng)))
     raise UsageError(f"unknown identity {which!r}")
 
 

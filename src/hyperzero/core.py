@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -265,10 +265,10 @@ def gegenbauer(n: int, lam, x):
     return cur
 
 
-def jacobi_form_check(p: Params, z, tol: float = 1e-10) -> bool:
-    """Check F(-n,b;c;z) = n! z^n / (c)_n * P_n^(-n-b, b-c-n)(1 - 2/z).
+def jacobi_form_sides(p: Params, z):
+    """Both sides of F(-n,b;c;z) = n! z^n / (c)_n * P_n^(-n-b, b-c-n)(1 - 2/z).
 
-    Both sides are computed independently: the left from the series
+    The sides are computed independently: the left from the series
     coefficients, the right from the explicit Jacobi sum.
     """
     if z == 0:
@@ -278,13 +278,17 @@ def jacobi_form_check(p: Params, z, tol: float = 1e-10) -> bool:
     alpha = -n - b
     beta = b - c - n
     rhs = math.factorial(n) * z ** n / pochhammer(c, n) * jacobi(n, alpha, beta, 1 - 2 / z)
-    return agree(lhs, rhs, tol)
+    return lhs, rhs
 
 
-def gegenbauer_check(n: int, lam, z, tol: float = 1e-10) -> bool:
-    """Check F(-n, n+2*lam; lam+1/2; z) = n! / (2*lam)_n * C_n^lam(1-2z)."""
+def jacobi_form_check(p: Params, z, tol: float = 1e-10) -> bool:
+    return agree(*jacobi_form_sides(p, z), tol)
+
+
+def gegenbauer_sides(n: int, lam, z):
+    """Both sides of F(-n, n+2*lam; lam+1/2; z) = n! / (2*lam)_n * C_n^lam(1-2z)."""
     if n == 0:
-        return True
+        return 1, 1
     lam = as_scalar(lam)
     for i in range(n):
         factor = 2 * lam + i
@@ -294,7 +298,33 @@ def gegenbauer_check(n: int, lam, z, tol: float = 1e-10) -> bool:
     p = Params(n, n + 2 * lam, lam + half)
     lhs = evaluate(coefficients(p), z)
     rhs = math.factorial(n) / pochhammer(2 * lam, n) * gegenbauer(n, lam, 1 - 2 * z)
-    return agree(lhs, rhs, tol)
+    return lhs, rhs
+
+
+def gegenbauer_check(n: int, lam, z, tol: float = 1e-10) -> bool:
+    return agree(*gegenbauer_sides(n, lam, z), tol)
+
+
+class Counts(NamedTuple):
+    """Real-zero counts of one polynomial per canonical interval.
+
+    n1 counts (1,inf), n2 counts (0,1), n3 counts (-inf,0), endpoints
+    excluded; mult_at_1 is the multiplicity of the zero z = 1.
+    nonreal_pairs counts conjugate pairs where the source knows them (None
+    from the Sturm counter), and provenance names the formula or theorem
+    case that produced the numbers.
+    """
+
+    n1: int
+    n2: int
+    n3: int
+    mult_at_1: int = 0
+    nonreal_pairs: Optional[int] = None
+    provenance: str = ""
+
+    @property
+    def counts(self) -> Tuple[int, int, int]:
+        return (self.n1, self.n2, self.n3)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import transforms
 from .core import (
     BoundaryParameterError,
+    Counts,
     INTEGRALITY_TOL,
     Params,
     in_excluded_set,
@@ -32,30 +33,6 @@ class KleinXYZ:
     x: int
     y: int
     z: int
-
-
-@dataclass(frozen=True)
-class CountPrediction:
-    """Predicted real-zero counts per canonical interval.
-
-    n1 counts (1,inf), n2 counts (0,1), n3 counts (-inf,0); the rest of the
-    degree is accounted for by conjugate pairs.  provenance names the
-    formula or theorem case that produced the numbers.
-    """
-
-    n1: int
-    n2: int
-    n3: int
-    nonreal_pairs: int
-    provenance: str
-
-    def __post_init__(self):
-        if min(self.n1, self.n2, self.n3, self.nonreal_pairs) < 0:
-            raise ValueError("negative count in prediction")
-
-    @property
-    def counts(self):
-        return (self.n1, self.n2, self.n3)
 
 
 def klein_E(u) -> int:
@@ -132,7 +109,7 @@ def _branch_count(e: int, sign: int) -> int:
     return 2 * (e // 2) + 1
 
 
-def predict_counts(p: Params) -> CountPrediction:
+def predict_counts(p: Params) -> Counts:
     """Interval zero counts straight from the count formulas.
 
     Requires b, c, c-b outside {0, -1, ..., 1-n}; under that hypothesis the
@@ -173,14 +150,15 @@ def _near(v, target) -> bool:
     return abs(v - target) < INTEGRALITY_TOL
 
 
-def _prediction(n, n1, n2, n3, provenance) -> CountPrediction:
+def _prediction(n, n1, n2, n3, provenance) -> Counts:
+    """Counts of a degree-n polynomial; the rest of the degree is conjugate pairs."""
     rest = n - n1 - n2 - n3
-    if rest < 0 or rest % 2:
+    if min(n1, n2, n3) < 0 or rest < 0 or rest % 2:
         raise RuntimeError(f"count accounting failed: ({n1},{n2},{n3}) vs degree {n}")
-    return CountPrediction(n1, n2, n3, rest // 2, provenance)
+    return Counts(n1, n2, n3, nonreal_pairs=rest // 2, provenance=provenance)
 
 
-def _classify_c_positive(p: Params) -> CountPrediction:
+def _classify_c_positive(p: Params) -> Counts:
     """The five b-windows for c > 0."""
     n, b, c = p.n, p.b, p.c
     if b > 0:
@@ -201,7 +179,7 @@ def _classify_c_positive(p: Params) -> CountPrediction:
     return _prediction(n, 0, 0, n, "thm3.2.v")
 
 
-def _classify_c_negative_b_positive(p: Params) -> CountPrediction:
+def _classify_c_negative_b_positive(p: Params) -> Counts:
     """c < 0, b > 0, c-b > 1-n: counts keyed on the (j, k) window indices."""
     n, b, c = p.n, p.b, p.c
     k = _strict_floor(-c) + 1
@@ -218,7 +196,7 @@ def _classify_c_negative_b_positive(p: Params) -> CountPrediction:
     )
 
 
-def _classify_all_negative(p: Params) -> CountPrediction:
+def _classify_all_negative(p: Params) -> Counts:
     """1-n < b, c, c-b < 0: pure parity counts from the (j, k, l) indices."""
     n, b, c = p.n, p.b, p.c
     j = _strict_floor(-b) + 1
@@ -230,7 +208,7 @@ def _classify_all_negative(p: Params) -> CountPrediction:
     return _prediction(n, n1, n2, n3, f"thm3.4(j={j},k={k},l={ell})")
 
 
-def _carried_back(n: int, sub: CountPrediction, *maps: str) -> CountPrediction:
+def _carried_back(n: int, sub: Counts, *maps: str) -> Counts:
     """Counts of the input whose reduction through maps, in order, gave sub.
 
     Each map's interval swap (transforms.REDUCTIONS) is undone, last map
@@ -244,7 +222,7 @@ def _carried_back(n: int, sub: CountPrediction, *maps: str) -> CountPrediction:
     return _prediction(n, *counts, via + sub.provenance)
 
 
-def classify_region(p: Params) -> CountPrediction:
+def classify_region(p: Params) -> Counts:
     """Counts with provenance naming the parameter region that decided them.
 
     c > 0 is handled directly.  For c < 0 the input is reduced through the

@@ -20,11 +20,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import klein, special, transforms
 from .core import (
     BoundaryParameterError,
+    Counts,
     InvalidParameterError,
     NonConvergenceError,
     Params,
@@ -34,6 +35,7 @@ from .core import (
     coefficients,
     horner_with_derivative,
 )
+from .special import Geometry
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (ascending coefficients)
@@ -243,13 +245,6 @@ def sturm_chain(q: Poly) -> SturmChain:
     return _build_chain(_to_int_coeffs(q))
 
 
-class SturmCounts(NamedTuple):
-    n1: int  # distinct real roots in (1, inf)
-    n2: int  # distinct real roots in (0, 1)
-    n3: int  # distinct real roots in (-inf, 0)
-    mult_at_1: int  # multiplicity of z = 1 in the original polynomial
-
-
 def _divide_out_one(cs: List[int]) -> List[int]:
     """Exact synthetic division by (z - 1); remainder must vanish."""
     desc = list(reversed(cs))
@@ -261,7 +256,7 @@ def _divide_out_one(cs: List[int]) -> List[int]:
     return list(reversed(out[:-1]))
 
 
-def sturm_counts(q: Poly) -> SturmCounts:
+def sturm_counts(q: Poly) -> Counts:
     """Exact per-interval counts of distinct real roots, endpoints excluded.
 
     The root z = 1 is deflated first and reported as a multiplicity (it is
@@ -279,14 +274,14 @@ def sturm_counts(q: Poly) -> SturmCounts:
     while cs and cs[0] == 0:
         cs = cs[1:]
     if len(cs) <= 1:
-        return SturmCounts(0, 0, 0, mult_at_1)
+        return Counts(0, 0, 0, mult_at_1)
     chain = _build_chain(cs)
     v_neg = chain.variations_at_neg_inf()
     # p(0) is the constant term and p(1) the coefficient sum
     v0 = _count_flips([_sign(p[0]) for p in chain.polys])
     v1 = _count_flips([_sign(sum(p)) for p in chain.polys])
     v_pos = chain.variations_at_pos_inf()
-    return SturmCounts(v1 - v_pos, v0 - v1, v_neg - v0, mult_at_1)
+    return Counts(v1 - v_pos, v0 - v1, v_neg - v0, mult_at_1)
 
 
 # ---------------------------------------------------------------------------
@@ -721,18 +716,13 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
 # classification of computed roots
 
 
-class NumericCounts(NamedTuple):
-    n1: int
-    n2: int
-    n3: int
-    at_one: int
-    at_zero: int
-    nonreal_pairs: int
+def interval_counts(r: RootSet, band: float = 1e-9) -> Counts:
+    """Real-interval counts (with multiplicity) using an |Im| dead band.
 
-
-def interval_counts(r: RootSet, band: float = 1e-9) -> NumericCounts:
-    """Real-interval counts (with multiplicity) using an |Im| dead band."""
-    n1 = n2 = n3 = at_one = at_zero = nonreal = 0
+    Roots within band of 1 are counted in mult_at_1; a root within band of
+    0 lies in no interval and is not counted.
+    """
+    n1 = n2 = n3 = at_one = nonreal = 0
     for root in r.roots:
         z, m = root.value, root.multiplicity
         if abs(z.imag) <= band:
@@ -740,7 +730,7 @@ def interval_counts(r: RootSet, band: float = 1e-9) -> NumericCounts:
             if abs(x - 1) <= band:
                 at_one += m
             elif abs(x) <= band:
-                at_zero += m
+                continue
             elif x > 1:
                 n1 += m
             elif x > 0:
@@ -749,44 +739,29 @@ def interval_counts(r: RootSet, band: float = 1e-9) -> NumericCounts:
                 n3 += m
         else:
             nonreal += m
-    return NumericCounts(n1, n2, n3, at_one, at_zero, nonreal // 2)
+    return Counts(n1, n2, n3, at_one, nonreal // 2)
 
 
-@dataclass(frozen=True)
-class GeometryObservation:
-    """Computed-root geometry in the shape of a GeometryPrediction.
+def geometry_report(r: RootSet, tol: float = special.CIRCLE_BAND) -> Geometry:
+    """Computed-root geometry in the shape of a predicted Geometry.
 
-    Roots within tol of the circle |z-1| = 1 count as on_circle (this
-    includes real roots near 0 or 2).  Remaining real roots fall into the
-    three open intervals; remaining non-real roots are bucketed by the four
-    circle/axis regions.
+    Roots within tol (1 + |z|) of the circle |z-1| = 1 count as on_circle
+    (this includes real roots near 0 or 2); the band is relative, like the
+    Newton distance at which all_roots accepts a root.  Remaining real
+    roots fall into the three open intervals (a root within tol of 1 into
+    none); remaining non-real roots are bucketed by the four circle/axis
+    regions.
     """
-
-    on_circle: int
-    real_gt1: int
-    real_in01: int
-    real_neg: int
-    at_one: int
-    regions: Dict[str, int]
-    nonreal_pairs: int
-
-    @property
-    def quadrant_pairs(self) -> Optional[int]:
-        vals = set(self.regions.values())
-        return vals.pop() if len(vals) == 1 else None
-
-
-def geometry_report(r: RootSet, tol: float = special.CIRCLE_BAND) -> GeometryObservation:
-    on_circle = gt1 = in01 = neg = at_one = 0
-    regions = {"inside_upper": 0, "inside_lower": 0, "outside_upper": 0, "outside_lower": 0}
+    on_circle = gt1 = in01 = neg = 0
+    regions = dict.fromkeys(special.REGIONS, 0)
     for root in r.roots:
         z, m = root.value, root.multiplicity
-        if abs(abs(z - 1) - 1) <= tol:
+        if abs(abs(z - 1) - 1) <= tol * (1 + abs(z)):
             on_circle += m
         elif abs(z.imag) <= tol:
             x = z.real
             if abs(x - 1) <= tol:
-                at_one += m
+                continue
             elif x > 1:
                 gt1 += m
             elif x > 0:
@@ -797,8 +772,7 @@ def geometry_report(r: RootSet, tol: float = special.CIRCLE_BAND) -> GeometryObs
             side = "inside" if abs(z - 1) < 1 else "outside"
             half = "upper" if z.imag > 0 else "lower"
             regions[f"{side}_{half}"] += m
-    nonreal = sum(regions.values())
-    return GeometryObservation(on_circle, gt1, in01, neg, at_one, regions, nonreal // 2)
+    return Geometry(on_circle, gt1, in01, neg, sum(regions.values()) // 2, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -816,17 +790,27 @@ class Check:
         return self.predicted == self.observed
 
 
+# check names, in the order of the record fields they compare
+COUNT_CHECKS = ("count in (1,inf)", "count in (0,1)", "count in (-inf,0)", "multiplicity at 1")
+OFF_CIRCLE_CHECKS = ("real >1 off circle", "real (0,1) off circle", "real <0 off circle")
+TEMPLATE_CHECKS = ("real >1", "real (0,1)", "real <0", "nonreal pairs (geometry)")
+
+
+def _checks(names, predicted, observed) -> List[Check]:
+    return [Check(*fields) for fields in zip(names, predicted, observed)]
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     params: Params
     mode: str
     confidence: str  # "exact" when Sturm counting applied, else "numeric"
     status: str  # pass | fail | boundary
-    prediction: Optional[klein.CountPrediction]
-    geometry_prediction: Optional[special.GeometryPrediction]
-    sturm: Optional[SturmCounts]
-    numeric: Optional[NumericCounts]
-    observation: Optional[GeometryObservation]
+    prediction: Optional[Counts]
+    geometry_prediction: Optional[Geometry]
+    sturm: Optional[Counts]
+    numeric: Optional[Counts]
+    observation: Optional[Geometry]
     checks: Tuple[Check, ...]
     notes: Tuple[str, ...]
 
@@ -871,30 +855,22 @@ def verify(p: Params, tol: float = 1e-9) -> VerificationReport:
     observation = geometry_report(rootset, tol=tol)
 
     if prediction is not None:
+        # only the exact counter checks the multiplicity at 1
         if sturm is not None:
-            checks.append(Check("count in (1,inf)", prediction.n1, sturm.n1))
-            checks.append(Check("count in (0,1)", prediction.n2, sturm.n2))
-            checks.append(Check("count in (-inf,0)", prediction.n3, sturm.n3))
-            checks.append(Check("multiplicity at 1", 0, sturm.mult_at_1))
+            checks += _checks(COUNT_CHECKS, prediction, sturm)
         else:
-            checks.append(Check("count in (1,inf)", prediction.n1, numeric.n1))
-            checks.append(Check("count in (0,1)", prediction.n2, numeric.n2))
-            checks.append(Check("count in (-inf,0)", prediction.n3, numeric.n3))
+            checks += _checks(COUNT_CHECKS[:3], prediction, numeric)
         checks.append(Check("nonreal pairs", prediction.nonreal_pairs, numeric.nonreal_pairs))
 
     if geometry_pred is not None:
-        if geometry_pred.quadrant_pairs is not None:
-            checks.append(Check("on circle", geometry_pred.on_circle, observation.on_circle))
-            for region, count in observation.regions.items():
-                checks.append(Check(f"region {region}", geometry_pred.quadrant_pairs, count))
-            checks.append(Check("real >1 off circle", geometry_pred.real_gt1, observation.real_gt1))
-            checks.append(Check("real (0,1) off circle", geometry_pred.real_in01, observation.real_in01))
-            checks.append(Check("real <0 off circle", geometry_pred.real_neg, observation.real_neg))
+        g, obs = geometry_pred, observation
+        if g.regions is not None:
+            checks.append(Check("on circle", g.on_circle, obs.on_circle))
+            checks += _checks([f"region {k}" for k in special.REGIONS],
+                              g.regions.values(), obs.regions.values())
+            checks += _checks(OFF_CIRCLE_CHECKS, g[1:4], obs[1:4])
         else:
-            checks.append(Check("real >1", geometry_pred.real_gt1, numeric.n1))
-            checks.append(Check("real (0,1)", geometry_pred.real_in01, numeric.n2))
-            checks.append(Check("real <0", geometry_pred.real_neg, numeric.n3))
-            checks.append(Check("nonreal pairs (geometry)", geometry_pred.nonreal_pairs, numeric.nonreal_pairs))
+            checks += _checks(TEMPLATE_CHECKS, g[1:5], (*numeric.counts, numeric.nonreal_pairs))
 
     if any(not c.ok for c in checks):
         status = "fail"

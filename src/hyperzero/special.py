@@ -11,9 +11,8 @@ compose into one full picture per parameter window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import klein
 from .core import (
@@ -24,46 +23,57 @@ from .core import (
     scalar_is_exact,
 )
 
-# Dead band around the circle |z-1| = 1 when classifying numeric roots.
+# Dead band around the circle |z-1| = 1 when classifying numeric roots; it
+# scales with 1 + |z|, like the distance at which the solver accepts a root.
 CIRCLE_BAND = 1e-9
 
 
-@dataclass(frozen=True)
-class GeometryPrediction:
-    """Predicted zero geometry for one parameter window.
+# The four regions cut out by the circle |z-1| = 1 and the real axis.
+REGIONS = ("inside_upper", "inside_lower", "outside_upper", "outside_lower")
+
+
+class Geometry(NamedTuple):
+    """Zero geometry of one polynomial, predicted or observed.
 
     on_circle counts zeros on |z-1| = 1 including real ones (the circle
     meets the axis at 0 and 2, and 2 can be a fixed zero).  The real_*
-    fields count real zeros off the circle.  quadrant_pairs is the
-    per-region count of non-real zeros in the four circle/axis regions
-    when that symmetry applies, None otherwise.  nonreal_pairs counts
-    off-circle conjugate pairs, so the accounting identity is
-
-        on_circle + real_gt1 + real_in01 + real_neg + 2*nonreal_pairs = n.
+    fields count real zeros off the circle, and nonreal_pairs counts
+    off-circle conjugate pairs.  regions counts the non-real zeros in each
+    of REGIONS; it is None on a prediction without four-region symmetry.
     """
 
-    n: int
     on_circle: int
     real_gt1: int
     real_in01: int
     real_neg: int
-    quadrant_pairs: Optional[int]
     nonreal_pairs: int
-    fixed_points: Tuple[int, ...]
-    provenance: str
+    regions: Optional[Dict[str, int]] = None
+    fixed_points: Tuple[int, ...] = ()
+    provenance: str = ""
 
-    def __post_init__(self):
-        total = (
-            self.on_circle
-            + self.real_gt1
-            + self.real_in01
-            + self.real_neg
-            + 2 * self.nonreal_pairs
-        )
-        if total != self.n:
-            raise ValueError(f"geometry accounts for {total} zeros, degree is {self.n}")
-        if self.quadrant_pairs is not None and self.nonreal_pairs != 2 * self.quadrant_pairs:
-            raise ValueError("per-region counts inconsistent with off-circle pairs")
+    @property
+    def quadrant_pairs(self) -> Optional[int]:
+        """The common per-region count, None without four-region symmetry."""
+        if self.regions is None:
+            return None
+        vals = set(self.regions.values())
+        return vals.pop() if len(vals) == 1 else None
+
+
+def _geometry(n: int, on_circle, real_gt1, real_in01, real_neg, nonreal_pairs,
+              per_region=None, fixed_points=(), provenance="") -> Geometry:
+    """A predicted Geometry, checked against the degree:
+
+        on_circle + real_gt1 + real_in01 + real_neg + 2*nonreal_pairs = n.
+    """
+    total = on_circle + real_gt1 + real_in01 + real_neg + 2 * nonreal_pairs
+    if total != n:
+        raise ValueError(f"geometry accounts for {total} zeros, degree is {n}")
+    if per_region is not None and nonreal_pairs != 2 * per_region:
+        raise ValueError("per-region counts inconsistent with off-circle pairs")
+    regions = None if per_region is None else dict.fromkeys(REGIONS, per_region)
+    return Geometry(on_circle, real_gt1, real_in01, real_neg, nonreal_pairs,
+                    regions, fixed_points, provenance)
 
 
 def _gt(x, edge) -> bool:
@@ -109,7 +119,7 @@ def _window_2b(n: int, b):
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=2b, n={n}")
 
 
-def predict_2b(n: int, b) -> GeometryPrediction:
+def predict_2b(n: int, b) -> Geometry:
     """Zero geometry of the c = 2b polynomial, keyed on the b-window.
 
     Circle membership and the per-region split come from the window case;
@@ -155,16 +165,9 @@ def predict_2b(n: int, b) -> GeometryPrediction:
             f"count formulas give {off_nonreal} (n={n}, b={b})"
         )
     tag = f"thm2.1.{case}" + (f"(j={j})" if j is not None else "")
-    return GeometryPrediction(
-        n=n,
-        on_circle=on_circle,
-        real_gt1=counts.n1 - circle_real,
-        real_in01=counts.n2,
-        real_neg=counts.n3,
-        quadrant_pairs=per_region,
-        nonreal_pairs=off_nonreal // 2,
-        fixed_points=(2,) if odd else (),
-        provenance=tag,
+    return _geometry(
+        n, on_circle, counts.n1 - circle_real, counts.n2, counts.n3, off_nonreal // 2,
+        per_region, fixed_points=(2,) if odd else (), provenance=tag,
     )
 
 
@@ -185,7 +188,7 @@ def _window_half(n: int, b):
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=1/2, n={n}")
 
 
-def predict_half(n: int, b) -> GeometryPrediction:
+def predict_half(n: int, b) -> Geometry:
     """Interval counts for the c = 1/2 polynomial, keyed on the b-window."""
     b = as_scalar(b)
     half = Fraction(1, 2) if scalar_is_exact(b) else 0.5
@@ -202,17 +205,7 @@ def predict_half(n: int, b) -> GeometryPrediction:
     else:
         gt1, in01, neg, pairs = 0, 0, n, 0
     tag = f"thm2.2.{case}" + (f"(j={j})" if j is not None else "")
-    return GeometryPrediction(
-        n=n,
-        on_circle=0,
-        real_gt1=gt1,
-        real_in01=in01,
-        real_neg=neg,
-        quadrant_pairs=None,
-        nonreal_pairs=pairs,
-        fixed_points=(),
-        provenance=tag,
-    )
+    return _geometry(n, 0, gt1, in01, neg, pairs, provenance=tag)
 
 
 def _window_minus2n(n: int, b):
@@ -229,7 +222,7 @@ def _window_minus2n(n: int, b):
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=-2n, n={n}")
 
 
-def predict_minus2n(n: int, b) -> GeometryPrediction:
+def predict_minus2n(n: int, b) -> Geometry:
     """Interval counts for the c = -2n polynomial, keyed on the b-window.
 
     c = -2n lies below the excluded range {0, ..., 1-n}, so the polynomial
@@ -247,14 +240,4 @@ def predict_minus2n(n: int, b) -> GeometryPrediction:
     else:
         gt1, in01, neg, pairs = 0, n % 2, 0, n // 2
     tag = f"thm2.3.{case}" + (f"(k={k})" if k is not None else "")
-    return GeometryPrediction(
-        n=n,
-        on_circle=0,
-        real_gt1=gt1,
-        real_in01=in01,
-        real_neg=neg,
-        quadrant_pairs=None,
-        nonreal_pairs=pairs,
-        fixed_points=(),
-        provenance=tag,
-    )
+    return _geometry(n, 0, gt1, in01, neg, pairs, provenance=tag)

@@ -133,11 +133,11 @@ def test_verify_boundary_exit(capsys):
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     from hyperzero import klein
-    from hyperzero.klein import CountPrediction
+    from hyperzero.core import Counts
 
     def wrong(p):
-        return CountPrediction(0, 0, 0, p.n // 2, "thm3.1") if p.n % 2 == 0 else \
-            CountPrediction(p.n, 0, 0, 0, "thm3.1")
+        return Counts(0, 0, 0, 0, p.n // 2, "thm3.1") if p.n % 2 == 0 else \
+            Counts(p.n, 0, 0, 0, 0, "thm3.1")
 
     monkeypatch.setattr(klein, "classify_region", wrong)
     code, out, _ = run(capsys, "verify", "-n", "3", "-b", "10", "-c", "2")
@@ -267,6 +267,15 @@ def test_identity_fixed_params(capsys):
                        "--samples", "20")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("lam", ["-1", "-1.0"])
+def test_identity_gegenbauer_vanishing_pochhammer_is_invalid(capsys, lam):
+    # (2*lam)_3 = (-2)(-1)(0) = 0: the right side is undefined
+    code, out, err = run(capsys, "identity", "gegenbauer", "-n", "3", "-b", lam, "-c", "1")
+    assert code == 1
+    assert out == ""
+    assert "invalid parameters" in err
 
 
 # ---------------------------------------------------------------------------

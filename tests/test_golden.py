@@ -43,6 +43,12 @@ VERIFY_POINTS = [
     ("5", "2.5", "-2.3"),     # float mode, reduced-via-(2.1)
 ]
 
+# verify in the default text format; _print_report_text reads every record
+VERIFY_TEXT = [
+    ("verify", "-n", "5", "-b", "7/3", "-c", "14/3"),   # template c=2b
+    ("verify", "-n", "5", "-b", "2.5", "-c", "-2.3"),   # float mode
+]
+
 IDENTITIES = [
     ("identity", which, "--samples", "20", "--format", "json")
     for which in ("euler", "invert")
@@ -51,6 +57,7 @@ IDENTITIES = [
 CASES = (
     SWEEPS
     + [("verify", "-n", n, "-b", b, "-c", c, "--format", "json") for n, b, c in VERIFY_POINTS]
+    + VERIFY_TEXT
     + IDENTITIES
 )
 
