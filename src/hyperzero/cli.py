@@ -62,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Exact Fraction for "p/q" and integer literals, float for decimals."""
+    """Exact Fraction for "p/q" and integer literals, finite float for decimals."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
@@ -75,9 +75,12 @@ def parse_scalar(text: str) -> Scalar:
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UsageError(f"cannot parse scalar {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"scalar {text!r} is not finite")
+    return value
 
 
 def format_scalar(v: Scalar) -> str:
@@ -502,6 +505,8 @@ def _identity_sample(which: str, rng: random.Random, fixed: Optional[Params],
 
 
 def cmd_identity(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     rng = _rng()
     fixed = None
     if args.b is not None and args.c is not None:

@@ -21,9 +21,9 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
-# Proximity threshold below which a float parameter is treated as integral.
-# The integer branch of the counting machinery changes results by whole
-# units, so near-integers in float mode are flagged instead of guessed.
+# Distance within which a float counts as on an edge (see side).  Counts
+# change by whole units across an edge, so a float this close to one is
+# flagged instead of guessed.
 INTEGRALITY_TOL = 1e-12
 
 
@@ -54,29 +54,30 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
 
 
-def scalar_is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+def side(value: Scalar, edge=0) -> int:
+    """Which side of edge value lies on: the sign of value - edge, 0 on the edge.
 
-
-def in_excluded_set(value: Scalar, n: int, tol: float = INTEGRALITY_TOL) -> bool:
-    """True when value lies in {0, -1, ..., -(n-1)}, exactly or within tol."""
-    if scalar_is_exact(value):
-        # int and Fraction both carry .denominator
-        return value.denominator == 1 and 1 - n <= value <= 0
-    k = round(value)
-    return abs(value - k) < tol and 1 - n <= k <= 0
-
-
-def nearby_integer(value: Scalar, tol: float = INTEGRALITY_TOL):
-    """The integer this scalar effectively is, or None.
-
-    Exact mode demands an exact integer; float mode accepts anything
-    within tol of one.
+    This is the one boundary rule.  An exact value is on the edge only when
+    it equals it; a float is on the edge within INTEGRALITY_TOL of it.
     """
-    if scalar_is_exact(value):
-        return int(value) if value.denominator == 1 else None
-    k = round(value)
-    return k if abs(value - k) < tol else None
+    d = value - edge
+    if isinstance(d, float) and abs(d) < INTEGRALITY_TOL:
+        return 0
+    return (d > 0) - (d < 0)
+
+
+def nearby_integer(value: Scalar):
+    """The integer this scalar is on (in the sense of side), or None."""
+    if isinstance(value, float):
+        k = round(value)
+        return k if side(value, k) == 0 else None
+    return int(value) if value.denominator == 1 else None
+
+
+def in_excluded_set(value: Scalar, n: int) -> bool:
+    """True when value is on one of 0, -1, ..., -(n-1)."""
+    k = nearby_integer(value)
+    return k is not None and 1 - n <= k <= 0
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,12 @@ class Params:
         b = as_scalar(self.b)
         c = as_scalar(self.c)
         if isinstance(b, float) or isinstance(c, float):
-            b, c = float(b), float(c)
+            try:
+                b, c = float(b), float(c)
+            except OverflowError:  # an exact value too large for a float
+                b = math.inf
+            if not (math.isfinite(b) and math.isfinite(c)):
+                raise InvalidParameterError(f"b and c must be finite, got b={b}, c={c}")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if in_excluded_set(c, self.n):
@@ -291,11 +297,9 @@ def gegenbauer_sides(n: int, lam, z):
         return 1, 1
     lam = as_scalar(lam)
     for i in range(n):
-        factor = 2 * lam + i
-        if factor == 0 or (isinstance(factor, float) and abs(factor) < INTEGRALITY_TOL):
+        if side(2 * lam + i) == 0:
             raise InvalidParameterError(f"(2*lam)_n vanishes for lam={lam}, n={n}")
-    half = Fraction(1, 2) if isinstance(lam, Fraction) else 0.5
-    p = Params(n, n + 2 * lam, lam + half)
+    p = Params(n, n + 2 * lam, lam + Fraction(1, 2))
     lhs = evaluate(coefficients(p), z)
     rhs = math.factorial(n) / pochhammer(2 * lam, n) * gegenbauer(n, lam, 1 - 2 * z)
     return lhs, rhs

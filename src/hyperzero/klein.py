@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import transforms
 from .core import (
     BoundaryParameterError,
     Counts,
-    INTEGRALITY_TOL,
     Params,
     in_excluded_set,
     nearby_integer,
-    scalar_is_exact,
+    side,
 )
 
 
@@ -38,23 +36,14 @@ class KleinXYZ:
 def klein_E(u) -> int:
     """Klein's step function: 0 for u <= 0, floor(u) off integers, u-1 on them.
 
-    Float mode detects integrality within 1e-12; the integer branch lowers
-    the value by one, which propagates to whole-unit count changes, so the
-    detection threshold is deliberately tight.
+    u <= 0 and "on an integer" are decided by core.side, so a float within
+    1e-12 of an integer takes the integer branch; that branch lowers the
+    value by one, which propagates to whole-unit count changes.
     """
-    if scalar_is_exact(u):
-        u = Fraction(u)
-        if u <= 0:
-            return 0
-        if u.denominator == 1:
-            return int(u) - 1
-        return math.floor(u)
-    if u < INTEGRALITY_TOL:
+    if side(u) <= 0:
         return 0
-    r = round(u)
-    if abs(u - r) < INTEGRALITY_TOL:
-        return int(r) - 1
-    return math.floor(u)
+    k = nearby_integer(u)
+    return math.floor(u) if k is None else k - 1
 
 
 def xyz(p: Params) -> KleinXYZ:
@@ -63,33 +52,21 @@ def xyz(p: Params) -> KleinXYZ:
     a1 = abs(1 - c)
     a2 = abs(n + b)
     a3 = abs(b - c - n)
-    half = Fraction(1, 2) if p.is_exact else 0.5
     return KleinXYZ(
-        klein_E((a1 - a2 - a3 + 1) * half),
-        klein_E((-a1 + a2 - a3 + 1) * half),
-        klein_E((-a1 - a2 + a3 + 1) * half),
+        klein_E((a1 - a2 - a3 + 1) / 2),
+        klein_E((-a1 + a2 - a3 + 1) / 2),
+        klein_E((-a1 - a2 + a3 + 1) / 2),
     )
 
 
 def binomial_sign(alpha, n: int) -> int:
     """Sign of the generalized binomial (alpha choose n).
 
-    Zero exactly when alpha is one of 0, 1, ..., n-1 (within 1e-12 in float
-    mode); only signs of the factors are multiplied, so there is no
-    overflow or cancellation.
+    Zero exactly when alpha is on one of 0, 1, ..., n-1 (core.side); only
+    signs of the factors are multiplied, so there is no overflow or
+    cancellation.
     """
-    sign = 1
-    exact = scalar_is_exact(alpha)
-    for i in range(n):
-        f = alpha - i
-        if exact:
-            s = (f > 0) - (f < 0)
-        else:
-            s = 0 if abs(f) < INTEGRALITY_TOL else (1 if f > 0 else -1)
-        if s == 0:
-            return 0
-        sign *= s
-    return sign
+    return math.prod(side(alpha, i) for i in range(n))
 
 
 def _require_hypothesis(p: Params):
@@ -144,12 +121,6 @@ def _strict_floor(v) -> int:
     return math.floor(v)
 
 
-def _near(v, target) -> bool:
-    if scalar_is_exact(v):
-        return v == target
-    return abs(v - target) < INTEGRALITY_TOL
-
-
 def _prediction(n, n1, n2, n3, provenance) -> Counts:
     """Counts of a degree-n polynomial; the rest of the degree is conjugate pairs."""
     rest = n - n1 - n2 - n3
@@ -163,7 +134,7 @@ def _classify_c_positive(p: Params) -> Counts:
     n, b, c = p.n, p.b, p.c
     if b > 0:
         d = b - c
-        if _near(d, n):
+        if side(d, n) == 0:
             raise BoundaryParameterError(f"b-c={d} equals n; window boundary")
         if d > n:
             return _prediction(n, 0, n, 0, "thm3.2.i")
@@ -171,7 +142,7 @@ def _classify_c_positive(p: Params) -> Counts:
             j = _strict_floor(d) + 1
             return _prediction(n, (n - j) % 2, j, 0, f"thm3.2.ii(j={j})")
         return _prediction(n, n % 2, 0, 0, "thm3.2.iii")
-    if _near(b, -n):
+    if side(b, -n) == 0:
         raise BoundaryParameterError(f"b={b} equals -n; window boundary")
     if b > -n:
         j = _strict_floor(-b) + 1

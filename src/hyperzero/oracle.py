@@ -93,37 +93,49 @@ def _prem(f: List[int], g: List[int]) -> Tuple[List[int], int]:
     return _trim(r), steps
 
 
+def _remainders(f: List[int], g: List[int]) -> List[List[int]]:
+    """f, g, then sign-corrected fraction-free remainders, all primitive.
+
+    Each remainder is a positive multiple of the classical -rem(prev, cur),
+    so with g = f' this is the Sturm chain of f.  The last element is
+    gcd(f, g) up to sign.
+    """
+    out = [_primitive(_trim(list(f)))]
+    g = _trim(list(g))
+    if g:
+        out.append(_primitive(g))
+    while len(out) >= 2 and len(out[-1]) > 1:
+        prev, cur = out[-2], out[-1]
+        r, steps = _prem(prev, cur)
+        if not r:
+            break
+        # prem scales by lc(cur)**steps; a negative scale must not flip the
+        # sign, so fold it into the negation.
+        positive_scale = cur[-1] > 0 or steps % 2 == 0
+        out.append(_primitive([-x for x in r] if positive_scale else r))
+    return out
+
+
 def _poly_gcd(f: List[int], g: List[int]) -> List[int]:
     """Primitive gcd with positive leading coefficient."""
-    a = _primitive(_trim(list(f)))
-    b = _primitive(_trim(list(g)))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r, _ = _prem(a, b)
-        a, b = b, _primitive(r) if r else []
-    if not a:
-        raise ValueError("gcd of zero polynomials")
-    if a[-1] < 0:
-        a = [-x for x in a]
-    return a
+    d = _remainders(f, g)[-1]
+    return d if d[-1] > 0 else [-x for x in d]
 
 
 def _exact_div(f: List[int], g: List[int]) -> List[int]:
-    """Quotient f / g when g divides f; integrality is asserted."""
-    num = [Fraction(a) for a in f]
-    df, dg = len(f) - 1, len(g) - 1
-    out = [Fraction(0)] * (df - dg + 1)
-    for i in range(df - dg, -1, -1):
-        coeff = num[i + dg] / g[-1]
-        out[i] = coeff
+    """Quotient f / g when g divides f over the integers; exactness is asserted."""
+    rem = list(f)
+    dg = len(g) - 1
+    out = [0] * (len(f) - dg)
+    for i in range(len(out) - 1, -1, -1):
+        out[i], r = divmod(rem[i + dg], g[-1])
+        if r:
+            raise ValueError("quotient not integral")
         for k, a in enumerate(g):
-            num[i + k] -= coeff * a
-    if any(num):
+            rem[i + k] -= out[i] * a
+    if any(rem):
         raise ValueError("division was not exact")
-    if any(c.denominator != 1 for c in out):
-        raise ValueError("quotient not integral")
-    return [int(c) for c in out]
+    return out
 
 
 def squarefree_decomposition(cs: List[int]) -> List[Tuple[List[int], int]]:
@@ -224,36 +236,11 @@ def _count_flips(signs: List[int]) -> int:
 
 
 def _build_chain(cs: List[int]) -> SturmChain:
-    chain = [_primitive(_trim(list(cs)))]
-    d = _trim(_derive(chain[0]))
-    if d:
-        chain.append(_primitive(d))
-    while len(chain) >= 2 and len(chain[-1]) > 1:
-        prev, cur = chain[-2], chain[-1]
-        r, steps = _prem(prev, cur)
-        if not r:
-            break
-        # prem scales by lc(cur)**steps; a negative scale must not flip the
-        # chain sign, so fold it into the negation.
-        positive_scale = cur[-1] > 0 or steps % 2 == 0
-        nxt = [-x for x in r] if positive_scale else list(r)
-        chain.append(_primitive(nxt))
-    return SturmChain(tuple(tuple(p) for p in chain))
+    return SturmChain(tuple(map(tuple, _remainders(cs, _derive(cs)))))
 
 
 def sturm_chain(q: Poly) -> SturmChain:
     return _build_chain(_to_int_coeffs(q))
-
-
-def _divide_out_one(cs: List[int]) -> List[int]:
-    """Exact synthetic division by (z - 1); remainder must vanish."""
-    desc = list(reversed(cs))
-    out = [desc[0]]
-    for a in desc[1:]:
-        out.append(a + out[-1])
-    if out[-1] != 0:
-        raise ValueError("1 is not a root")
-    return list(reversed(out[:-1]))
 
 
 def sturm_counts(q: Poly) -> Counts:
@@ -269,7 +256,7 @@ def sturm_counts(q: Poly) -> Counts:
     cs = _to_int_coeffs(q)
     mult_at_1 = 0
     while len(cs) > 1 and sum(cs) == 0:
-        cs = _divide_out_one(cs)
+        cs = _exact_div(cs, [-1, 1])
         mult_at_1 += 1
     while cs and cs[0] == 0:
         cs = cs[1:]

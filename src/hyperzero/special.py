@@ -15,13 +15,7 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import klein
-from .core import (
-    BoundaryParameterError,
-    INTEGRALITY_TOL,
-    Params,
-    as_scalar,
-    scalar_is_exact,
-)
+from .core import BoundaryParameterError, Params, as_scalar, side
 
 # Dead band around the circle |z-1| = 1 when classifying numeric roots; it
 # scales with 1 + |z|, like the distance at which the solver accepts a root.
@@ -76,24 +70,12 @@ def _geometry(n: int, on_circle, real_gt1, real_in01, real_neg, nonreal_pairs,
                     regions, fixed_points, provenance)
 
 
-def _gt(x, edge) -> bool:
-    if scalar_is_exact(x):
-        return x > edge
-    return x > edge + INTEGRALITY_TOL
-
-
-def _lt(x, edge) -> bool:
-    if scalar_is_exact(x):
-        return x < edge
-    return x < edge - INTEGRALITY_TOL
-
-
 def _inside(lo, x, hi) -> bool:
-    return _gt(x, lo) and _lt(x, hi)
+    return side(x, lo) > 0 and side(x, hi) < 0
 
 
 def _window_2b(n: int, b):
-    half = Fraction(1, 2) if scalar_is_exact(b) else 0.5
+    half = Fraction(1, 2)
     if n == 1:
         # Single zero at exactly 2 for every admissible b; the windows
         # overlap as printed but all make the same claim, so no boundaries.
@@ -103,7 +85,7 @@ def _window_2b(n: int, b):
             return "iii", None
         return "v", None
     top = n // 2
-    if _gt(b, -half):
+    if side(b, -half) > 0:
         return "i", None
     for j in range(1, top):
         if _inside(-half - j, b, half - j):
@@ -114,7 +96,7 @@ def _window_2b(n: int, b):
     for j in range(1, top):
         if _inside(j - n, b, j - n + 1):
             return "iv", j
-    if _lt(b, 1 - n):
+    if side(b, 1 - n) < 0:
         return "v", None
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=2b, n={n}")
 
@@ -172,8 +154,8 @@ def predict_2b(n: int, b) -> Geometry:
 
 
 def _window_half(n: int, b):
-    half = Fraction(1, 2) if scalar_is_exact(b) else 0.5
-    if _gt(b, n - half):
+    half = Fraction(1, 2)
+    if side(b, n - half) > 0:
         return "i", None
     for j in range(1, n):
         if _inside(n - half - j, b, n + half - j):
@@ -183,7 +165,7 @@ def _window_half(n: int, b):
     for j in range(1, n):
         if _inside(-j, b, -j + 1):
             return "iv", j
-    if _lt(b, 1 - n):
+    if side(b, 1 - n) < 0:
         return "v", None
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=1/2, n={n}")
 
@@ -191,8 +173,7 @@ def _window_half(n: int, b):
 def predict_half(n: int, b) -> Geometry:
     """Interval counts for the c = 1/2 polynomial, keyed on the b-window."""
     b = as_scalar(b)
-    half = Fraction(1, 2) if scalar_is_exact(b) else 0.5
-    Params(n, b, half)  # validity only; c = 1/2 is never excluded
+    Params(n, b, Fraction(1, 2))  # validity only; c = 1/2 is never excluded
     case, j = _window_half(n, b)
     if case == "i":
         gt1, in01, neg, pairs = 0, n, 0, 0
@@ -209,7 +190,7 @@ def predict_half(n: int, b) -> Geometry:
 
 
 def _window_minus2n(n: int, b):
-    if _gt(b, 0):
+    if side(b) > 0:
         return "i", None
     for k in range(1, n + 1):
         if _inside(-k, b, -k + 1):
@@ -217,7 +198,7 @@ def _window_minus2n(n: int, b):
     for k in range(0, n):
         if _inside(-n - k - 1, b, -n - k):
             return "iii", k
-    if _lt(b, -2 * n):
+    if side(b, -2 * n) < 0:
         return "iv", None
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=-2n, n={n}")
 

@@ -13,12 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
-from .core import (
-    InvalidParameterError,
-    Params,
-    in_excluded_set,
-    scalar_is_exact,
-)
+from .core import InvalidParameterError, Params, in_excluded_set
 
 
 class Reduction(NamedTuple):
@@ -116,7 +111,7 @@ QUADRATIC_TEMPLATES: Tuple[str, ...] = (
 
 
 def _template_residuals(n: int, b, c):
-    half = Fraction(1, 2) if scalar_is_exact(b) and scalar_is_exact(c) else 0.5
+    half = Fraction(1, 2)
     return {
         "c=2b": c - 2 * b,
         "c=-n-b+1": c + n + b - 1,

@@ -5,8 +5,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from hyperzero import Params
 from hyperzero.core import InvalidParameterError
+
+
+def assert_float_band(call, edge, error):
+    """A float 1e-13 from edge raises error like the exact edge; 1e-9 off does not.
+
+    call takes the float parameter; 1e-13 lies inside the 1e-12 band in
+    which a float counts as on the edge, 1e-9 lies well outside it.
+    """
+    for offset in (-1e-13, 1e-13):
+        with pytest.raises(error):
+            call(float(edge) + offset)
+    for offset in (-1e-9, 1e-9):
+        call(float(edge) + offset)
 
 
 def random_params(rng: random.Random, n_lo=1, n_hi=8, span=8, den=8) -> Params:

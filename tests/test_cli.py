@@ -278,8 +278,32 @@ def test_identity_gegenbauer_vanishing_pochhammer_is_invalid(capsys, lam):
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_identity_needs_at_least_one_sample(capsys, samples):
+    code, out, err = run(capsys, "identity", "euler", "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert "samples" in err
+
+
 # ---------------------------------------------------------------------------
 # options
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "-n", "3", "-b", "1", "-c", "inf"),
+    ("classify", "-n", "3", "-b", "nan", "-c", "2"),
+    ("classify", "-n", "3", "-b", "1", "-c", "1e400"),
+    ("verify", "-n", "3", "-b=-inf", "-c", "2"),
+    ("sweep", "-n", "3", "-b", "inf", "-c", "2"),
+    ("sweep", "-n", "3", "--b-range", "0:inf:3", "-c", "2"),
+    ("identity", "jacobi", "-n", "3", "--samples", "2", "-b", "1", "-c", "nan"),
+])
+def test_non_finite_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,7 +21,7 @@ from hyperzero import (
 )
 from hyperzero.core import InvalidParameterError
 
-from conftest import random_params
+from conftest import assert_float_band, random_params
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,18 @@ def test_excluded_c_rejected():
         Params(2, 5, 0)
     # below the excluded range is fine
     Params(3, 1, -5)
+
+
+@pytest.mark.parametrize("b, c", [
+    (math.inf, 2.0),
+    (-math.inf, 2.0),
+    (1.0, math.nan),
+    (math.nan, Fraction(1, 2)),
+    (10 ** 400, 2.5),  # an exact b too large for the float c to demote
+], ids=["inf", "-inf", "nan-c", "nan-b", "overflow"])
+def test_non_finite_params_rejected(b, c):
+    with pytest.raises(InvalidParameterError):
+        Params(3, b, c)
 
 
 def test_excluded_c_float_proximity():
@@ -205,6 +217,10 @@ def test_gegenbauer_check_vanishing_pochhammer():
     # (2*lam)_3 = (-2)(-1)(0) = 0 at lam = -1
     with pytest.raises(InvalidParameterError):
         gegenbauer_check(3, -1, 0.4)
+
+
+def test_gegenbauer_check_vanishing_pochhammer_float_band():
+    assert_float_band(lambda lam: gegenbauer_check(3, lam, 0.4), -1, InvalidParameterError)
 
 
 def test_gegenbauer_check_random_samples():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperzero import (
     Params,
@@ -19,7 +19,7 @@ from hyperzero import (
 )
 from hyperzero.core import BoundaryParameterError, InvalidParameterError
 
-from conftest import general_position_params
+from conftest import assert_float_band, general_position_params
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,27 @@ def test_classify_boundary_cases():
         classify_region(Params(3, -3, 2))  # b = -n
     with pytest.raises(BoundaryParameterError):
         classify_region(Params(3, -1, 2))  # degenerate b
+
+
+@pytest.mark.parametrize("c, edge", [
+    (1.5, 4.5),  # b - c = n
+    (2.0, -3),  # b = -n
+])
+def test_classify_window_edges_float_band(c, edge):
+    assert_float_band(lambda b: classify_region(Params(3, b, c)), edge,
+                      BoundaryParameterError)
+
+
+off_integers = st.fractions(-30, 30, max_denominator=1000).filter(lambda v: v.denominator > 1)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12), off_integers, off_integers)
+def test_classify_agrees_on_fractions_and_their_floats(n, b, c):
+    # b, c and c-b are each at least 1e-6 away from every integer, so no
+    # lattice line and no window edge lies between a Fraction and its float.
+    assume((c - b).denominator > 1)
+    assert classify_region(Params(n, b, c)) == classify_region(Params(n, float(b), float(c)))
 
 
 def test_classify_float_boundary_proximity():

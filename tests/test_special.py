@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperzero import (
     Params,
@@ -17,7 +18,7 @@ from hyperzero import (
 )
 from hyperzero.core import BoundaryParameterError, InvalidParameterError
 
-from conftest import rational_inside
+from conftest import assert_float_band, rational_inside
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +65,29 @@ def test_2b_fixed_zero_for_odd_degree():
     assert evaluate(coefficients(Params(2, Fraction(3, 4), Fraction(3, 2))), Fraction(2)) != 0
 
 
-def test_2b_window_boundaries_raise():
+# (b, error) at the window edges of the c = 2b template for n = 6
+EDGES_2B = [
     # integer endpoints with a still-valid c are genuine window boundaries
-    with pytest.raises(BoundaryParameterError):
-        predict_2b(6, -3)  # junction of the terminal window
-    with pytest.raises(BoundaryParameterError):
-        predict_2b(6, -4)  # junction between two real-zero windows
-    with pytest.raises(BoundaryParameterError):
-        predict_2b(6, -5)  # b = 1-n
+    (-3, BoundaryParameterError),  # junction of the terminal window
+    (-4, BoundaryParameterError),  # junction between two real-zero windows
+    (-5, BoundaryParameterError),  # b = 1-n
     # half-integer endpoints land on c = 2b in the excluded set instead
-    with pytest.raises(InvalidParameterError):
-        predict_2b(6, Fraction(-1, 2))
-    with pytest.raises(InvalidParameterError):
-        predict_2b(6, Fraction(-3, 2))
-    with pytest.raises(InvalidParameterError):
-        predict_2b(6, -1)  # c = -2 excluded
-    with pytest.raises(InvalidParameterError):
-        predict_2b(6, 0)
+    (Fraction(-1, 2), InvalidParameterError),
+    (Fraction(-3, 2), InvalidParameterError),
+    (-1, InvalidParameterError),  # c = -2 excluded
+    (0, InvalidParameterError),
+]
+
+
+def test_2b_window_boundaries_raise():
+    for b, error in EDGES_2B:
+        with pytest.raises(error):
+            predict_2b(6, b)
+
+
+@pytest.mark.parametrize("b, error", EDGES_2B)
+def test_2b_window_boundaries_float_band(b, error):
+    assert_float_band(lambda v: predict_2b(6, v), b, error)
 
 
 def test_2b_degree_one_has_no_boundaries():
@@ -148,10 +155,18 @@ def test_half_spec_cases():
     assert predict_half(4, -5).real_neg == 4
 
 
+EDGES_HALF = (Fraction(5, 2), Fraction(0), Fraction(1, 2), Fraction(-2), Fraction(-1))
+
+
 def test_half_window_boundaries_raise():
-    for b in (Fraction(5, 2), Fraction(0), Fraction(1, 2), Fraction(-2), Fraction(-1)):
+    for b in EDGES_HALF:
         with pytest.raises(BoundaryParameterError):
             predict_half(3, b)
+
+
+@pytest.mark.parametrize("b", EDGES_HALF)
+def test_half_window_boundaries_float_band(b):
+    assert_float_band(lambda v: predict_half(3, v), b, BoundaryParameterError)
 
 
 def test_half_windows_verified_against_oracle():
@@ -221,10 +236,18 @@ def test_minus2n_spec_cases():
     assert g.provenance == "thm2.3.iv"
 
 
+EDGES_MINUS2N = (0, -1, -3, -5, -6)
+
+
 def test_minus2n_window_boundaries_raise():
-    for b in (0, -1, -3, -5, -6):
+    for b in EDGES_MINUS2N:
         with pytest.raises(BoundaryParameterError):
             predict_minus2n(3, Fraction(b))
+
+
+@pytest.mark.parametrize("b", EDGES_MINUS2N)
+def test_minus2n_window_boundaries_float_band(b):
+    assert_float_band(lambda v: predict_minus2n(3, v), b, BoundaryParameterError)
 
 
 def test_minus2n_windows_verified_against_oracle():
@@ -239,3 +262,17 @@ def test_minus2n_windows_verified_against_oracle():
             b = rational_inside(rng, lo, hi)
             rep = verify(Params(n, b, -2 * n))
             assert rep.status == "pass", (n, b, [c for c in rep.checks if not c.ok])
+
+
+# ---------------------------------------------------------------------------
+# exact and float mode agree off the window edges
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12),
+       st.fractions(-30, 30, max_denominator=1000).filter(lambda b: b.denominator > 2))
+def test_predictions_agree_on_fraction_and_its_float(n, b):
+    # Every window edge of the three templates lies on a multiple of 1/2,
+    # and b is at least 1/2000 away from all of them.
+    for predict in (predict_2b, predict_half, predict_minus2n):
+        assert predict(n, b) == predict(n, float(b)), (predict.__name__, n, b)
