@@ -22,6 +22,7 @@ from typing import List, Optional, Tuple
 
 from . import klein, oracle, transforms
 from .core import (
+    INTEGRALITY_TOL,
     BoundaryParameterError,
     Counts,
     InvalidParameterError,
@@ -134,11 +135,12 @@ def _prediction_dict(pred: Counts, mode: str) -> dict:
 SWEEP_COLUMNS = "n,b,c,mode,provenance,n1,n2,n3,nonreal_pairs,status"
 
 
-def _sweep_row(n, b, c, mode, pred, status) -> str:
+def _sweep_tail(mode, pred, status) -> str:
+    """The columns of a sweep row after n, b and c."""
     if pred is None:
-        return f"{n},{format_scalar(b)},{format_scalar(c)},{mode},,,,,,{status}"
+        return f"{mode},,,,,,{status}"
     return (
-        f"{n},{format_scalar(b)},{format_scalar(c)},{mode},{pred.provenance},"
+        f"{mode},{pred.provenance},"
         f"{pred.n1},{pred.n2},{pred.n3},{pred.nonreal_pairs},{status}"
     )
 
@@ -150,7 +152,8 @@ def cmd_classify(args) -> int:
         print(_dumps(_prediction_dict(pred, p.mode)))
     elif args.format == "csv":
         print(SWEEP_COLUMNS)
-        print(_sweep_row(p.n, p.b, p.c, p.mode, pred, "ok"))
+        row = _sweep_tail(p.mode, pred, "ok")
+        print(f"{p.n},{format_scalar(p.b)},{format_scalar(p.c)},{row}")
     else:
         print(f"n1 (1,inf)     {pred.n1}")
         print(f"n2 (0,1)       {pred.n2}")
@@ -324,11 +327,23 @@ class SweepSpec:
         span = hi - lo
         return [lo + span * k / (steps - 1) + margin for k in range(steps)]
 
-    def grid(self) -> List[Tuple[Scalar, Scalar]]:
-        """Row-ordered grid, c outer and b inner, deterministic."""
+    def axes(self) -> Tuple[List[Scalar], List[Scalar]]:
+        """The b values and the c values of the grid, each list of one type.
+
+        A float value that is not finite (the span of a range overflowed) is
+        a usage error.
+        """
         margin = self.margin if self.margin is not None else Fraction(0)
         bs = self._points(self.b_range, margin)
         cs = self._points(self.c_range, margin)
+        for v in bs + cs:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise UsageError(f"grid value {v} is not finite: a range span overflows")
+        return bs, cs
+
+    def grid(self) -> List[Tuple[Scalar, Scalar]]:
+        """Row-ordered grid, c outer and b inner, deterministic."""
+        bs, cs = self.axes()
         return [(b, c) for c in cs for b in bs]
 
 
@@ -367,21 +382,124 @@ def _grid(args) -> List[Tuple[Scalar, Scalar]]:
     return _sweep_spec(args).grid()
 
 
-def cmd_sweep(args) -> int:
-    lines = [SWEEP_COLUMNS]
-    for b, c in _grid(args):
+# A float point is keyed on its cell only when b, c and c - b lie further
+# than INTEGRALITY_TOL plus this many ulps of max(|b|, |c|, n) from every
+# integer (see _cell_coordinates).
+GUARD_ULPS = 64
+
+
+def _cell_coordinates(n: int, bs: List[Scalar], cs: List[Scalar], exact: bool):
+    """Cell coordinates of a sweep grid: one classifier call per lattice cell.
+
+    Why the classification is constant on a cell.  Every decision that
+    klein.classify_region makes compares b, c or c - b, negated or shifted
+    by an integer, with an integer: the hypothesis (b, c, c - b outside
+    {0, ..., 1-n}), the branch tests c > 0, c - b < 1-n, b < 1-n, b > 0,
+    c - b > 0 and c > 1-n, the window edges b - c = n and b = -n, and the
+    window indices floor(-b), floor(-c) and floor(b - c).  The parameter
+    maps it reduces through send (b, c) to such values again (1-n+b-c,
+    1-c-n, 1-b-n, c-b), so the same holds after a reduction.  Hence every
+    decision, and with it the Counts and their provenance, is constant on
+    each open cell of the lines {b in Z}, {c in Z} and {c - b in Z}, which
+    (floor(b), floor(c), floor(c - b)) names (F. Klein, Math. Ann. 37,
+    1890).  A point on a line can sit on a boundary, so it is classified
+    on its own.
+
+    Exact grids put every value over one common denominator, so floor(c - b)
+    and whether c - b is an integer come from integer // and %.  Float grids
+    key on the floats the classifier sees (Params demotes both parameters)
+    and on the same float c - b it computes.  Each float decision of the
+    classifier reads a value that took at most six roundings of sums no
+    larger than 4 max(|b|, |c|, n), so its error is at most
+    24 * 2**-53 max(|b|, |c|, n), under GUARD_ULPS ulps of that maximum.
+    A float b, c or c - b further than INTEGRALITY_TOL plus GUARD_ULPS ulps
+    from every integer is therefore decided as its exact dyadic value is,
+    and that value's cell gives one answer; a point inside this guard is
+    classified on its own.
+
+    Returns (bx, cx, cell_floor).  bx[i] is (floor(b), y) for b = bs[i],
+    where y is b's coordinate (its numerator over the common denominator,
+    or its float), or None when b is on a line, inside the guard or has no
+    float; cx likewise for cs.  cell_floor(yc - yb) is floor(c - b), or
+    None when c - b is on a line, inside the guard or overflows.
+    """
+    if exact:
+        den = math.lcm(*(v.denominator for v in bs + cs))
+        ys = [v.numerator * (den // v.denominator) for v in bs + cs]
+
+        def cell_floor(y):
+            k, r = divmod(y, den)
+            return None if r == 0 else k
+
+    else:
+        ys = [_float_or_none(v) for v in bs + cs]
+        top = max([abs(y) for y in ys if y is not None] + [n])
+        guard = INTEGRALITY_TOL + GUARD_ULPS * math.ulp(top)
+
+        def cell_floor(y):
+            try:
+                k = math.floor(y)
+            except OverflowError:  # c - b overflows; Params rejects the point
+                return None
+            return k if guard < y - k < 1 - guard else None
+
+    def coordinate(y):
+        k = None if y is None else cell_floor(y)
+        return None if k is None else (k, y)
+
+    xs = [coordinate(y) for y in ys]
+    return xs[:len(bs)], xs[len(bs):], cell_floor
+
+
+def _float_or_none(v: Scalar) -> Optional[float]:
+    try:
+        return float(v)
+    except OverflowError:  # an exact value too large for a float
+        return None
+
+
+def _classified(n: int, b: Scalar, c: Scalar) -> str:
+    """The row tail of one point, from Params and the full classifier."""
+    try:
+        p = Params(n, b, c)
+    except InvalidParameterError:
         mode = "exact" if isinstance(b, Fraction) and isinstance(c, Fraction) else "float"
+        return _sweep_tail(mode, None, "undefined")
+    try:
+        pred = klein.classify_region(p)
+    except BoundaryParameterError:
+        return _sweep_tail(p.mode, None, "boundary")
+    return _sweep_tail(p.mode, pred, "ok")
+
+
+def cmd_sweep(args) -> int:
+    n = args.n
+    bs, cs = _sweep_spec(args).axes()
+    # each axis holds one type, so the grid is exact or float as a whole
+    exact = all(isinstance(v, Fraction) for v in bs + cs)
+    bx, cx, cell_floor = _cell_coordinates(n, bs, cs, exact)
+    columns = [(b, f"{n},{format_scalar(b)},", x) for b, x in zip(bs, bx)]
+    undefined = _sweep_tail("exact" if exact else "float", None, "undefined")
+    probe = Fraction(0) if exact else 0.0
+    memo = {}  # cell key -> row tail
+    lines = [SWEEP_COLUMNS]
+    for c, xc in zip(cs, cx):
+        mid = f"{format_scalar(c)},"
         try:
-            p = Params(args.n, b, c)
+            Params(n, probe, c)  # the checks Params makes of n and c
         except InvalidParameterError:
-            lines.append(_sweep_row(args.n, b, c, mode, None, "undefined"))
+            lines.extend(head + mid + undefined for _, head, _ in columns)
             continue
-        try:
-            pred = klein.classify_region(p)
-        except BoundaryParameterError:
-            lines.append(_sweep_row(args.n, b, c, p.mode, None, "boundary"))
-            continue
-        lines.append(_sweep_row(args.n, b, c, p.mode, pred, "ok"))
+        for b, head, xb in columns:
+            k = None if xb is None or xc is None else cell_floor(xc[1] - xb[1])
+            if k is None:  # on a line, inside the guard or not keyable
+                tail = _classified(n, b, c)
+            else:
+                key = (xb[0], xc[0], k)
+                tail = memo.get(key)
+                if tail is None:
+                    tail = memo[key] = _classified(n, b, c)
+            lines.append(head + mid + tail)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -103,8 +103,12 @@ class Params:
                 b, c = float(b), float(c)
             except OverflowError:  # an exact value too large for a float
                 b = math.inf
-            if not (math.isfinite(b) and math.isfinite(c)):
-                raise InvalidParameterError(f"b and c must be finite, got b={b}, c={c}")
+            # c - b is checked too: the classifier reads it, and two finite
+            # floats of opposite sign can differ by more than a float holds
+            if not (math.isfinite(b) and math.isfinite(c) and math.isfinite(c - b)):
+                raise InvalidParameterError(
+                    f"b, c and c-b must be finite, got b={b}, c={c}"
+                )
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         if in_excluded_set(c, self.n):
@@ -204,13 +208,19 @@ def coefficients(p: Params) -> Poly:
     which is exact in rational mode and avoids overflowing intermediate
     rising-factorial products in float mode.  For b = -m with m < n the
     factor (b+m) is zero and every later coefficient is exactly zero, in
-    both modes, which realizes the limiting convention for integer b.
+    both modes, which realizes the limiting convention for integer b.  A
+    float coefficient that overflows (|b| near 1e300 at n = 3) raises
+    InvalidParameterError: the polynomial has no float form.
     """
     n, b, c = p.n, p.b, p.c
     one = Fraction(1) if p.is_exact else 1.0
     coeffs = [one]
     for k in range(n):
         coeffs.append(coeffs[-1] * (k - n) * (b + k) / ((c + k) * (k + 1)))
+    if not p.is_exact and not all(math.isfinite(a) for a in coeffs):
+        raise InvalidParameterError(
+            f"a float coefficient of F(-{n}, {b}; {c}; z) overflows"
+        )
     return Poly(tuple(coeffs), p.mode)
 
 

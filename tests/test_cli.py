@@ -1,6 +1,10 @@
 """Command-line surface: formats, exit codes, parsing, sweeps."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,23 @@ def test_sweep_rejects_bad_steps(capsys):
     assert "steps" in err
 
 
+def test_sweep_point_whose_difference_overflows_is_undefined(capsys):
+    # b and c are finite, c - b is not
+    code, out, err = run(capsys, "sweep", "-n", "3", "--b-range=1e308:1e308:1",
+                         "--c-range=-1e308:-1e308:1")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1:] == ["3,1e+308,-1e+308,float,,,,,,undefined"]
+
+
+def test_sweep_range_whose_span_overflows_is_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "-n", "3", "--b-range=-1e308:1e308:3",
+                         "--c-range=-1:1:3")
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err and "not finite" in err
+
+
 def test_sweep_rejects_nonpositive_margin(capsys):
     code, _, err = run(capsys, "sweep", "-n", "2", "--b-range", "0:1:2", "-c", "2",
                        "--margin", "0")
@@ -304,6 +325,30 @@ def test_non_finite_parameters_are_usage_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "-n", "3", "-b", "1e308", "-c=-1e308"),  # c - b overflows
+    ("verify", "-n", "3", "-b", "1e300", "-c", "2.5"),  # a float coefficient overflows
+    ("roots", "-n", "3", "-b", "1e300", "-c", "2.5"),
+])
+def test_overflowing_float_parameters_are_invalid(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "invalid parameters" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["classify", "-n", "3", "-b", "7/3", "-c", "11/5"]
+    _, want, _ = run(capsys, *argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hyperzero", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 @pytest.mark.parametrize("argv", [

@@ -60,10 +60,20 @@ def test_excluded_c_rejected():
     (1.0, math.nan),
     (math.nan, Fraction(1, 2)),
     (10 ** 400, 2.5),  # an exact b too large for the float c to demote
-], ids=["inf", "-inf", "nan-c", "nan-b", "overflow"])
+    (1e308, -1e308),  # finite b and c whose difference c - b overflows
+    (-1e308, 1e308),
+], ids=["inf", "-inf", "nan-c", "nan-b", "overflow", "c-b-overflow", "b-c-overflow"])
 def test_non_finite_params_rejected(b, c):
     with pytest.raises(InvalidParameterError):
         Params(3, b, c)
+
+
+def test_overflowing_float_coefficients_rejected():
+    # the degree-2 coefficient is about b**2 = 1e600
+    with pytest.raises(InvalidParameterError):
+        coefficients(Params(3, 1e300, 2.5))
+    # the same size of b is fine in exact mode
+    assert coefficients(Params(3, Fraction(10) ** 300, Fraction(5, 2))).coeffs[3] != 0
 
 
 def test_excluded_c_float_proximity():

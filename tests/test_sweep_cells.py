@@ -1,0 +1,171 @@
+"""The lattice-cell claim behind sweep: one classification per open cell.
+
+The counts and provenance of classify_region are constant on each open
+cell of the lines {b in Z}, {c in Z} and {c - b in Z}
+(cli._cell_coordinates states the argument).  These tests check the claim
+on every cell of a box, check that float points away from the lines agree
+with the exact cell, and check sweep's output against a plain per-point
+loop.
+"""
+
+import contextlib
+import io
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from hyperzero import Params, classify_region, cli
+from hyperzero.core import BoundaryParameterError, InvalidParameterError
+
+
+def _cells(n):
+    """Every open cell (floor b, floor c, floor(c - b)) in |b|, |c| <= 2n + 2."""
+    r = 2 * n + 2
+    for fb in range(-r, r):
+        for fc in range(-r, r):
+            # c - b = fc - fb + (frac c - frac b): the two triangles of the square
+            for fcb in (fc - fb - 1, fc - fb):
+                yield fb, fc, fcb
+
+
+def _point_in(rng, cell, den_hi=97):
+    """A random exact point of the open cell."""
+    fb, fc, fcb = cell
+    den = rng.randint(3, den_hi)
+    lo, hi = sorted(rng.sample(range(1, den), 2))
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
+    # frac c > frac b exactly when floor(c - b) = floor c - floor b
+    beta, gamma = (lo, hi) if fcb == fc - fb else (hi, lo)
+    return fb + beta, fc + gamma
+
+
+def _centre(cell):
+    fb, fc, fcb = cell
+    if fcb == fc - fb:
+        return fb + Fraction(1, 3), fc + Fraction(2, 3)
+    return fb + Fraction(2, 3), fc + Fraction(1, 3)
+
+
+def _cell_of(b, c):
+    return math.floor(b), math.floor(c), math.floor(c - b)
+
+
+def _outcome(n, b, c):
+    try:
+        return classify_region(Params(n, b, c))
+    except (BoundaryParameterError, InvalidParameterError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_cell_in_the_box_gives_one_answer(n):
+    rng = random.Random(n)
+    for cell in _cells(n):
+        points = [_point_in(rng, cell) for _ in range(3)]
+        assert all(_cell_of(b, c) == cell for b, c in points)
+        answers = [classify_region(Params(n, b, c)) for b, c in points]
+        assert answers[0] == answers[1] == answers[2], (n, cell, points)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_float_points_off_the_lines_agree_with_the_exact_cell(n):
+    rng = random.Random(100 + n)
+    r = 2 * n + 2
+    checked = 0
+    while checked < 400:
+        # some coordinates land 1e-11 from a line, outside the 1e-12 band
+        b, c = (rng.choice((rng.uniform(-r, r),
+                            rng.randint(-r, r) + rng.choice((-1e-11, 1e-11))))
+                for _ in range(2))
+        eb, ec = Fraction(b), Fraction(c)
+        if min(abs(v - round(v)) for v in (eb, ec, ec - eb)) < Fraction(1, 10**11) / 2:
+            continue
+        cell = _cell_of(eb, ec)
+        assert _outcome(n, b, c) == _outcome(n, *_centre(cell)), (n, b, c)
+        checked += 1
+
+
+def _reference_sweep(argv):
+    """sweep's output computed the plain way: Params and the classifier per point."""
+    args = cli.build_parser().parse_args(list(argv))
+    lines = [cli.SWEEP_COLUMNS]
+    for b, c in cli._sweep_spec(args).grid():
+        head = f"{args.n},{cli.format_scalar(b)},{cli.format_scalar(c)}"
+        try:
+            p = Params(args.n, b, c)
+        except InvalidParameterError:
+            mode = "exact" if isinstance(b, Fraction) and isinstance(c, Fraction) else "float"
+            lines.append(f"{head},{mode},,,,,,undefined")
+            continue
+        try:
+            pred = classify_region(p)
+        except BoundaryParameterError:
+            lines.append(f"{head},{p.mode},,,,,,boundary")
+            continue
+        lines.append(f"{head},{p.mode},{pred.provenance},{pred.n1},{pred.n2},{pred.n3},"
+                     f"{pred.nonreal_pairs},ok")
+    return "\n".join(lines) + "\n"
+
+
+def _sweep(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(list(argv)) == 0
+    return buf.getvalue()
+
+
+def _random_grid(rng):
+    n = rng.randint(1, 8)
+    exact = rng.random() < 0.5
+
+    def end():
+        if exact:
+            return f"{rng.randint(-40, 40)}/{rng.choice((1, 2, 3, 4, 6))}"
+        return repr(rng.randint(-40, 40) / 4)
+
+    argv = ["sweep", "-n", str(n)]
+    for axis in ("b", "c"):
+        lo, hi = sorted((end(), end()), key=lambda t: Fraction(t))
+        argv.append(f"--{axis}-range={lo}:{hi}:{rng.randint(1, 30)}")
+    margin = rng.choice((None, "1e-12", "1e-13", "2e-12", "1/7", "0.013",
+                         "1/1000000000000", "1/10000000000000"))
+    if margin is not None:
+        argv += ["--margin", margin]
+    return argv
+
+
+FIXED_GRIDS = [
+    # points 1e-12 and 1e-13 from the lines, at both signs of the offset
+    ["sweep", "-n", "4", "--b-range=-6.0:6.0:25", "--c-range=-6.0:6.0:25", "--margin", "1e-12"],
+    ["sweep", "-n", "4", "--b-range=-6.0:6.0:25", "--c-range=-6.0:6.0:25", "--margin", "1e-13"],
+    ["sweep", "-n", "4", "--b-range=-6.000000000001:6.0:25", "--c-range=-6.0:6.0:49"],
+    # exact values next to the lines
+    ["sweep", "-n", "5", "--b-range=-6:6:25", "--c-range=-6:6:25",
+     "--margin", "1/1000000000000"],
+    # mixed: exact b, float c
+    ["sweep", "-n", "3", "--b-range=-5:5:21", "--c-range=-5.0:5.0:21", "--margin", "1/3"],
+    # large magnitudes, where a float's ulps approach the 1e-12 band
+    ["sweep", "-n", "6", "--b-range=99990.0:100010.0:41", "--c-range=-20.5:20.5:41",
+     "--margin", "1e-11"],
+    ["sweep", "-n", "6", "--b-range=1e14:1.00000000000002e14:21", "--c-range=-3.0:3.0:13",
+     "--margin", "0.25"],
+    # every point undefined: no valid degree
+    ["sweep", "-n", "0", "--b-range=-1:1:3", "--c-range=-1.0:1.0:3"],
+    # the sweep-grid benchmark's dense and decimal shapes, smaller
+    ["sweep", "-n", "8", "--b-range=-8:8:47", "--c-range=-8:8:45", "--margin", "2/13"],
+    ["sweep", "-n", "8", "--b-range=-8.0:8.0:51", "--c-range=-8.0:8.0:47", "--margin", "0.437"],
+]
+
+
+@pytest.mark.parametrize("argv", FIXED_GRIDS, ids=" ".join)
+def test_sweep_equals_the_per_point_loop(argv):
+    assert _sweep(argv) == _reference_sweep(argv)
+
+
+def test_sweep_equals_the_per_point_loop_on_random_grids():
+    rng = random.Random(20240817)
+    for _ in range(40):
+        argv = _random_grid(rng)
+        assert _sweep(argv) == _reference_sweep(argv), argv
