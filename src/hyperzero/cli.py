@@ -262,7 +262,7 @@ def cmd_verify(args) -> int:
     if args.b_range or args.c_range:
         return _verify_sweep(args)
     p = _params_from(args)
-    rep = oracle.verify(p, tol=args.tol)
+    rep = oracle.verify(p)
     if args.format == "json":
         print(_dumps(_report_dict(rep)))
     else:
@@ -274,13 +274,14 @@ def _verify_sweep(args) -> int:
     worst = EXIT_OK
     for b, c in _grid(args):
         try:
-            p = Params(args.n, b, c)
+            # a point whose float coefficients overflow is as undefined as
+            # one that Params rejects
+            rep = oracle.verify(Params(args.n, b, c))
         except InvalidParameterError:
             line = {"b": _jsonify_scalar(b), "c": _jsonify_scalar(c), "status": "undefined"}
             print(_dumps(line) if args.format == "json" else
                   f"verify n={args.n} b={format_scalar(b)} c={format_scalar(c)} -> UNDEFINED")
             continue
-        rep = oracle.verify(p, tol=args.tol)
         if args.format == "json":
             print(_dumps(_report_dict(rep)))
         else:
@@ -686,7 +687,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="check predictions against the oracle")
     add_params(sp)
     sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--tol", type=float, default=1e-9)
     add_grid(sp)
     sp.set_defaults(func=cmd_verify)
 

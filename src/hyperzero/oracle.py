@@ -37,6 +37,11 @@ from .core import (
 )
 from .special import Geometry
 
+# The one root rule: all_roots accepts a computed root z when an exact
+# Newton step bounds its distance to a true root by ROOT_BAND (1 + |z|), and
+# interval_counts and geometry_report place roots with the same band.
+ROOT_BAND = 1e-9
+
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (ascending coefficients)
 
@@ -179,13 +184,6 @@ def _to_int_coeffs(q: Poly) -> List[int]:
     return [int(a * denom) for a in cs]
 
 
-def _eval_fraction(cs: List[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(cs):
-        acc = acc * x + a
-    return acc
-
-
 def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
@@ -205,10 +203,6 @@ class SturmChain:
 
     polys: Tuple[Tuple[int, ...], ...]
 
-    def variations_at(self, x: Fraction) -> int:
-        signs = [_sign(_eval_fraction(list(p), x)) for p in self.polys]
-        return _count_flips(signs)
-
     def variations_at_pos_inf(self) -> int:
         return _count_flips([_sign(p[-1]) for p in self.polys])
 
@@ -217,10 +211,6 @@ class SturmChain:
             _sign(p[-1]) * (-1 if (len(p) - 1) % 2 else 1) for p in self.polys
         ]
         return _count_flips(signs)
-
-    def count_in(self, a: Fraction, b: Fraction) -> int:
-        """Distinct real roots in (a, b); a and b must not be roots."""
-        return self.variations_at(Fraction(a)) - self.variations_at(Fraction(b))
 
 
 def _count_flips(signs: List[int]) -> int:
@@ -505,29 +495,38 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     return p, dp
 
 
-def _exact_newton(int_cs: List[int], z: complex) -> complex:
-    """Newton steps with exact evaluation, for roots the float path cannot pin.
+def _exact_newton(int_cs: List[int], z: complex) -> Tuple[complex, float]:
+    """Newton steps with exact evaluation: the point and its last step's size.
 
     Double-precision Horner limits the root error to roughly
     eps * scale / |p'|; evaluating p and p' exactly at the float iterate
     removes that floor while the step itself stays a float.  Steps go on
     until one moves z by at most 1e-12 (1 + |z|), which leaves a simple
-    root within roundoff; two usually suffice, a start inside a cluster
-    of roots may need more.
+    root within roundoff; one or two usually suffice, a start inside a
+    cluster of roots may need more.  The last step |p/p'| is the exact
+    Newton-distance estimate of the point it started from, so it bounds the
+    returned point's distance too: 0 at an exact root, inf where p' = 0.
     """
     for _ in range(8):
         p, dp = _exact_eval_pair(int_cs, z)
-        if p == 0 or dp == 0:
+        if p == 0:
+            return z, 0.0
+        if dp == 0:
+            return z, math.inf
+        w = p / dp
+        z = z - w
+        step = abs(w)
+        if step <= 1e-12 * (1 + abs(z)):
             break
-        step = p / dp
-        z = z - step
-        if abs(step) <= 1e-12 * (1 + abs(z)):
-            break
-    return z
+    return z, step
 
 
 def _exact_root_distance(int_cs: List[int], z: complex) -> float:
-    """Newton-distance estimate |p/p'| with exact evaluation; inf at p' = 0."""
+    """Newton-distance estimate |p/p'| with exact evaluation; inf at p' = 0.
+
+    all_roots certifies a root by its last exact Newton step instead; this
+    evaluates the returned point afresh, as an independent reference.
+    """
     p, dp = _exact_eval_pair(int_cs, z)
     if p == 0:
         return 0.0
@@ -566,28 +565,21 @@ def _real_snap(coeffs: List[float], z: complex, res: float) -> Tuple[complex, fl
     return z, res
 
 
-def _pair_conjugates(
-    coeffs: List[float], roots: List[Tuple[complex, float]]
-) -> List[Tuple[complex, float]]:
+def _pair_conjugates(zs: List[complex]) -> List[complex]:
     """Symmetrize non-real roots into exact conjugate pairs."""
-    real = [(z, r) for z, r in roots if z.imag == 0.0]
-    upper = [(z, r) for z, r in roots if z.imag > 0.0]
-    lower = [(z, r) for z, r in roots if z.imag < 0.0]
-    out = list(real)
-    for zu, ru in upper:
+    out = [z for z in zs if z.imag == 0.0]
+    upper = [z for z in zs if z.imag > 0.0]
+    lower = [z for z in zs if z.imag < 0.0]
+    for zu in upper:
         if not lower:
-            out.append((zu, ru))
+            out.append(zu)
             continue
-        idx = min(range(len(lower)), key=lambda i: abs(zu - lower[i][0].conjugate()))
-        zl, rl = lower.pop(idx)
+        zl = lower.pop(min(range(len(lower)), key=lambda i: abs(zu - lower[i].conjugate())))
         if abs(zu - zl.conjugate()) <= 1e-6 * (1.0 + abs(zu)):
             mid = (zu + zl.conjugate()) / 2
-            res_mid = abs(horner_with_derivative(coeffs, mid)[0])
-            out.append((mid, res_mid))
-            out.append((mid.conjugate(), res_mid))
+            out += [mid, mid.conjugate()]
         else:
-            out.append((zu, ru))
-            out.append((zl, rl))
+            out += [zu, zl]
     out.extend(lower)
     return out
 
@@ -619,38 +611,34 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
         tasks.append(([a / scale_norm for a in full], None, 1))
 
     def refine(fac: List[float], int_fac: Optional[List[int]], z: complex,
-               float_polish: bool = True):
+               float_polish: bool = True) -> Tuple[complex, float]:
+        """The polished point and, for an exact factor, its certificate: a
+        bound on its distance to a root of the factor (nan for a float one)."""
         if float_polish:
             z, res = _newton_polish(fac, z)
-            z, res = _real_snap(fac, z, res)
-        else:
-            res = abs(horner_with_derivative(fac, z)[0])
+            z, _ = _real_snap(fac, z, res)
         if int_fac is None:
-            return z, res
-        _, dp = horner_with_derivative(fac, z)
+            return z, math.nan
         # Float evaluation noise caps the attainable accuracy at roughly
-        # res/|p'|; exact evaluation lifts that cap.  A point this close to
-        # the axis may also be a real root whose imaginary part is float
-        # noise above interval_counts' absolute band; exact steps decide.
-        # Real iterates stay exactly real through the exact steps.
-        near_axis = 0 < abs(z.imag) <= 1e-6 * (1.0 + abs(z.real))
-        if dp != 0 and (not float_polish or near_axis or res > 1e-11 * abs(dp)):
-            z = _exact_newton(int_fac, z)
-            if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
-                z = complex(z.real, 0.0)
-            res = abs(horner_with_derivative(fac, z)[0])
-        return z, res
+        # res/|p'|; exact steps lift that cap and certify the point.  A point
+        # close to the axis may be a real root whose imaginary part is float
+        # noise above the placement band; the exact steps decide, and real
+        # iterates stay exactly real through them.
+        z, dist = _exact_newton(int_fac, z)
+        if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
+            dist += abs(z.imag)  # the snap moves the point that much
+            z = complex(z.real, 0.0)
+        return z, dist
 
-    def sound_mask(int_fac: List[int], points: List[Tuple[complex, float]]) -> List[bool]:
-        zs = [z for z, _ in points]
-        dist = [_exact_root_distance(int_fac, z) for z in zs]
-        sound = [r <= 1e-9 * (1 + abs(z)) for z, r in zip(zs, dist)]
+    def sound_mask(points: List[Tuple[complex, float]]) -> List[bool]:
+        sound = [dist <= ROOT_BAND * (1 + abs(z)) for z, dist in points]
         # Polishing can carry a point onto a neighbour's root and leave
         # another root unfound; a squarefree factor has no double roots, so
         # of two coincident points the one farther from a root is unsound.
-        for i, j in itertools.combinations(range(len(zs)), 2):
-            if abs(zs[i] - zs[j]) <= 1e-9 * (1 + abs(zs[i])):
-                sound[j if dist[j] >= dist[i] else i] = False
+        for i, j in itertools.combinations(range(len(points)), 2):
+            (zi, di), (zj, dj) = points[i], points[j]
+            if abs(zi - zj) <= ROOT_BAND * (1 + abs(zi)):
+                sound[j if dj >= di else i] = False
         return sound
 
     total_sweeps = 0
@@ -660,7 +648,7 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
         total_sweeps += sweeps
         polished = [refine(fac, int_fac, z) for z in solved]
         if int_fac is not None:
-            sound = sound_mask(int_fac, polished)
+            sound = sound_mask(polished)
             if not all(sound):
                 # Backward-stable pseudo-roots: the float landscape is flat
                 # at the evaluation scale, so rerun the iteration with exact
@@ -680,14 +668,13 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
                     old if ok else refine(fac, int_fac, z, float_polish=False)
                     for old, ok, z in zip(polished, sound, solved)
                 ]
-                if not all(sound_mask(int_fac, polished)):
+                if not all(sound_mask(polished)):
                     raise NonConvergenceError(
                         "exact-evaluation rescue left unverified roots",
                         best=polished,
                     )
-        for z, _ in _pair_conjugates(fac, polished):
-            res_q = abs(horner_with_derivative(full, z)[0])
-            found.append((z, mult, res_q))
+        for z in _pair_conjugates([z for z, _ in polished]):
+            found.append((z, mult, abs(horner_with_derivative(full, z)[0])))
 
     if sum(m for _, m, _ in found) != deg:
         raise NonConvergenceError(
@@ -703,63 +690,65 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
 # classification of computed roots
 
 
-def interval_counts(r: RootSet, band: float = 1e-9) -> Counts:
-    """Real-interval counts (with multiplicity) using an |Im| dead band.
+NONREAL = 4  # the Counts index of nonreal_pairs
 
-    Roots within band of 1 are counted in mult_at_1; a root within band of
-    0 lies in no interval and is not counted.
+
+def _place(z: complex) -> Optional[int]:
+    """Where a computed root lies, indexed like Counts.
+
+    A root within ROOT_BAND of the real axis is real: 3 (mult_at_1) within
+    ROOT_BAND of 1, else 0 in (1,inf), 1 in (0,1), 2 in (-inf,0), and None
+    within ROOT_BAND of 0, which lies in no interval.  Any other root is
+    NONREAL.  The bands are absolute, unlike the circle band.
     """
-    n1 = n2 = n3 = at_one = nonreal = 0
+    if abs(z.imag) > ROOT_BAND:
+        return NONREAL
+    x = z.real
+    if abs(x - 1) <= ROOT_BAND:
+        return 3
+    if abs(x) <= ROOT_BAND:
+        return None
+    return 0 if x > 1 else 1 if x > 0 else 2
+
+
+def interval_counts(r: RootSet) -> Counts:
+    """Real-interval counts (with multiplicity) of the computed roots.
+
+    Roots are placed by _place; nonreal_pairs is half the non-real roots.
+    """
+    tally = [0] * 5
     for root in r.roots:
-        z, m = root.value, root.multiplicity
-        if abs(z.imag) <= band:
-            x = z.real
-            if abs(x - 1) <= band:
-                at_one += m
-            elif abs(x) <= band:
-                continue
-            elif x > 1:
-                n1 += m
-            elif x > 0:
-                n2 += m
-            else:
-                n3 += m
-        else:
-            nonreal += m
-    return Counts(n1, n2, n3, at_one, nonreal // 2)
+        slot = _place(root.value)
+        if slot is not None:
+            tally[slot] += root.multiplicity
+    return Counts(*tally[:NONREAL], tally[NONREAL] // 2)
 
 
-def geometry_report(r: RootSet, tol: float = special.CIRCLE_BAND) -> Geometry:
+def geometry_report(r: RootSet) -> Geometry:
     """Computed-root geometry in the shape of a predicted Geometry.
 
-    Roots within tol (1 + |z|) of the circle |z-1| = 1 count as on_circle
-    (this includes real roots near 0 or 2); the band is relative, like the
-    Newton distance at which all_roots accepts a root.  Remaining real
-    roots fall into the three open intervals (a root within tol of 1 into
-    none); remaining non-real roots are bucketed by the four circle/axis
-    regions.
+    Roots within ROOT_BAND (1 + |z|) of the circle |z-1| = 1 count as
+    on_circle (this includes real roots near 0 or 2); the band is relative,
+    like the Newton distance at which all_roots accepts a root.  Remaining
+    roots are placed by _place: real ones into the three open intervals (a
+    root at 1 into none), non-real ones into the four circle/axis regions.
     """
-    on_circle = gt1 = in01 = neg = 0
+    on_circle = 0
+    tally = [0] * 5
     regions = dict.fromkeys(special.REGIONS, 0)
     for root in r.roots:
         z, m = root.value, root.multiplicity
-        if abs(abs(z - 1) - 1) <= tol * (1 + abs(z)):
+        if abs(abs(z - 1) - 1) <= ROOT_BAND * (1 + abs(z)):
             on_circle += m
-        elif abs(z.imag) <= tol:
-            x = z.real
-            if abs(x - 1) <= tol:
-                continue
-            elif x > 1:
-                gt1 += m
-            elif x > 0:
-                in01 += m
-            else:
-                neg += m
-        else:
+            continue
+        slot = _place(z)
+        if slot == NONREAL:
             side = "inside" if abs(z - 1) < 1 else "outside"
             half = "upper" if z.imag > 0 else "lower"
             regions[f"{side}_{half}"] += m
-    return Geometry(on_circle, gt1, in01, neg, sum(regions.values()) // 2, regions)
+        elif slot is not None:
+            tally[slot] += m
+    return Geometry(on_circle, *tally[:3], sum(regions.values()) // 2, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +779,6 @@ def _checks(names, predicted, observed) -> List[Check]:
 @dataclass(frozen=True)
 class VerificationReport:
     params: Params
-    mode: str
-    confidence: str  # "exact" when Sturm counting applied, else "numeric"
     status: str  # pass | fail | boundary
     prediction: Optional[Counts]
     geometry_prediction: Optional[Geometry]
@@ -802,11 +789,20 @@ class VerificationReport:
     notes: Tuple[str, ...]
 
     @property
+    def mode(self) -> str:
+        return self.params.mode
+
+    @property
+    def confidence(self) -> str:
+        # "exact" when Sturm counting applied, else "numeric"
+        return "exact" if self.params.is_exact else "numeric"
+
+    @property
     def passed(self) -> bool:
         return self.status != "fail"
 
 
-def verify(p: Params, tol: float = 1e-9) -> VerificationReport:
+def verify(p: Params) -> VerificationReport:
     """Predict counts (and geometry where a template applies), then check both
     against the Sturm counter and the numeric solver.
 
@@ -838,8 +834,8 @@ def verify(p: Params, tol: float = 1e-9) -> VerificationReport:
     deg = q.effective_degree
     sturm = sturm_counts(q) if (p.is_exact and deg >= 1) else None
     rootset = all_roots(q) if deg >= 1 else RootSet((), 0)
-    numeric = interval_counts(rootset, band=tol)
-    observation = geometry_report(rootset, tol=tol)
+    numeric = interval_counts(rootset)
+    observation = geometry_report(rootset)
 
     if prediction is not None:
         # only the exact counter checks the multiplicity at 1
@@ -870,8 +866,6 @@ def verify(p: Params, tol: float = 1e-9) -> VerificationReport:
 
     return VerificationReport(
         params=p,
-        mode=p.mode,
-        confidence="exact" if p.is_exact else "numeric",
         status=status,
         prediction=prediction,
         geometry_prediction=geometry_pred,

@@ -17,11 +17,6 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from . import klein
 from .core import BoundaryParameterError, Params, as_scalar, side
 
-# Dead band around the circle |z-1| = 1 when classifying numeric roots; it
-# scales with 1 + |z|, like the distance at which the solver accepts a root.
-CIRCLE_BAND = 1e-9
-
-
 # The four regions cut out by the circle |z-1| = 1 and the real axis.
 REGIONS = ("inside_upper", "inside_lower", "outside_upper", "outside_lower")
 

@@ -125,7 +125,7 @@ def test_criterion_5_window_checks_half_and_minus2n():
     for lo, hi in half_windows:
         for _ in range(3):
             b = rational_inside(rng, lo, hi)
-            rep = verify(Params(n, b, Fraction(1, 2)), tol=1e-9)
+            rep = verify(Params(n, b, Fraction(1, 2)))
             assert rep.status == "pass", (n, b, [c for c in rep.checks if not c.ok])
 
     m = 4
@@ -136,7 +136,7 @@ def test_criterion_5_window_checks_half_and_minus2n():
     for lo, hi in m2n_windows:
         for _ in range(3):
             b = rational_inside(rng, lo, hi)
-            rep = verify(Params(m, b, -2 * m), tol=1e-9)
+            rep = verify(Params(m, b, -2 * m))
             assert rep.status == "pass", (m, b, [c for c in rep.checks if not c.ok])
     _report(5, "c=1/2 and c=-2n printed cases vs oracle", started, 10)
 

@@ -1,12 +1,15 @@
 """Command-line surface: formats, exit codes, parsing, sweeps."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperzero import cli
 
@@ -157,6 +160,15 @@ def test_verify_range_stream(capsys):
     assert len(lines) == 3
     for line in lines:
         assert json.loads(line)["status"] in ("pass", "boundary")
+
+
+def test_verify_range_point_whose_coefficients_overflow_is_undefined(capsys):
+    code, out, _ = run(capsys, "verify", "-n", "3", "--b-range=1:1e300:3",
+                       "-c", "2.5", "--format", "json")
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [line["status"] for line in lines] == ["pass", "undefined", "undefined"]
+    assert [line["b"] for line in lines] == [1.0, 5e299, 1e300]
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +369,7 @@ def test_python_dash_m_runs_the_cli(capsys):
     ("roots", "-n", "2", "-b", "1/2", "-c", "1", "--out", "roots.txt"),
     ("roots", "-n", "2", "-b", "1/2", "-c", "1", "--format", "csv"),
     ("verify", "-n", "2", "-b", "1/2", "-c", "1", "--format", "csv"),
+    ("verify", "-n", "2", "-b", "1", "-c", "2", "--tol", "1e-6"),
     ("sweep", "-n", "2", "-b", "1/2", "-c", "1", "--format", "json"),
     ("identity", "pfaff", "--format", "csv"),
 ])
@@ -365,3 +378,52 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert "usage error" in err
+
+
+# ---------------------------------------------------------------------------
+# any argv
+
+
+_INTS = st.integers(-10**6, 10**6)
+_SCALARS = st.one_of(
+    _INTS.map(str),
+    st.tuples(_INTS, st.integers(1, 10**6)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.floats(-50, 50).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(1e306, 1.7976931348623157e308).map(repr),
+    st.floats(-1.7976931348623157e308, -1e306).map(repr),
+    st.sampled_from(["1e308", "-1e308", "1e400", "-0.0", "1/0", "nan", "x"]),
+)
+_RANGES = st.builds(lambda lo, hi, steps: f"{lo}:{hi}:{steps}",
+                    _SCALARS, _SCALARS, st.integers(-1, 4))
+
+
+@st.composite
+def _classify_or_sweep_argv(draw):
+    n = draw(st.integers(-2, 100))
+    if draw(st.booleans()):
+        return ["classify", f"-n={n}", f"-b={draw(_SCALARS)}", f"-c={draw(_SCALARS)}",
+                "--format", draw(st.sampled_from(["json", "csv", "text"]))]
+    argv = ["sweep", f"-n={n}"]
+    for name in "bc":
+        if draw(st.booleans()):
+            argv.append(f"--{name}-range={draw(_RANGES)}")
+        else:
+            argv.append(f"-{name}={draw(_SCALARS)}")
+    if draw(st.booleans()):
+        argv.append(f"--margin={draw(_SCALARS)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classify_or_sweep_argv())
+def test_classify_and_sweep_end_in_a_documented_exit_code(argv):
+    """classify and sweep answer any argv with exit 0, 1 or 2, never a traceback.
+
+    verify and roots are left out: they can still end in an OverflowError
+    from oracle._big_to_float when the exact-evaluation rescue meets large
+    integer coefficients (ROADMAP item 1).
+    """
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv

@@ -94,13 +94,6 @@ def test_sturm_chain_degrees_decrease():
     assert all(a > b for a, b in zip(degrees, degrees[1:]))
 
 
-def test_sturm_chain_interval_query():
-    chain = sturm_chain(poly(from_roots([Fraction(1, 4), Fraction(1, 2), 3])))
-    assert chain.count_in(Fraction(0), Fraction(1)) == 2
-    assert chain.count_in(Fraction(1), Fraction(10)) == 1
-    assert chain.count_in(Fraction(-5), Fraction(0)) == 0
-
-
 def test_squarefree_part_on_general_position_params():
     # multiple zeros can only sit at 0 or 1, and neither occurs in general
     # position, so the polynomial is its own single squarefree factor
@@ -258,13 +251,17 @@ def test_high_degree_pseudo_roots_are_rescued():
         assert abs(abs(z - 1) - 1) <= 1e-8  # all on the circle in this window
 
 
-@pytest.mark.parametrize("n,b,c", [
+# points where polishing once lost or misplaced a root
+HARD_POINTS = [
     (35, Fraction(113, 12), Fraction(-19, 3)),
     (12, Fraction(-241, 11), Fraction(-24)),
     (35, Fraction(-134, 3), Fraction(480, 7)),
     (50, Fraction(-375, 4), Fraction(-139, 9)),
     (20, Fraction(191, 7), Fraction(382, 7)),
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("n,b,c", HARD_POINTS, ids=str)
 def test_roots_are_distinct_and_verify_passes(n, b, c):
     # polishing once carried points onto a neighbour's root here, a real
     # root kept an imaginary part of 1.6e-9, above the real/non-real band,
@@ -275,6 +272,20 @@ def test_roots_are_distinct_and_verify_passes(n, b, c):
     for i, z in enumerate(vals):
         for w in vals[i + 1:]:
             assert abs(z - w) > 1e-9 * (1 + abs(z)), (z, w)
+
+
+@pytest.mark.parametrize("n,b,c", HARD_POINTS, ids=str)
+def test_every_root_is_within_the_root_band(n, b, c):
+    # all_roots certifies a root by its last exact Newton step; measure the
+    # returned point afresh with an exact evaluation
+    from hyperzero.oracle import ROOT_BAND, _exact_root_distance
+
+    q = coefficients(Params(n, b, c))
+    ics = _to_int_coeffs(q)
+    rs = all_roots(q)
+    assert rs.total_multiplicity == n
+    for z in rs.values():
+        assert _exact_root_distance(ics, z) <= ROOT_BAND * (1 + abs(z)), z
 
 
 def test_newton_polygon_starts_keep_sweeps_low():
