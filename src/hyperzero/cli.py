@@ -10,6 +10,7 @@ is empty and stderr reads "solver did not converge").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -361,6 +362,9 @@ def _parse_range(text: str) -> Tuple[Scalar, Scalar, int]:
 
 
 def _sweep_spec(args) -> SweepSpec:
+    for name in "bc":
+        if getattr(args, name) is not None and getattr(args, f"{name}_range"):
+            raise UsageError(f"give -{name} or --{name}-range, not both")
     if args.b_range:
         b_range = _parse_range(args.b_range)
     elif args.b is not None:
@@ -660,7 +664,9 @@ def cmd_identity(args) -> int:
 # driver
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="hyperzero", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -710,9 +716,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ multiple zero can hide) are exact.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -121,10 +122,25 @@ def _remainders(f: List[int], g: List[int]) -> List[List[int]]:
     return out
 
 
+def _positive(d: List[int]) -> List[int]:
+    return list(d) if d[-1] > 0 else [-x for x in d]
+
+
 def _poly_gcd(f: List[int], g: List[int]) -> List[int]:
     """Primitive gcd with positive leading coefficient."""
-    d = _remainders(f, g)[-1]
-    return d if d[-1] > 0 else [-x for x in d]
+    return _positive(_remainders(f, g)[-1])
+
+
+@functools.lru_cache(maxsize=1)
+def _sturm_sequence(f: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """_remainders(f, f') of a primitive f, kept for the last f asked for.
+
+    It is the Sturm chain of f, and its last element is gcd(f, f') up to
+    sign, so the chain of sturm_counts and the first gcd of
+    squarefree_decomposition share one computation when an exact verify
+    asks for both on the same polynomial.
+    """
+    return tuple(map(tuple, _remainders(f, _derive(f))))
 
 
 def _exact_div(f: List[int], g: List[int]) -> List[int]:
@@ -152,7 +168,7 @@ def squarefree_decomposition(cs: List[int]) -> List[Tuple[List[int], int]]:
     f = _primitive(_trim(list(cs)))
     if len(f) <= 1:
         return []
-    d = _poly_gcd(f, _derive(f))
+    d = _positive(_sturm_sequence(tuple(f))[-1])
     if len(d) == 1:
         return [(f, 1)]
     w = _exact_div(f, d)
@@ -226,7 +242,7 @@ def _count_flips(signs: List[int]) -> int:
 
 
 def _build_chain(cs: List[int]) -> SturmChain:
-    return SturmChain(tuple(map(tuple, _remainders(cs, _derive(cs)))))
+    return SturmChain(_sturm_sequence(tuple(_primitive(cs))))
 
 
 def sturm_chain(q: Poly) -> SturmChain:
@@ -353,7 +369,9 @@ def _aberth(
     true Newton-distance criterion; the rescue pass for ill-conditioned
     high-degree inputs uses it.  Points marked `frozen` are already
     validated: they take part in the repulsion sums of the others but are
-    neither evaluated nor moved.
+    neither evaluated nor moved.  A point that settles is treated like a
+    frozen one from then on: evaluation is deterministic and a settled point
+    is never moved, so evaluating it again could only settle it again.
     """
     d = len(coeffs) - 1
     if d == 1:
@@ -385,13 +403,12 @@ def _aberth(
         return center + radius * cmath.exp(1j * angle)
 
     zs = list(warm) if warm is not None else _newton_polygon_starts(coeffs)
+    settled = list(frozen) if frozen is not None else [False] * d
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         moved = False
-        settled_flags = [False] * d
         for k in range(d):
-            if frozen is not None and frozen[k]:
-                settled_flags[k] = True
+            if settled[k]:
                 continue
             z = zs[k]
             p, dp, settle = evaluate(z)
@@ -401,7 +418,7 @@ def _aberth(
                 moved = True
                 continue
             if abs(p) <= settle:
-                settled_flags[k] = True
+                settled[k] = True
                 continue
             if dp == 0:
                 zs[k] = z + (1e-8 + 1e-8j) * (1 + abs(z))
@@ -420,7 +437,7 @@ def _aberth(
             if abs(step) > 1e-15 * (1 + abs(z)):
                 moved = True
         if not moved:
-            stuck = [k for k in range(d) if not settled_flags[k]]
+            stuck = [k for k in range(d) if not settled[k]]
             if not stuck:
                 return zs, sweeps
             for k in stuck:

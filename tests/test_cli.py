@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _run_fresh(argv):
+    """(exit code, stdout) of `python -m hyperzero ARGV` in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hyperzero", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -80,6 +90,24 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
     code, _, _ = run(capsys, "classify", "-n", "2")
     assert code == 1
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_leaves_the_parser_as_built(capsys):
+    argv = ["verify", "-n", "5", "-b", "7/3", "-c", "14/3", "--format", "json"]
+    want = _run_fresh(argv)
+    for bad in (
+        ["verify", "-n", "x", "-b", "7/3", "-c", "14/3"],
+        ["verify", "-b", "7/3", "-c", "14/3", "--format", "json"],
+        ["verify", "-n", "5", "-b", "7/3", "-c", "14/3", "--format", "csv"],
+        ["sweep", "-n", "5", "-b", "7/3", "-c", "14/3", "--format", "json"],
+    ):
+        assert run(capsys, *bad)[0] == 1
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == want, bad
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +382,7 @@ def test_overflowing_float_parameters_are_invalid(capsys, argv):
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["classify", "-n", "3", "-b", "7/3", "-c", "11/5"]
     _, want, _ = run(capsys, *argv)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "hyperzero", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == want
+    assert _run_fresh(argv) == (0, want)
 
 
 @pytest.mark.parametrize("argv", [
@@ -372,6 +394,11 @@ def test_python_dash_m_runs_the_cli(capsys):
     ("verify", "-n", "2", "-b", "1", "-c", "2", "--tol", "1e-6"),
     ("sweep", "-n", "2", "-b", "1/2", "-c", "1", "--format", "json"),
     ("identity", "pfaff", "--format", "csv"),
+    # a scalar next to the range of the same parameter would be dropped
+    ("sweep", "-n", "3", "-b", "1/2", "--b-range", "1:2:2", "-c", "1/3"),
+    ("sweep", "-n", "3", "--b-range", "1:2:2", "-c", "1/3", "--c-range", "1:2:2"),
+    ("verify", "-n", "3", "-b", "1/2", "--b-range", "1:2:2", "-c", "1/3"),
+    ("verify", "-n", "3", "-b", "1/2", "-c", "1/3", "--c-range", "1:2:2"),
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -3,7 +3,8 @@
 The sweeps cover every thm3.* window, all four reduced-via chains and
 boundary and undefined rows in exact and float mode; the verify points
 cover one input per reduction chain and per geometry template; the
-identity runs are seeded.  A change that alters any printed byte fails
+identity runs are seeded; the roots runs pin the solver's sweep counts
+and root digits.  A change that alters any printed byte fails
 here.  After an intended output change, regenerate the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from hyperzero import cli
+
+from test_oracle import HARD_POINTS
 
 FIXTURE = Path(__file__).parent / "data" / "golden_cli.json"
 SEED = "20240817"
@@ -49,6 +52,17 @@ VERIFY_TEXT = [
     ("verify", "-n", "5", "-b", "2.5", "-c", "-2.3"),   # float mode
 ]
 
+# roots in JSON pin the sweep count and every digit of every root: the hard
+# points, one float point, and a point where 45 of the 60 roots go through
+# the exact-evaluation rescue
+ROOTS = [
+    ("roots", "-n", str(n), "-b", str(b), "-c", str(c), "--format", "json")
+    for n, b, c in HARD_POINTS
+] + [
+    ("roots", "-n", "20", "-b", "17.518", "-c", "7.02", "--format", "json"),
+    ("roots", "-n", "60", "-b", "30569/500", "-c", "-7/3", "--format", "json"),
+]
+
 IDENTITIES = [
     ("identity", which, "--samples", "20", "--format", "json")
     for which in ("euler", "invert")
@@ -59,6 +73,7 @@ CASES = (
     + [("verify", "-n", n, "-b", b, "-c", c, "--format", "json") for n, b, c in VERIFY_POINTS]
     + VERIFY_TEXT
     + IDENTITIES
+    + ROOTS
 )
 
 

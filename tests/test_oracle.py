@@ -391,6 +391,19 @@ def test_verify_float_mode_is_numeric_confidence():
     assert any("numeric-confidence" in note for note in rep.notes)
 
 
+def test_exact_verify_runs_one_remainder_sequence(monkeypatch):
+    # squarefree, no root at 0 or 1: the Sturm chain of sturm_counts and the
+    # first gcd of Yun's splitting in all_roots are one remainder sequence
+    from hyperzero import oracle
+
+    calls = []
+    remainders = oracle._remainders
+    monkeypatch.setattr(oracle, "_remainders", lambda f, g: calls.append(1) or remainders(f, g))
+    oracle._sturm_sequence.cache_clear()
+    assert verify(Params(20, Fraction(7, 3), Fraction(11, 5))).status == "pass"
+    assert len(calls) == 1
+
+
 def test_verify_spot_checks_random():
     rng = random.Random(66)
     for _ in range(25):
