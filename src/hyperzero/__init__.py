@@ -35,12 +35,10 @@ from .klein import (
     xyz,
 )
 from .oracle import (
-    SturmChain,
     VerificationReport,
     all_roots,
     geometry_report,
     interval_counts,
-    sturm_chain,
     sturm_counts,
     verify,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "Poly",
     "Root",
     "RootSet",
-    "SturmChain",
     "VerificationReport",
     "agree",
     "all_roots",
@@ -96,7 +93,6 @@ __all__ = [
     "predict_half",
     "predict_minus2n",
     "quadratic_class_match",
-    "sturm_chain",
     "sturm_counts",
     "verify",
     "xyz",

@@ -17,7 +17,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -272,81 +271,30 @@ def cmd_verify(args) -> int:
 
 
 def _verify_sweep(args) -> int:
+    bs, cs = _axes(args)
     worst = EXIT_OK
-    for b, c in _grid(args):
-        try:
-            # a point whose float coefficients overflow is as undefined as
-            # one that Params rejects
-            rep = oracle.verify(Params(args.n, b, c))
-        except InvalidParameterError:
-            line = {"b": _jsonify_scalar(b), "c": _jsonify_scalar(c), "status": "undefined"}
-            print(_dumps(line) if args.format == "json" else
-                  f"verify n={args.n} b={format_scalar(b)} c={format_scalar(c)} -> UNDEFINED")
-            continue
-        if args.format == "json":
-            print(_dumps(_report_dict(rep)))
-        else:
-            _print_report_text(rep)
-        if rep.status == "fail":
-            worst = EXIT_MISMATCH
+    for c in cs:
+        for b in bs:
+            try:
+                # a point whose float coefficients overflow is as undefined
+                # as one that Params rejects
+                rep = oracle.verify(Params(args.n, b, c))
+            except InvalidParameterError:
+                line = {"b": _jsonify_scalar(b), "c": _jsonify_scalar(c), "status": "undefined"}
+                print(_dumps(line) if args.format == "json" else
+                      f"verify n={args.n} b={format_scalar(b)} c={format_scalar(c)} -> UNDEFINED")
+                continue
+            if args.format == "json":
+                print(_dumps(_report_dict(rep)))
+            else:
+                _print_report_text(rep)
+            if rep.status == "fail":
+                worst = EXIT_MISMATCH
     return worst
 
 
 # ---------------------------------------------------------------------------
 # sweep
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A (b, c) grid: degree, two (min, max, steps) ranges, optional margin.
-
-    Ranges step exactly when their endpoints are rational.  The margin is a
-    rational offset added to every grid point to land strictly inside
-    theorem windows; when supplied it must be positive.
-    """
-
-    n: int
-    b_range: Tuple[Scalar, Scalar, int]
-    c_range: Tuple[Scalar, Scalar, int]
-    margin: Optional[Scalar] = None
-
-    def __post_init__(self):
-        for lo, hi, steps in (self.b_range, self.c_range):
-            if steps < 1:
-                raise UsageError("steps must be >= 1")
-        if self.margin is not None and not self.margin > 0:
-            raise UsageError("margin must be > 0")
-
-    @staticmethod
-    def _points(rng: Tuple[Scalar, Scalar, int], margin: Scalar) -> List[Scalar]:
-        lo, hi, steps = rng
-        if lo > hi:
-            return []
-        if steps == 1:
-            # a single-step range is a pinned value; the boundary-avoidance
-            # offset only makes sense for generated grids
-            return [lo]
-        span = hi - lo
-        return [lo + span * k / (steps - 1) + margin for k in range(steps)]
-
-    def axes(self) -> Tuple[List[Scalar], List[Scalar]]:
-        """The b values and the c values of the grid, each list of one type.
-
-        A float value that is not finite (the span of a range overflowed) is
-        a usage error.
-        """
-        margin = self.margin if self.margin is not None else Fraction(0)
-        bs = self._points(self.b_range, margin)
-        cs = self._points(self.c_range, margin)
-        for v in bs + cs:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise UsageError(f"grid value {v} is not finite: a range span overflows")
-        return bs, cs
-
-    def grid(self) -> List[Tuple[Scalar, Scalar]]:
-        """Row-ordered grid, c outer and b inner, deterministic."""
-        bs, cs = self.axes()
-        return [(b, c) for c in cs for b in bs]
 
 
 def _parse_range(text: str) -> Tuple[Scalar, Scalar, int]:
@@ -361,30 +309,50 @@ def _parse_range(text: str) -> Tuple[Scalar, Scalar, int]:
     return lo, hi, steps
 
 
-def _sweep_spec(args) -> SweepSpec:
+def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
+    """The b values and the c values of a (b, c) grid, each list of one type.
+
+    An axis is a MIN:MAX:STEPS range, stepped exactly when its endpoints
+    are rational, or a pinned -b or -c, which is a one-step range.  The
+    margin is a rational offset added to every point of a range of more
+    than one step, to land strictly inside theorem windows; when supplied
+    it must be positive.  A float value that is not finite (the span of a
+    range overflowed) is a usage error.  The grid is row-ordered: c outer,
+    b inner.
+    """
     for name in "bc":
         if getattr(args, name) is not None and getattr(args, f"{name}_range"):
             raise UsageError(f"give -{name} or --{name}-range, not both")
-    if args.b_range:
-        b_range = _parse_range(args.b_range)
-    elif args.b is not None:
-        v = parse_scalar(args.b)
-        b_range = (v, v, 1)
-    else:
-        raise UsageError("need -b or --b-range")
-    if args.c_range:
-        c_range = _parse_range(args.c_range)
-    elif args.c is not None:
-        v = parse_scalar(args.c)
-        c_range = (v, v, 1)
-    else:
-        raise UsageError("need -c or --c-range")
-    margin = parse_scalar(args.margin) if args.margin else None
-    return SweepSpec(args.n, b_range, c_range, margin)
-
-
-def _grid(args) -> List[Tuple[Scalar, Scalar]]:
-    return _sweep_spec(args).grid()
+    ranges = []
+    for name in "bc":
+        if getattr(args, f"{name}_range"):
+            ranges.append(_parse_range(getattr(args, f"{name}_range")))
+        elif getattr(args, name) is not None:
+            v = parse_scalar(getattr(args, name))
+            ranges.append((v, v, 1))
+        else:
+            raise UsageError(f"need -{name} or --{name}-range")
+    margin = parse_scalar(args.margin) if args.margin else Fraction(0)
+    if any(steps < 1 for _, _, steps in ranges):
+        raise UsageError("steps must be >= 1")
+    if args.margin and not margin > 0:
+        raise UsageError("margin must be > 0")
+    axes = []
+    for lo, hi, steps in ranges:
+        if lo > hi:
+            axes.append([])
+        elif steps == 1:
+            # a single-step range is a pinned value; the boundary-avoidance
+            # offset only makes sense for generated grids
+            axes.append([lo])
+        else:
+            span = hi - lo
+            axes.append([lo + span * k / (steps - 1) + margin for k in range(steps)])
+    bs, cs = axes
+    for v in bs + cs:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise UsageError(f"grid value {v} is not finite: a range span overflows")
+    return bs, cs
 
 
 # A float point is keyed on its cell only when b, c and c - b lie further
@@ -463,12 +431,11 @@ def _float_or_none(v: Scalar) -> Optional[float]:
         return None
 
 
-def _classified(n: int, b: Scalar, c: Scalar) -> str:
-    """The row tail of one point, from Params and the full classifier."""
+def _classified(n: int, b: Scalar, c: Scalar, mode: str) -> str:
+    """The row tail of one point of a grid in mode, from Params and the classifier."""
     try:
         p = Params(n, b, c)
     except InvalidParameterError:
-        mode = "exact" if isinstance(b, Fraction) and isinstance(c, Fraction) else "float"
         return _sweep_tail(mode, None, "undefined")
     try:
         pred = klein.classify_region(p)
@@ -479,12 +446,13 @@ def _classified(n: int, b: Scalar, c: Scalar) -> str:
 
 def cmd_sweep(args) -> int:
     n = args.n
-    bs, cs = _sweep_spec(args).axes()
+    bs, cs = _axes(args)
     # each axis holds one type, so the grid is exact or float as a whole
     exact = all(isinstance(v, Fraction) for v in bs + cs)
+    mode = "exact" if exact else "float"
     bx, cx, cell_floor = _cell_coordinates(n, bs, cs, exact)
     columns = [(b, f"{n},{format_scalar(b)},", x) for b, x in zip(bs, bx)]
-    undefined = _sweep_tail("exact" if exact else "float", None, "undefined")
+    undefined = _sweep_tail(mode, None, "undefined")
     probe = Fraction(0) if exact else 0.0
     memo = {}  # cell key -> row tail
     lines = [SWEEP_COLUMNS]
@@ -498,12 +466,12 @@ def cmd_sweep(args) -> int:
         for b, head, xb in columns:
             k = None if xb is None or xc is None else cell_floor(xc[1] - xb[1])
             if k is None:  # on a line, inside the guard or not keyable
-                tail = _classified(n, b, c)
+                tail = _classified(n, b, c, mode)
             else:
                 key = (xb[0], xc[0], k)
                 tail = memo.get(key)
                 if tail is None:
-                    tail = memo[key] = _classified(n, b, c)
+                    tail = memo[key] = _classified(n, b, c, mode)
             lines.append(head + mid + tail)
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -630,10 +598,12 @@ def _identity_sample(which: str, rng: random.Random, fixed: Optional[Params],
 def cmd_identity(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if (args.b is None) != (args.c is None):
+        raise UsageError("identity takes -b and -c together")
+    if args.b is None and args.n is not None and args.which in ("pfaff", "euler", "invert"):
+        raise UsageError(f"identity {args.which} reads -n only with -b and -c")
     rng = _rng()
-    fixed = None
-    if args.b is not None and args.c is not None:
-        fixed = Params(args.n, parse_scalar(args.b), parse_scalar(args.c))
+    fixed = None if args.b is None else Params(args.n, parse_scalar(args.b), parse_scalar(args.c))
     failures = 0
     worst = 0.0
     for _ in range(args.samples):

@@ -1,10 +1,10 @@
 """Independent ground truth: exact Sturm counting and a numeric root solver.
 
-Nothing in this module consults the count formulas.  Real roots per
-interval are counted by sign variations of an exact integer Sturm chain;
-all complex roots are computed by simultaneous (Aberth-style) iteration
-followed by Newton polishing.  verify() runs both sides against the
-predictions and reports field-by-field agreement.
+Neither sturm_counts nor all_roots consults the count formulas.  Real
+roots per interval are counted by sign variations of an exact integer Sturm
+chain; all complex roots are computed by simultaneous (Aberth-style)
+iteration followed by Newton polishing.  verify() runs both sides against
+the predictions and reports field-by-field agreement.
 
 Sturm chains are kept as integer polynomials: every element may be scaled
 by a positive constant without changing sign variations, so remainders are
@@ -135,9 +135,12 @@ def _poly_gcd(f: List[int], g: List[int]) -> List[int]:
 def _sturm_sequence(f: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     """_remainders(f, f') of a primitive f, kept for the last f asked for.
 
-    It is the Sturm chain of f, and its last element is gcd(f, f') up to
-    sign, so the chain of sturm_counts and the first gcd of
-    squarefree_decomposition share one computation when an exact verify
+    It is the Sturm chain of f: f, f', then the sign-corrected
+    fraction-free remainders, as integer polynomials.  Each element is a
+    positive multiple of the classical chain element, so sign variations
+    are unchanged, and degrees strictly decrease.  Its last element is
+    gcd(f, f') up to sign, so the chain of sturm_counts and the first gcd
+    of squarefree_decomposition share one computation when an exact verify
     asks for both on the same polynomial.
     """
     return tuple(map(tuple, _remainders(f, _derive(f))))
@@ -205,28 +208,7 @@ def _sign(v) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains
-
-
-@dataclass(frozen=True)
-class SturmChain:
-    """p, p', then sign-corrected fraction-free remainders, as integer polys.
-
-    Each element is a positive multiple of the classical chain element, so
-    sign-variation queries are unchanged.  Consecutive degrees strictly
-    decrease; V(a) - V(b) counts distinct real roots in (a, b] for a < b.
-    """
-
-    polys: Tuple[Tuple[int, ...], ...]
-
-    def variations_at_pos_inf(self) -> int:
-        return _count_flips([_sign(p[-1]) for p in self.polys])
-
-    def variations_at_neg_inf(self) -> int:
-        signs = [
-            _sign(p[-1]) * (-1 if (len(p) - 1) % 2 else 1) for p in self.polys
-        ]
-        return _count_flips(signs)
+# Sturm counting
 
 
 def _count_flips(signs: List[int]) -> int:
@@ -241,23 +223,17 @@ def _count_flips(signs: List[int]) -> int:
     return flips
 
 
-def _build_chain(cs: List[int]) -> SturmChain:
-    return SturmChain(_sturm_sequence(tuple(_primitive(cs))))
-
-
-def sturm_chain(q: Poly) -> SturmChain:
-    return _build_chain(_to_int_coeffs(q))
-
-
 def sturm_counts(q: Poly) -> Counts:
     """Exact per-interval counts of distinct real roots, endpoints excluded.
 
     The root z = 1 is deflated first and reported as a multiplicity (it is
     the one admissible multiple-zero location with nonzero abscissa); any
     z = 0 factors are stripped.  The remainder is counted by sign variations
-    of its Sturm chain at -inf, 0, 1, +inf; the chain of a non-squarefree
-    polynomial still counts distinct roots (generalized Sturm theorem)
-    because none of the finite query points is a root.
+    V of its Sturm chain (_sturm_sequence) at -inf, 0, 1 and +inf:
+    V(a) - V(b) is the number of distinct real roots in (a, b] for a < b.
+    The chain of a non-squarefree polynomial still counts distinct roots
+    (generalized Sturm theorem) because none of the finite query points is
+    a root.
     """
     cs = _to_int_coeffs(q)
     mult_at_1 = 0
@@ -268,12 +244,14 @@ def sturm_counts(q: Poly) -> Counts:
         cs = cs[1:]
     if len(cs) <= 1:
         return Counts(0, 0, 0, mult_at_1)
-    chain = _build_chain(cs)
-    v_neg = chain.variations_at_neg_inf()
-    # p(0) is the constant term and p(1) the coefficient sum
-    v0 = _count_flips([_sign(p[0]) for p in chain.polys])
-    v1 = _count_flips([_sign(sum(p)) for p in chain.polys])
-    v_pos = chain.variations_at_pos_inf()
+    chain = _sturm_sequence(tuple(_primitive(cs)))
+    # at +inf each element has the sign of its leading coefficient, at -inf
+    # that sign flipped for odd degree; p(0) is the constant term and p(1)
+    # the coefficient sum
+    v_neg = _count_flips([_sign(p[-1]) * (-1) ** (len(p) - 1) for p in chain])
+    v0 = _count_flips([_sign(p[0]) for p in chain])
+    v1 = _count_flips([_sign(sum(p)) for p in chain])
+    v_pos = _count_flips([_sign(p[-1]) for p in chain])
     return Counts(v1 - v_pos, v0 - v1, v_neg - v0, mult_at_1)
 
 

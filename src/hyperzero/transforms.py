@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
-from .core import InvalidParameterError, Params, in_excluded_set
+from .core import InvalidParameterError, Params, in_excluded_set, side
 
 
 class Reduction(NamedTuple):
@@ -128,18 +128,13 @@ def _template_residuals(n: int, b, c):
     }
 
 
-def quadratic_class_match(p: Params, tol: float = 1e-9) -> List[str]:
+def quadratic_class_match(p: Params) -> List[str]:
     """All quadratic-class templates satisfied by (n, b, c).
 
     Templates can overlap for special parameter choices, so every match is
-    reported, in the fixed template order.  Exact mode demands exact
-    equality; float mode accepts residuals within tol.
+    reported, in the fixed template order.  A template matches when its
+    residual is on the edge 0 by the one boundary rule, core.side: exactly
+    zero in exact mode, within INTEGRALITY_TOL in float mode.
     """
     residuals = _template_residuals(p.n, p.b, p.c)
-    matches = []
-    for tag in QUADRATIC_TEMPLATES:
-        r = residuals[tag]
-        hit = (r == 0) if p.is_exact else (abs(r) <= tol)
-        if hit:
-            matches.append(tag)
-    return matches
+    return [tag for tag in QUADRATIC_TEMPLATES if side(residuals[tag]) == 0]

@@ -399,6 +399,14 @@ def test_python_dash_m_runs_the_cli(capsys):
     ("sweep", "-n", "3", "--b-range", "1:2:2", "-c", "1/3", "--c-range", "1:2:2"),
     ("verify", "-n", "3", "-b", "1/2", "--b-range", "1:2:2", "-c", "1/3"),
     ("verify", "-n", "3", "-b", "1/2", "-c", "1/3", "--c-range", "1:2:2"),
+    # identity reads -b and -c only together, and pfaff, euler and invert
+    # read -n only with them
+    ("identity", "pfaff", "-n", "3", "-b", "1/2", "--samples", "3"),
+    ("identity", "jacobi", "-n", "3", "-c", "1/2", "--samples", "3"),
+    ("identity", "gegenbauer", "-b", "1/2", "--samples", "3"),
+    ("identity", "pfaff", "-n", "3", "--samples", "3"),
+    ("identity", "euler", "-n", "3", "--samples", "3"),
+    ("identity", "invert", "-n", "3", "--samples", "3"),
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,12 +1,15 @@
-"""Series construction, evaluation, and the classical-polynomial identities."""
+"""Series construction, evaluation, the classical-polynomial identities, exports."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hyperzero
 from hyperzero import (
     Params,
     Poly,
@@ -268,3 +271,17 @@ def test_jacobi_connection_random_samples():
         scale = max(abs(lhs), abs(rhs), 1e-12)
         assert abs(lhs - rhs) / scale < 1e-9, (n, a, b, z)
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# exports
+
+
+def test_all_names_what_the_package_imports():
+    assert all(hasattr(hyperzero, name) for name in hyperzero.__all__)
+    tree = ast.parse(Path(hyperzero.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert set(hyperzero.__all__) == imported
+    assert len(hyperzero.__all__) == len(imported)

@@ -4,8 +4,9 @@ The sweeps cover every thm3.* window, all four reduced-via chains and
 boundary and undefined rows in exact and float mode; the verify points
 cover one input per reduction chain and per geometry template; the
 identity runs are seeded; the roots runs pin the solver's sweep counts
-and root digits.  A change that alters any printed byte fails
-here.  After an intended output change, regenerate the fixture with
+and root digits; the grid runs pin the grid that sweep and verify share.
+A change that alters any printed byte fails here.  After an intended
+output change, regenerate the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -63,6 +64,16 @@ ROOTS = [
     ("roots", "-n", "60", "-b", "30569/500", "-c", "-7/3", "--format", "json"),
 ]
 
+# verify and sweep over grids: the order of the grid, the margin on a
+# range next to a pinned value, and an undefined point
+GRIDS = [
+    ("verify", "-n", "4", "--b-range", "-3:3:7", "-c", "7/3"),
+    ("verify", "-n", "3", "--b-range", "-2:2:5", "--c-range", "-3/2:1/2:3",
+     "--margin", "1/7", "--format", "json"),
+    ("verify", "-n", "3", "--b-range=1:1e300:2", "-c", "2.5", "--format", "json"),
+    ("sweep", "-n", "4", "-b", "7/3", "--c-range", "-6:6:25", "--margin", "1/9"),
+]
+
 IDENTITIES = [
     ("identity", which, "--samples", "20", "--format", "json")
     for which in ("euler", "invert")
@@ -74,6 +85,7 @@ CASES = (
     + VERIFY_TEXT
     + IDENTITIES
     + ROOTS
+    + GRIDS
 )
 
 

@@ -15,12 +15,16 @@ from hyperzero import (
     geometry_report,
     interval_counts,
     poly,
-    sturm_chain,
     sturm_counts,
     verify,
 )
 from hyperzero.core import InvalidParameterError, Root, RootSet, horner_with_derivative
-from hyperzero.oracle import squarefree_decomposition, _to_int_coeffs
+from hyperzero.oracle import (
+    _primitive,
+    _sturm_sequence,
+    _to_int_coeffs,
+    squarefree_decomposition,
+)
 
 from conftest import general_position_params, random_params
 
@@ -88,8 +92,8 @@ def test_sturm_requires_exact():
 
 
 def test_sturm_chain_degrees_decrease():
-    chain = sturm_chain(coefficients(Params(6, Fraction(11, 8), Fraction(5, 8))))
-    degrees = [len(p) - 1 for p in chain.polys]
+    cs = _to_int_coeffs(coefficients(Params(6, Fraction(11, 8), Fraction(5, 8))))
+    degrees = [len(p) - 1 for p in _sturm_sequence(tuple(_primitive(cs)))]
     assert degrees[0] == 6
     assert all(a > b for a, b in zip(degrees, degrees[1:]))
 

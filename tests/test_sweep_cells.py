@@ -3,9 +3,9 @@
 The counts and provenance of classify_region are constant on each open
 cell of the lines {b in Z}, {c in Z} and {c - b in Z}
 (cli._cell_coordinates states the argument).  These tests check the claim
-on every cell of a box, check that float points away from the lines agree
-with the exact cell, and check sweep's output against a plain per-point
-loop.
+on every cell of a box, check one point of every cell against the exact
+Sturm count, check that float points away from the lines agree with the
+exact cell, and check sweep's output against a plain per-point loop.
 """
 
 import contextlib
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperzero import Params, classify_region, cli
+from hyperzero import Params, classify_region, cli, coefficients, sturm_counts
 from hyperzero.core import BoundaryParameterError, InvalidParameterError
 
 
@@ -70,6 +70,17 @@ def test_every_cell_in_the_box_gives_one_answer(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
+def test_every_cell_in_the_box_agrees_with_the_sturm_count(n):
+    # the counts are constant on each cell, so one point per cell checks
+    # the whole box off the lines against the exact oracle
+    for cell in _cells(n):
+        p = Params(n, *_centre(cell))
+        observed = sturm_counts(coefficients(p))
+        assert observed.mult_at_1 == 0, (n, cell)
+        assert classify_region(p).counts == observed.counts, (n, cell)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_float_points_off_the_lines_agree_with_the_exact_cell(n):
     rng = random.Random(100 + n)
     r = 2 * n + 2
@@ -91,7 +102,8 @@ def _reference_sweep(argv):
     """sweep's output computed the plain way: Params and the classifier per point."""
     args = cli.build_parser().parse_args(list(argv))
     lines = [cli.SWEEP_COLUMNS]
-    for b, c in cli._sweep_spec(args).grid():
+    bs, cs = cli._axes(args)
+    for b, c in [(b, c) for c in cs for b in bs]:
         head = f"{args.n},{cli.format_scalar(b)},{cli.format_scalar(c)}"
         try:
             p = Params(args.n, b, c)

@@ -290,6 +290,7 @@ def test_every_template_detected_on_instances():
 
 
 def test_template_match_float_tolerance():
-    tags = quadratic_class_match(Params(3, 2.0, 4.0 + 1e-12), tol=1e-9)
-    assert tags == ["c=2b"]
-    assert quadratic_class_match(Params(3, 2.0, 4.01), tol=1e-9) == []
+    # a float matches a template within core.INTEGRALITY_TOL = 1e-12, the
+    # one boundary band, and not beyond it
+    assert quadratic_class_match(Params(3, 2.0, 4.0 + 1e-13)) == ["c=2b"]
+    assert quadratic_class_match(Params(3, 2.0, 4.0 + 1e-10)) == []
