@@ -31,6 +31,7 @@ from .core import (
     Scalar,
     coefficients,
     evaluate,
+    gegenbauer_point,
     gegenbauer_sides,
     jacobi,
     jacobi_form_sides,
@@ -486,28 +487,42 @@ def cmd_sweep(args) -> int:
 # identity
 
 
+# Every identity reads -n -b -c as one point of F(-n, b; c).  jacobi takes
+# alpha = c - 1 and beta = b - c - n from it; gegenbauer takes lambda = c - 1/2
+# and reads only points on this quadratic-class template.
+GEGENBAUER_TEMPLATE = "c=(-n+b+1)/2"
+
+# The parameter maps of the identities that carry F to another F.
+_MAPS = {"pfaff": transforms.pfaff, "euler": transforms.euler_reflect,
+         "invert": transforms.invert}
+
+
 def _random_rational(rng: random.Random, lo: float, hi: float, den: int = 8) -> Fraction:
     return Fraction(rng.randint(int(lo * den), int(hi * den)), den)
 
 
-def _random_params(rng: random.Random, avoid_invert: bool = False,
-                   avoid_euler: bool = False) -> Params:
-    while True:
+def _random_point(which: str, rng: random.Random, n: Optional[int]) -> Params:
+    """A random point where the identity is defined: one Params per try.
+
+    pfaff, euler and invert draw n, b and c on every try and keep a point
+    whose image under their map exists.  jacobi and gegenbauer keep the
+    degree n, drawn once when it is None, and draw alpha and beta, or lambda.
+    """
+    if which not in _MAPS and n is None:
         n = rng.randint(1, 8)
-        b = _random_rational(rng, -8, 8)
-        c = _random_rational(rng, -8, 8)
+    while True:
         try:
-            p = Params(n, b, c)
+            if which == "jacobi":
+                alpha, beta = _random_rational(rng, -6, 6), _random_rational(rng, -6, 6)
+                return Params(n, alpha + beta + 1 + n, alpha + 1)
+            if which == "gegenbauer":
+                return gegenbauer_point(n, _random_rational(rng, -5, 5))
+            p = Params(rng.randint(1, 8), _random_rational(rng, -8, 8),
+                       _random_rational(rng, -8, 8))
+            _MAPS[which](p)
+            return p
         except InvalidParameterError:
             continue
-        try:
-            if avoid_euler:
-                transforms.euler_reflect(p)
-            if avoid_invert:
-                transforms.invert(p)
-        except InvalidParameterError:
-            continue
-        return p
 
 
 def _random_z(rng: random.Random, avoid_one: bool = False, annulus: bool = False) -> complex:
@@ -532,82 +547,56 @@ def _deviation(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _identity_sample(which: str, rng: random.Random, fixed: Optional[Params],
-                     n_fixed: Optional[int]) -> float:
-    if which == "euler":
-        p = fixed or _random_params(rng, avoid_euler=True)
-        target = transforms.euler_reflect(p)
-        z = _random_z(rng)
-        lhs = evaluate(coefficients(p), 1 - z)
-        scale = pochhammer(p.c - p.b, p.n) / pochhammer(p.c, p.n)
-        rhs = scale * evaluate(coefficients(target), z)
-        return _deviation(lhs, rhs)
-    if which == "invert":
-        p = fixed or _random_params(rng, avoid_invert=True)
-        target = transforms.invert(p)
-        z = _random_z(rng, annulus=True)
-        lhs = evaluate(coefficients(p), z)
-        prefactor = pochhammer(p.b, p.n) / pochhammer(p.c, p.n) * (-z) ** p.n
-        rhs = prefactor * evaluate(coefficients(target), 1 / z)
-        return _deviation(lhs, rhs)
+def _identity_deviation(which: str, p: Params, rng: random.Random) -> float:
+    """The deviation between the identity's two sides at p and a random z."""
+    n, b, c = p.n, p.b, p.c
+    target = _MAPS[which](p) if which in _MAPS else None
     if which == "pfaff":
-        p = fixed or _random_params(rng)
-        target = transforms.pfaff(p)
         z = _random_z(rng, avoid_one=True)
         lhs = evaluate(coefficients(p), z)
-        rhs = (1 - z) ** p.n * evaluate(coefficients(target), z / (z - 1))
-        return _deviation(lhs, rhs)
-    if which == "jacobi":
-        # Covers both the classical argument form at 1-2z and the inverse
-        # argument form at 1-2/z; -b and -c play alpha and beta.
-        if fixed is not None:
-            n, alpha, beta = fixed.n, fixed.b, fixed.c
-        else:
-            n = n_fixed or rng.randint(1, 8)
-            while True:
-                alpha = _random_rational(rng, -6, 6)
-                beta = _random_rational(rng, -6, 6)
-                try:
-                    Params(n, alpha + beta + 1 + n, alpha + 1)
-                    break
-                except InvalidParameterError:
-                    continue
-        p = Params(n, alpha + beta + 1 + n, alpha + 1)
+        rhs = (1 - z) ** n * evaluate(coefficients(target), z / (z - 1))
+    elif which == "euler":
+        z = _random_z(rng)
+        lhs = evaluate(coefficients(p), 1 - z)
+        scale = pochhammer(c - b, n) / pochhammer(c, n)
+        rhs = scale * evaluate(coefficients(target), z)
+    elif which == "invert":
+        z = _random_z(rng, annulus=True)
+        lhs = evaluate(coefficients(p), z)
+        prefactor = pochhammer(b, n) / pochhammer(c, n) * (-z) ** n
+        rhs = prefactor * evaluate(coefficients(target), 1 / z)
+    elif which == "jacobi":
+        # the classical argument form at 1-2z, then the inverse one at 1-2/z
         z = _random_z(rng)
         lhs = evaluate(coefficients(p), z)
-        rhs = math.factorial(n) / pochhammer(alpha + 1, n) * jacobi(n, alpha, beta, 1 - 2 * z)
-        dev = _deviation(lhs, rhs)
-        return max(dev, _deviation(*jacobi_form_sides(p, _random_z(rng))))
-    if which == "gegenbauer":
-        if fixed is not None:
-            n, lam = fixed.n, fixed.b
-        else:
-            n = n_fixed or rng.randint(1, 8)
-            while True:
-                lam = _random_rational(rng, -5, 5)
-                if all(2 * lam + i != 0 for i in range(n)) and lam + Fraction(1, 2) != 0:
-                    try:
-                        Params(n, n + 2 * lam, lam + Fraction(1, 2))
-                        break
-                    except InvalidParameterError:
-                        continue
-        return _deviation(*gegenbauer_sides(n, lam, _random_z(rng)))
-    raise UsageError(f"unknown identity {which!r}")
+        rhs = math.factorial(n) / pochhammer(c, n) * jacobi(n, c - 1, b - c - n, 1 - 2 * z)
+        return max(_deviation(lhs, rhs), _deviation(*jacobi_form_sides(p, _random_z(rng))))
+    else:
+        lhs, rhs = gegenbauer_sides(n, c - Fraction(1, 2), _random_z(rng))
+    return _deviation(lhs, rhs)
 
 
 def cmd_identity(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"-n must be at least 1, got {args.n}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     if (args.b is None) != (args.c is None):
         raise UsageError("identity takes -b and -c together")
-    if args.b is None and args.n is not None and args.which in ("pfaff", "euler", "invert"):
+    if args.b is None and args.n is not None and args.which in _MAPS:
         raise UsageError(f"identity {args.which} reads -n only with -b and -c")
     rng = _rng()
-    fixed = None if args.b is None else Params(args.n, parse_scalar(args.b), parse_scalar(args.c))
+    fixed = None if args.b is None else _params_from(args)
+    if (fixed is not None and args.which == "gegenbauer"
+            and GEGENBAUER_TEMPLATE not in transforms.quadratic_class_match(fixed)):
+        raise UsageError(f"identity gegenbauer reads only points on {GEGENBAUER_TEMPLATE}")
     failures = 0
     worst = 0.0
     for _ in range(args.samples):
-        dev = _identity_sample(args.which, rng, fixed, args.n)
+        p = fixed or _random_point(args.which, rng, args.n)
+        dev = _identity_deviation(args.which, p, rng)
         worst = max(worst, dev)
         if dev > args.tol:
             failures += 1

@@ -144,21 +144,19 @@ class Poly:
 
     The stored length is degree + 1 of the *construction* degree: for a
     degenerate series the trailing coefficients are exact zeros and
-    effective_degree reports the true degree.
+    effective_degree reports the true degree.  The coefficients are all
+    Fractions (exact mode) or all floats.
     """
 
     coeffs: Tuple[Scalar, ...]
-    mode: str = "exact"
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("empty coefficient list")
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def is_exact(self) -> bool:
-        return self.mode == "exact"
+        return isinstance(self.coeffs[0], Fraction)
 
     @property
     def effective_degree(self) -> int:
@@ -171,16 +169,12 @@ class Poly:
         return tuple(float(a) for a in self.coeffs)
 
 
-def poly(values, mode=None) -> Poly:
-    """Build a Poly, inferring the arithmetic mode from the entries."""
+def poly(values) -> Poly:
+    """Build a Poly: all floats if any entry is a float, else all Fractions."""
     vals = [as_scalar(v) for v in values]
-    if mode is None:
-        mode = "float" if any(isinstance(v, float) for v in vals) else "exact"
-    if mode == "float":
-        vals = [float(v) for v in vals]
-    else:
-        vals = [Fraction(v) for v in vals]
-    return Poly(tuple(vals), mode)
+    if any(isinstance(v, float) for v in vals):
+        return Poly(tuple(float(v) for v in vals))
+    return Poly(tuple(vals))
 
 
 def pochhammer(alpha, k: int):
@@ -221,7 +215,7 @@ def coefficients(p: Params) -> Poly:
         raise InvalidParameterError(
             f"a float coefficient of F(-{n}, {b}; {c}; z) overflows"
         )
-    return Poly(tuple(coeffs), p.mode)
+    return Poly(tuple(coeffs))
 
 
 def evaluate(q: Poly, z):
@@ -301,15 +295,24 @@ def jacobi_form_check(p: Params, z, tol: float = 1e-10) -> bool:
     return agree(*jacobi_form_sides(p, z), tol)
 
 
+def gegenbauer_point(n: int, lam) -> Params:
+    """The point (n, n+2*lam, lam+1/2) of the Gegenbauer connection.
+
+    The connection divides by (2*lam)_n, so a lam where it vanishes (on the
+    edge, by side) is invalid, as is a point that Params rejects.
+    """
+    for i in range(n):
+        if side(2 * lam + i) == 0:
+            raise InvalidParameterError(f"(2*lam)_n vanishes for lam={lam}, n={n}")
+    return Params(n, n + 2 * lam, lam + Fraction(1, 2))
+
+
 def gegenbauer_sides(n: int, lam, z):
     """Both sides of F(-n, n+2*lam; lam+1/2; z) = n! / (2*lam)_n * C_n^lam(1-2z)."""
     if n == 0:
         return 1, 1
     lam = as_scalar(lam)
-    for i in range(n):
-        if side(2 * lam + i) == 0:
-            raise InvalidParameterError(f"(2*lam)_n vanishes for lam={lam}, n={n}")
-    p = Params(n, n + 2 * lam, lam + Fraction(1, 2))
+    p = gegenbauer_point(n, lam)
     lhs = evaluate(coefficients(p), z)
     rhs = math.factorial(n) / pochhammer(2 * lam, n) * gegenbauer(n, lam, 1 - 2 * z)
     return lhs, rhs

@@ -70,8 +70,11 @@ def binomial_sign(alpha, n: int) -> int:
 
 
 def _require_hypothesis(p: Params):
-    """b, c and c-b must avoid {0, -1, ..., 1-n}; counts jump there."""
-    for name, v in (("b", p.b), ("c", p.c), ("c-b", p.c - p.b)):
+    """b, c and c-b must avoid {0, -1, ..., 1-n}; counts jump there.
+
+    Params has already rejected every such c.
+    """
+    for name, v in (("b", p.b), ("c-b", p.c - p.b)):
         if in_excluded_set(v, p.n):
             raise BoundaryParameterError(
                 f"{name}={v} lies in {{0, -1, ..., {1 - p.n}}}; "

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperzero import cli
 
@@ -330,13 +331,26 @@ def test_identity_fixed_params(capsys):
     assert "PASS" in out
 
 
-@pytest.mark.parametrize("lam", ["-1", "-1.0"])
-def test_identity_gegenbauer_vanishing_pochhammer_is_invalid(capsys, lam):
-    # (2*lam)_3 = (-2)(-1)(0) = 0: the right side is undefined
-    code, out, err = run(capsys, "identity", "gegenbauer", "-n", "3", "-b", lam, "-c", "1")
+@pytest.mark.parametrize("b, c", [("1", "-1/2"), ("1.0", "-0.5")], ids=["-1", "-1.0"])
+def test_identity_gegenbauer_vanishing_pochhammer_is_invalid(capsys, b, c):
+    # the F point of lam = c - 1/2 = -1 (ids name lam): (2*lam)_3 = (-2)(-1)(0)
+    # = 0, so the right side is undefined
+    code, out, err = run(capsys, "identity", "gegenbauer", "-n", "3", "-b", b, "-c", c)
     assert code == 1
     assert out == ""
     assert "invalid parameters" in err
+
+
+@pytest.mark.parametrize("which, b, c", [
+    ("jacobi", "9/2", "3/2"),        # alpha = c - 1 = 1/2, beta = b - c - n = 0
+    ("gegenbauer", "11/3", "5/6"),   # lam = c - 1/2 = 1/3, on c = (-n+b+1)/2
+    ("jacobi", "-1", "5/2"),         # read as alpha, beta it was refused: alpha + 1 = 0
+])
+def test_identity_reads_a_fixed_point_of_f(capsys, which, b, c):
+    code, out, _ = run(capsys, "identity", which, "-n", "3", "-b", b, "-c", c,
+                       "--samples", "20")
+    assert code == 0
+    assert "PASS" in out
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])
@@ -359,6 +373,8 @@ def test_identity_needs_at_least_one_sample(capsys, samples):
     ("sweep", "-n", "3", "-b", "inf", "-c", "2"),
     ("sweep", "-n", "3", "--b-range", "0:inf:3", "-c", "2"),
     ("identity", "jacobi", "-n", "3", "--samples", "2", "-b", "1", "-c", "nan"),
+    ("identity", "euler", "--samples", "2", "--tol", "nan"),
+    ("identity", "euler", "--samples", "2", "--tol", "inf"),
 ])
 def test_non_finite_parameters_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -407,6 +423,14 @@ def test_python_dash_m_runs_the_cli(capsys):
     ("identity", "pfaff", "-n", "3", "--samples", "3"),
     ("identity", "euler", "-n", "3", "--samples", "3"),
     ("identity", "invert", "-n", "3", "--samples", "3"),
+    # identity reads a degree of at least 1, a --tol of at least 0, and a
+    # gegenbauer point only on the template c = (-n+b+1)/2
+    ("identity", "jacobi", "-n", "-3", "--samples", "3"),
+    ("identity", "gegenbauer", "-n", "-3", "--samples", "3"),
+    ("identity", "gegenbauer", "-n", "0", "--samples", "3"),
+    ("identity", "pfaff", "-n", "0", "-b", "1", "-c", "2", "--samples", "3"),
+    ("identity", "euler", "--samples", "3", "--tol=-1e-9"),
+    ("identity", "gegenbauer", "-n", "3", "-b", "1/3", "-c", "7", "--samples", "3"),
 ])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -462,3 +486,37 @@ def test_classify_and_sweep_end_in_a_documented_exit_code(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2), argv
+
+
+_IDENTITY_SCALARS = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.floats(-20, 20).map(repr),
+    st.sampled_from(["1e300", "-1e300", "1e-300"]),
+)
+
+
+@st.composite
+def _identity_argv(draw):
+    argv = ["identity", draw(st.sampled_from(["pfaff", "euler", "invert", "jacobi", "gegenbauer"])),
+            f"--samples={draw(st.integers(1, 3))}",
+            f"--tol={draw(st.sampled_from(['1e-9', '0', 'nan']))}"]
+    n = draw(st.none() | st.integers(-2, 12))
+    if n is not None:
+        argv.append(f"-n={n}")
+    if draw(st.booleans()):  # a fixed point
+        argv += [f"-b={draw(_IDENTITY_SCALARS)}", f"-c={draw(_IDENTITY_SCALARS)}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_identity_argv())
+@example(["identity", "jacobi", "-n=-3"])  # once drew forever
+@example(["identity", "gegenbauer", "-n=0"])  # once drew a random degree
+@example(["identity", "euler", "--tol=nan"])  # once passed every sample
+def test_identity_ends_in_a_documented_exit_code(argv):
+    """identity answers any degree, point and tolerance with exit 0, 1 or 3."""
+    with patch.dict(os.environ, {cli.SEED_ENV: "1"}), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 3), argv

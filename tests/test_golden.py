@@ -5,10 +5,13 @@ boundary and undefined rows in exact and float mode; the verify points
 cover one input per reduction chain and per geometry template; the
 identity runs are seeded; the roots runs pin the solver's sweep counts
 and root digits; the grid runs pin the grid that sweep and verify share.
-A change that alters any printed byte fails here.  After an intended
-output change, regenerate the fixture with
+A change that alters any printed byte fails here.
 
     PYTHONPATH=src python tests/test_golden.py
+
+keeps every entry of the fixture, writes only the cases it lacks and drops
+the entries whose case is gone.  To regenerate entries after an intended
+output change, delete them from the fixture first.
 """
 
 import contextlib
@@ -76,7 +79,10 @@ GRIDS = [
 
 IDENTITIES = [
     ("identity", which, "--samples", "20", "--format", "json")
-    for which in ("euler", "invert")
+    for which in ("euler", "invert", "pfaff", "jacobi", "gegenbauer")
+] + [
+    ("identity", "invert", "-n", "4", "-b", "7/3", "-c", "-5/2", "--samples", "5",
+     "--format", "json"),
 ]
 
 CASES = (
@@ -115,11 +121,14 @@ def test_cli_output_is_byte_identical(argv, monkeypatch):
 
 
 def _write_fixture():
+    """Keep the fixture's entries in order, drop those whose case is gone, append the rest."""
     os.environ[cli.SEED_ENV] = SEED
-    cases = []
+    have = _expected() if FIXTURE.exists() else {}
+    cases = [entry for argv, entry in have.items() if argv in CASES]
     for argv in CASES:
-        code, lines = _run(argv)
-        cases.append({"argv": list(argv), "exit": code, "stdout": lines})
+        if argv not in have:
+            code, lines = _run(argv)
+            cases.append({"argv": list(argv), "exit": code, "stdout": lines})
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps({"seed": SEED, "cases": cases}, indent=1) + "\n")
 
