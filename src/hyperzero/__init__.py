@@ -15,14 +15,11 @@ from .core import (
     Poly,
     Root,
     RootSet,
-    agree,
     coefficients,
     evaluate,
     gegenbauer,
-    gegenbauer_check,
     generalized_binomial,
     jacobi,
-    jacobi_form_check,
     pochhammer,
     poly,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "Root",
     "RootSet",
     "VerificationReport",
-    "agree",
     "all_roots",
     "binomial_sign",
     "classify_region",
@@ -77,13 +73,11 @@ __all__ = [
     "euler_reflect",
     "evaluate",
     "gegenbauer",
-    "gegenbauer_check",
     "generalized_binomial",
     "geometry_report",
     "interval_counts",
     "invert",
     "jacobi",
-    "jacobi_form_check",
     "klein_E",
     "pfaff",
     "pochhammer",

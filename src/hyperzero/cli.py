@@ -3,8 +3,8 @@
 Parameters written as fractions ("7/3") or integers are parsed exactly and
 routed through the exact arithmetic path; decimals route to float mode.
 Exit codes: 0 success, 1 usage or invalid parameter, 2 theorem boundary,
-3 oracle mismatch, failed identity, or solver did not converge (then stdout
-is empty and stderr reads "solver did not converge").
+3 oracle mismatch, an identity whose exact proof failed, or solver did not
+converge (then stdout is empty and stderr reads "solver did not converge").
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Let negative rationals like -3/2 and ranges like -5:8:14 pass as
-        # option values instead of being mistaken for option names.
+        # Let negative rationals like -3/2, decimals like -1e-3 and ranges like
+        # -5:8:14 pass as option values instead of being mistaken for option names.
         self._negative_number_matcher = re.compile(
-            r"^-(\d+(/\d+)?|\d*\.\d+([eE][+-]?\d+)?)(:\S*)?$"
+            r"^-(\d+/\d+|(\d+|\d*\.\d+)([eE][+-]?\d+)?)(:\S*)?$"
         )
 
     def error(self, message):
@@ -115,7 +115,12 @@ def _dumps(obj) -> str:
 
 def _rng() -> random.Random:
     seed = os.environ.get(SEED_ENV)
-    return random.Random(int(seed)) if seed is not None else random.Random()
+    if seed is None:
+        return random.Random()
+    try:
+        return random.Random(int(seed))
+    except ValueError:
+        raise UsageError(f"{SEED_ENV} must be an integer, got {seed!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -525,97 +530,84 @@ def _random_point(which: str, rng: random.Random, n: Optional[int]) -> Params:
             continue
 
 
-def _random_z(rng: random.Random, avoid_one: bool = False, annulus: bool = False) -> complex:
-    while True:
-        if rng.random() < 0.5:
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        else:
-            z = complex(rng.uniform(-3, 3), 0.0)
-        if annulus and not (0.1 <= abs(z) <= 10):
-            continue
-        if abs(z) < 0.05:
-            continue
-        if avoid_one and abs(z - 1) < 0.05:
-            continue
-        return z
+def _fixed_point(args) -> Params:
+    """The exact point that identity proves for -n -b -c.
+
+    A float point is first checked on its floats, by the band of core.side:
+    Params, the map's target, the gegenbauer template and (2*lam)_n.  Only
+    then is it proved on its exact doubles.
+    """
+    p = _params_from(args)
+    if args.which in _MAPS:
+        _MAPS[args.which](p)
+    elif args.which == "gegenbauer":
+        if GEGENBAUER_TEMPLATE not in transforms.quadratic_class_match(p):
+            raise UsageError(f"identity gegenbauer reads only points on {GEGENBAUER_TEMPLATE}")
+        gegenbauer_point(p.n, p.c - Fraction(1, 2))
+    return Params(p.n, Fraction(p.b), Fraction(p.c))
 
 
-def _deviation(lhs: complex, rhs: complex) -> float:
-    scale = max(abs(lhs), abs(rhs))
-    if scale <= 1e-12:
-        return 0.0
-    return abs(lhs - rhs) / scale
-
-
-def _identity_deviation(which: str, p: Params, rng: random.Random) -> float:
-    """The deviation between the identity's two sides at p and a random z."""
+def _identity_sides(which: str, p: Params, z: Fraction) -> List[tuple]:
+    """The (lhs, rhs) pairs of the identity at the exact point p and z."""
     n, b, c = p.n, p.b, p.c
-    target = _MAPS[which](p) if which in _MAPS else None
-    if which == "pfaff":
-        z = _random_z(rng, avoid_one=True)
-        lhs = evaluate(coefficients(p), z)
-        rhs = (1 - z) ** n * evaluate(coefficients(target), z / (z - 1))
-    elif which == "euler":
-        z = _random_z(rng)
-        lhs = evaluate(coefficients(p), 1 - z)
-        scale = pochhammer(c - b, n) / pochhammer(c, n)
-        rhs = scale * evaluate(coefficients(target), z)
-    elif which == "invert":
-        z = _random_z(rng, annulus=True)
-        lhs = evaluate(coefficients(p), z)
-        prefactor = pochhammer(b, n) / pochhammer(c, n) * (-z) ** n
-        rhs = prefactor * evaluate(coefficients(target), 1 / z)
-    elif which == "jacobi":
+    if which == "gegenbauer":
+        return [gegenbauer_sides(n, c - Fraction(1, 2), z)]
+    source = coefficients(p)
+    if which == "jacobi":
         # the classical argument form at 1-2z, then the inverse one at 1-2/z
-        z = _random_z(rng)
-        lhs = evaluate(coefficients(p), z)
         rhs = math.factorial(n) / pochhammer(c, n) * jacobi(n, c - 1, b - c - n, 1 - 2 * z)
-        return max(_deviation(lhs, rhs), _deviation(*jacobi_form_sides(p, _random_z(rng))))
-    else:
-        lhs, rhs = gegenbauer_sides(n, c - Fraction(1, 2), _random_z(rng))
-    return _deviation(lhs, rhs)
+        return [(evaluate(source, z), rhs), jacobi_form_sides(p, z)]
+    target = coefficients(_MAPS[which](p))
+    if which == "pfaff":
+        return [(evaluate(source, z), (1 - z) ** n * evaluate(target, z / (z - 1)))]
+    if which == "euler":
+        scale = pochhammer(c - b, n) / pochhammer(c, n)
+        return [(evaluate(source, 1 - z), scale * evaluate(target, z))]
+    prefactor = pochhammer(b, n) / pochhammer(c, n) * (-z) ** n
+    return [(evaluate(source, z), prefactor * evaluate(target, 1 / z))]
+
+
+def _proved(which: str, p: Params) -> bool:
+    """Whether the identity holds at the exact point p for every z.
+
+    Both sides are polynomials of degree at most n in z, so they are equal
+    when they are equal at the n + 1 distinct rationals z = 2, ..., n + 2.
+    These avoid 0 and 1, where z/(z-1), 1/z and 1-2/z are undefined.
+    """
+    return all(lhs == rhs for z in range(2, p.n + 3)
+               for lhs, rhs in _identity_sides(which, p, Fraction(z)))
 
 
 def cmd_identity(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     if args.n is not None and args.n < 1:
         raise UsageError(f"-n must be at least 1, got {args.n}")
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     if (args.b is None) != (args.c is None):
         raise UsageError("identity takes -b and -c together")
     if args.b is None and args.n is not None and args.which in _MAPS:
         raise UsageError(f"identity {args.which} reads -n only with -b and -c")
-    rng = _rng()
-    fixed = None if args.b is None else _params_from(args)
-    if (fixed is not None and args.which == "gegenbauer"
-            and GEGENBAUER_TEMPLATE not in transforms.quadratic_class_match(fixed)):
-        raise UsageError(f"identity gegenbauer reads only points on {GEGENBAUER_TEMPLATE}")
-    failures = 0
-    worst = 0.0
-    for _ in range(args.samples):
-        p = fixed or _random_point(args.which, rng, args.n)
-        dev = _identity_deviation(args.which, p, rng)
-        worst = max(worst, dev)
-        if dev > args.tol:
-            failures += 1
+    if args.b is not None:
+        # a proof proves nothing more when it is repeated
+        if args.samples is not None:
+            raise UsageError("identity proves -b -c once; --samples counts random points")
+        points = [_fixed_point(args)]
+    else:
+        samples = 100 if args.samples is None else args.samples
+        if samples < 1:
+            raise UsageError(f"--samples must be at least 1, got {samples}")
+        rng = _rng()
+        points = [_random_point(args.which, rng, args.n) for _ in range(samples)]
+    failures = sum(not _proved(args.which, p) for p in points)
     ok = failures == 0
     if args.format == "json":
         print(_dumps({
             "identity": args.which,
-            "samples": args.samples,
+            "samples": len(points),
             "failures": failures,
-            "max_deviation": worst,
-            "tol": args.tol,
             "pass": ok,
         }))
     else:
         verdict = "PASS" if ok else "FAIL"
-        print(
-            f"{args.which}: {args.samples - failures}/{args.samples} samples within "
-            f"tol={args.tol:g} (max deviation {worst:.3g}): {verdict}"
-        )
+        print(f"{args.which}: {len(points) - failures}/{len(points)} points proved: {verdict}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -661,14 +653,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("identity", help="random-sample functional identity checks")
+    sp = sub.add_parser("identity", help="exact proofs of the functional identities")
     sp.add_argument("which", choices=("pfaff", "euler", "invert", "jacobi", "gegenbauer"))
     sp.add_argument("-n", type=int, default=None)
     sp.add_argument("-b", type=str, default=None)
     sp.add_argument("-c", type=str, default=None)
     sp.add_argument("--format", choices=("json", "text"), default="text")
-    sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=int, default=None,
+                    help="random points to draw (default 100)")
     sp.set_defaults(func=cmd_identity)
 
     return parser

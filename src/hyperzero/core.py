@@ -189,9 +189,14 @@ def pochhammer(alpha, k: int):
 
 def generalized_binomial(alpha, k: int):
     """Binomial coefficient alpha (alpha-1) ... (alpha-k+1) / k! for real alpha."""
-    out = 1
+    return _binomials(alpha, k)[-1]
+
+
+def _binomials(alpha, k: int) -> list:
+    """generalized_binomial(alpha, i) for i = 0, ..., k, each from the last by one ratio."""
+    out = [1]
     for i in range(k):
-        out = out * (alpha - i) / (i + 1)
+        out.append(out[-1] * (alpha - i) / (i + 1))
     return out
 
 
@@ -236,13 +241,6 @@ def horner_with_derivative(coeffs, z):
     return acc, dacc
 
 
-def agree(lhs, rhs, tol: float) -> bool:
-    """Relative comparison with an absolute fallback of 1e-12 near zero."""
-    diff = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    return diff <= max(tol * scale, 1e-12)
-
-
 def jacobi(n: int, alpha, beta, x):
     """Jacobi polynomial P_n^(alpha,beta)(x) via its explicit finite sum.
 
@@ -255,9 +253,10 @@ def jacobi(n: int, alpha, beta, x):
         raise ValueError("n must be nonnegative")
     lower = (x - 1) / 2
     upper = (x + 1) / 2
+    first, second = _binomials(n + alpha, n), _binomials(n + beta, n)
     total = 0
     for nu in range(n + 1):
-        term = generalized_binomial(n + alpha, nu) * generalized_binomial(n + beta, n - nu)
+        term = first[nu] * second[n - nu]
         total = total + term * lower ** (n - nu) * upper ** nu
     return total
 
@@ -291,10 +290,6 @@ def jacobi_form_sides(p: Params, z):
     return lhs, rhs
 
 
-def jacobi_form_check(p: Params, z, tol: float = 1e-10) -> bool:
-    return agree(*jacobi_form_sides(p, z), tol)
-
-
 def gegenbauer_point(n: int, lam) -> Params:
     """The point (n, n+2*lam, lam+1/2) of the Gegenbauer connection.
 
@@ -316,10 +311,6 @@ def gegenbauer_sides(n: int, lam, z):
     lhs = evaluate(coefficients(p), z)
     rhs = math.factorial(n) / pochhammer(2 * lam, n) * gegenbauer(n, lam, 1 - 2 * z)
     return lhs, rhs
-
-
-def gegenbauer_check(n: int, lam, z, tol: float = 1e-10) -> bool:
-    return agree(*gegenbauer_sides(n, lam, z), tol)
 
 
 class Counts(NamedTuple):

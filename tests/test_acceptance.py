@@ -16,17 +16,15 @@ from hyperzero import (
     coefficients,
     euler_reflect,
     evaluate,
-    gegenbauer_check,
     invert,
     jacobi,
-    jacobi_form_check,
     pfaff,
     pochhammer,
     predict_counts,
     sturm_counts,
     verify,
 )
-from hyperzero.core import InvalidParameterError, agree
+from hyperzero.core import InvalidParameterError, gegenbauer_sides, jacobi_form_sides
 
 from conftest import general_position_params, rational_inside
 
@@ -206,14 +204,11 @@ def test_criterion_7_identity_suite():
             except InvalidParameterError:
                 continue
 
-    def sample_z(avoid_one=False, annulus=False):
+    def sample_z(avoid_one=False):
+        # a rational z, so that both sides are compared exactly
         while True:
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            if abs(z) < 0.1:
-                continue
-            if annulus and abs(z) > 10:
-                continue
-            if avoid_one and abs(z - 1) < 0.1:
+            z = Fraction(rng.randint(-24, 24), 8)
+            if z == 0 or (avoid_one and z == 1):
                 continue
             return z
 
@@ -228,7 +223,9 @@ def test_criterion_7_identity_suite():
             Params(n, n + 2 * lam, lam + Fraction(1, 2))
         except InvalidParameterError:
             continue
-        assert gegenbauer_check(n, lam, sample_z(), tol=1e-9)
+        z = sample_z()
+        lhs, rhs = gegenbauer_sides(n, lam, z)
+        assert lhs == rhs, (n, lam, z)
         done += 1
 
     # (1.2) Jacobi connection at argument 1-2z
@@ -244,7 +241,7 @@ def test_criterion_7_identity_suite():
         z = sample_z()
         lhs = evaluate(coefficients(p), z)
         rhs = math.factorial(n) / pochhammer(alpha + 1, n) * jacobi(n, alpha, beta, 1 - 2 * z)
-        assert agree(lhs, rhs, 1e-9), (p, z)
+        assert lhs == rhs, (p, z)
         done += 1
 
     # (2.1) reflection
@@ -253,38 +250,31 @@ def test_criterion_7_identity_suite():
         target = euler_reflect(p)
         z = sample_z()
         scale = pochhammer(p.c - p.b, p.n) / pochhammer(p.c, p.n)
-        assert agree(
-            evaluate(coefficients(p), 1 - z),
-            scale * evaluate(coefficients(target), z),
-            1e-9,
-        ), (p, z)
+        rhs = scale * evaluate(coefficients(target), z)
+        assert evaluate(coefficients(p), 1 - z) == rhs, (p, z)
 
     # (2.2) inversion
     for _ in range(100):
         p = sample_params(need_invert=True)
         target = invert(p)
-        z = sample_z(annulus=True)
+        z = sample_z()
         prefactor = pochhammer(p.b, p.n) / pochhammer(p.c, p.n) * (-z) ** p.n
-        assert agree(
-            evaluate(coefficients(p), z),
-            prefactor * evaluate(coefficients(target), 1 / z),
-            1e-9,
-        ), (p, z)
+        rhs = prefactor * evaluate(coefficients(target), 1 / z)
+        assert evaluate(coefficients(p), z) == rhs, (p, z)
 
     # (3.1) Jacobi-argument form
     for _ in range(100):
         p = sample_params()
-        assert jacobi_form_check(p, sample_z(), tol=1e-9), p
+        z = sample_z()
+        lhs, rhs = jacobi_form_sides(p, z)
+        assert lhs == rhs, (p, z)
 
     # (3.8) Pfaff
     for _ in range(100):
         p = sample_params()
         z = sample_z(avoid_one=True)
-        assert agree(
-            evaluate(coefficients(p), z),
-            (1 - z) ** p.n * evaluate(coefficients(pfaff(p)), z / (z - 1)),
-            1e-9,
-        ), (p, z)
+        rhs = (1 - z) ** p.n * evaluate(coefficients(pfaff(p)), z / (z - 1))
+        assert evaluate(coefficients(p), z) == rhs, (p, z)
 
     _report(7, "six functional identities, 100 samples each", started, 10)
 

@@ -16,13 +16,11 @@ from hyperzero import (
     coefficients,
     evaluate,
     gegenbauer,
-    gegenbauer_check,
     jacobi,
-    jacobi_form_check,
     pochhammer,
     poly,
 )
-from hyperzero.core import InvalidParameterError
+from hyperzero.core import InvalidParameterError, gegenbauer_sides, jacobi_form_sides
 
 from conftest import assert_float_band, random_params
 
@@ -194,24 +192,29 @@ def test_jacobi_connection_degree_two():
     assert abs(lhs - rhs) < 1e-12
 
 
+def _equal(sides):
+    lhs, rhs = sides
+    return lhs == rhs
+
+
 def test_jacobi_form_check_examples():
-    assert jacobi_form_check(Params(1, 2, 3), 0.5, 1e-10)
-    assert jacobi_form_check(Params(3, -1.5, 0.5), 2 + 1j, 1e-10)
+    assert _equal(jacobi_form_sides(Params(1, 2, 3), Fraction(1, 2)))
+    assert _equal(jacobi_form_sides(Params(3, Fraction(-3, 2), Fraction(1, 2)), Fraction(2)))
 
 
 def test_jacobi_form_check_rejects_origin():
     with pytest.raises(InvalidParameterError):
-        jacobi_form_check(Params(2, 1, 3), 0)
+        jacobi_form_sides(Params(2, 1, 3), Fraction(0))
 
 
 def test_jacobi_form_check_random_samples():
     rng = random.Random(31)
     for _ in range(100):
         p = random_params(rng)
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(z) < 0.05:
+        z = Fraction(rng.randint(-24, 24), 8)
+        if z == 0:
             continue
-        assert jacobi_form_check(p, z, 1e-9), (p, z)
+        assert _equal(jacobi_form_sides(p, z)), (p, z)
 
 
 def test_gegenbauer_legendre_special_case():
@@ -221,19 +224,20 @@ def test_gegenbauer_legendre_special_case():
 
 
 def test_gegenbauer_check_examples():
-    assert gegenbauer_check(1, 1, 0.25, 1e-10)
-    assert gegenbauer_check(2, 0.5, 0.7, 1e-10)
-    assert gegenbauer_check(0, -3.7, 123.0)
+    assert _equal(gegenbauer_sides(1, 1, Fraction(1, 4)))
+    assert _equal(gegenbauer_sides(2, Fraction(1, 2), Fraction(7, 10)))
+    assert _equal(gegenbauer_sides(0, Fraction(-37, 10), Fraction(123)))
 
 
 def test_gegenbauer_check_vanishing_pochhammer():
     # (2*lam)_3 = (-2)(-1)(0) = 0 at lam = -1
     with pytest.raises(InvalidParameterError):
-        gegenbauer_check(3, -1, 0.4)
+        gegenbauer_sides(3, -1, Fraction(2, 5))
 
 
 def test_gegenbauer_check_vanishing_pochhammer_float_band():
-    assert_float_band(lambda lam: gegenbauer_check(3, lam, 0.4), -1, InvalidParameterError)
+    assert_float_band(lambda lam: gegenbauer_sides(3, lam, Fraction(2, 5)), -1,
+                      InvalidParameterError)
 
 
 def test_gegenbauer_check_random_samples():
@@ -248,8 +252,8 @@ def test_gegenbauer_check_random_samples():
             Params(n, n + 2 * lam, lam + Fraction(1, 2))
         except InvalidParameterError:
             continue
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert gegenbauer_check(n, lam, z, 1e-9), (n, lam, z)
+        z = Fraction(rng.randint(-16, 16), 8)
+        assert _equal(gegenbauer_sides(n, lam, z)), (n, lam, z)
         count += 1
 
 

@@ -1,6 +1,5 @@
 """Transform identities, their involutions, and zero transport."""
 
-import cmath
 import random
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ from hyperzero import (
     pfaff,
     quadratic_class_match,
 )
-from hyperzero.core import InvalidParameterError, agree, pochhammer
+from hyperzero.core import InvalidParameterError, pochhammer
 from hyperzero.transforms import (
     QUADRATIC_TEMPLATES,
     REDUCTIONS,
@@ -89,10 +88,10 @@ def test_euler_reflect_random_functional_identity():
             target = euler_reflect(p)
         except InvalidParameterError:
             continue
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        z = Fraction(rng.randint(-24, 24), 8)
         lhs = evaluate(coefficients(p), 1 - z)
         rhs = euler_scale(p) * evaluate(coefficients(target), z)
-        assert agree(lhs, rhs, 1e-10), (p, z)
+        assert lhs == rhs, (p, z)
         count += 1
 
 
@@ -138,11 +137,10 @@ def test_invert_random_functional_identity():
             target = invert(p)
         except InvalidParameterError:
             continue
-        r = rng.uniform(0.1, 10)
-        z = r * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+        z = Fraction(rng.choice([-1, 1]) * rng.randint(1, 80), 8)
         lhs = evaluate(coefficients(p), z)
         rhs = invert_prefactor(p, z) * evaluate(coefficients(target), 1 / z)
-        assert agree(lhs, rhs, 1e-10), (p, z)
+        assert lhs == rhs, (p, z)
         count += 1
 
 
@@ -182,12 +180,12 @@ def test_pfaff_random_functional_identity():
     count = 0
     while count < 50:
         p = random_params(rng)
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if abs(z - 1) < 0.05:
+        z = Fraction(rng.randint(-24, 24), 8)
+        if z == 1:
             continue
         lhs = evaluate(coefficients(p), z)
         rhs = (1 - z) ** p.n * evaluate(coefficients(pfaff(p)), z / (z - 1))
-        assert agree(lhs, rhs, 1e-10), (p, z)
+        assert lhs == rhs, (p, z)
         count += 1
 
 
