@@ -22,13 +22,13 @@ from typing import List, Optional, Tuple
 
 from . import klein, oracle, transforms
 from .core import (
-    INTEGRALITY_TOL,
     BoundaryParameterError,
     Counts,
     InvalidParameterError,
     NonConvergenceError,
     Params,
     Scalar,
+    cell_code,
     coefficients,
     evaluate,
     gegenbauer_point,
@@ -36,6 +36,7 @@ from .core import (
     jacobi,
     jacobi_form_sides,
     pochhammer,
+    ratio_code,
 )
 
 EXIT_OK = 0
@@ -361,75 +362,6 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
     return bs, cs
 
 
-# A float point is keyed on its cell only when b, c and c - b lie further
-# than INTEGRALITY_TOL plus this many ulps of max(|b|, |c|, n) from every
-# integer (see _cell_coordinates).
-GUARD_ULPS = 64
-
-
-def _cell_coordinates(n: int, bs: List[Scalar], cs: List[Scalar], exact: bool):
-    """Cell coordinates of a sweep grid: one classifier call per lattice cell.
-
-    Why the classification is constant on a cell.  Every decision that
-    klein.classify_region makes compares b, c or c - b, negated or shifted
-    by an integer, with an integer: the hypothesis (b, c, c - b outside
-    {0, ..., 1-n}), the branch tests c > 0, c - b < 1-n, b < 1-n, b > 0,
-    c - b > 0 and c > 1-n, the window edges b - c = n and b = -n, and the
-    window indices floor(-b), floor(-c) and floor(b - c).  The parameter
-    maps it reduces through send (b, c) to such values again (1-n+b-c,
-    1-c-n, 1-b-n, c-b), so the same holds after a reduction.  Hence every
-    decision, and with it the Counts and their provenance, is constant on
-    each open cell of the lines {b in Z}, {c in Z} and {c - b in Z}, which
-    (floor(b), floor(c), floor(c - b)) names (F. Klein, Math. Ann. 37,
-    1890).  A point on a line can sit on a boundary, so it is classified
-    on its own.
-
-    Exact grids put every value over one common denominator, so floor(c - b)
-    and whether c - b is an integer come from integer // and %.  Float grids
-    key on the floats the classifier sees (Params demotes both parameters)
-    and on the same float c - b it computes.  Each float decision of the
-    classifier reads a value that took at most six roundings of sums no
-    larger than 4 max(|b|, |c|, n), so its error is at most
-    24 * 2**-53 max(|b|, |c|, n), under GUARD_ULPS ulps of that maximum.
-    A float b, c or c - b further than INTEGRALITY_TOL plus GUARD_ULPS ulps
-    from every integer is therefore decided as its exact dyadic value is,
-    and that value's cell gives one answer; a point inside this guard is
-    classified on its own.
-
-    Returns (bx, cx, cell_floor).  bx[i] is (floor(b), y) for b = bs[i],
-    where y is b's coordinate (its numerator over the common denominator,
-    or its float), or None when b is on a line, inside the guard or has no
-    float; cx likewise for cs.  cell_floor(yc - yb) is floor(c - b), or
-    None when c - b is on a line, inside the guard or overflows.
-    """
-    if exact:
-        den = math.lcm(*(v.denominator for v in bs + cs))
-        ys = [v.numerator * (den // v.denominator) for v in bs + cs]
-
-        def cell_floor(y):
-            k, r = divmod(y, den)
-            return None if r == 0 else k
-
-    else:
-        ys = [_float_or_none(v) for v in bs + cs]
-        top = max([abs(y) for y in ys if y is not None] + [n])
-        guard = INTEGRALITY_TOL + GUARD_ULPS * math.ulp(top)
-
-        def cell_floor(y):
-            try:
-                k = math.floor(y)
-            except OverflowError:  # c - b overflows; Params rejects the point
-                return None
-            return k if guard < y - k < 1 - guard else None
-
-    def coordinate(y):
-        k = None if y is None else cell_floor(y)
-        return None if k is None else (k, y)
-
-    xs = [coordinate(y) for y in ys]
-    return xs[:len(bs)], xs[len(bs):], cell_floor
-
-
 def _float_or_none(v: Scalar) -> Optional[float]:
     try:
         return float(v)
@@ -437,47 +369,58 @@ def _float_or_none(v: Scalar) -> Optional[float]:
         return None
 
 
-def _classified(n: int, b: Scalar, c: Scalar, mode: str) -> str:
-    """The row tail of one point of a grid in mode, from Params and the classifier."""
-    try:
-        p = Params(n, b, c)
-    except InvalidParameterError:
-        return _sweep_tail(mode, None, "undefined")
-    try:
-        pred = klein.classify_region(p)
-    except BoundaryParameterError:
-        return _sweep_tail(p.mode, None, "boundary")
-    return _sweep_tail(p.mode, pred, "ok")
-
-
 def cmd_sweep(args) -> int:
+    """The grid's rows, one classification per distinct cell code triple.
+
+    klein.classify_cell reads nothing but the cell codes of (b, c, c - b).
+    Exact grids put every value over one common denominator, so each code
+    comes from integer // and %.  Float grids read the floats and the float
+    c - b that Params would hold; a point where either is missing or not
+    finite is undefined, as is a row whose c Params rejects.
+    """
     n = args.n
     bs, cs = _axes(args)
     # each axis holds one type, so the grid is exact or float as a whole
     exact = all(isinstance(v, Fraction) for v in bs + cs)
     mode = "exact" if exact else "float"
-    bx, cx, cell_floor = _cell_coordinates(n, bs, cs, exact)
-    columns = [(b, f"{n},{format_scalar(b)},", x) for b, x in zip(bs, bx)]
+    if exact:
+        den = math.lcm(*(v.denominator for v in bs + cs))
+        ys = [v.numerator * (den // v.denominator) for v in bs + cs]
+        codes = [ratio_code(y, den) for y in ys]
+
+        def diff_code(yb, yc):
+            return ratio_code(yc - yb, den)
+
+    else:
+        ys = [_float_or_none(v) for v in bs + cs]
+        codes = [None if y is None else cell_code(y) for y in ys]
+
+        def diff_code(yb, yc):
+            d = math.inf if yb is None else yc - yb
+            return cell_code(d) if math.isfinite(d) else None
+
+    columns = list(zip([f"{n},{format_scalar(b)}," for b in bs], ys, codes))
     undefined = _sweep_tail(mode, None, "undefined")
     probe = Fraction(0) if exact else 0.0
-    memo = {}  # cell key -> row tail
+    memo = {}  # cell code triple -> row tail
     lines = [SWEEP_COLUMNS]
-    for c, xc in zip(cs, cx):
+    for c, yc, code_c in zip(cs, ys[len(bs):], codes[len(bs):]):
         mid = f"{format_scalar(c)},"
         try:
             Params(n, probe, c)  # the checks Params makes of n and c
         except InvalidParameterError:
-            lines.extend(head + mid + undefined for _, head, _ in columns)
+            lines.extend(head + mid + undefined for head, _, _ in columns)
             continue
-        for b, head, xb in columns:
-            k = None if xb is None or xc is None else cell_floor(xc[1] - xb[1])
-            if k is None:  # on a line, inside the guard or not keyable
-                tail = _classified(n, b, c, mode)
-            else:
-                key = (xb[0], xc[0], k)
-                tail = memo.get(key)
-                if tail is None:
-                    tail = memo[key] = _classified(n, b, c, mode)
+        for head, yb, code_b in columns:
+            code_cb = diff_code(yb, yc)
+            key = (code_b, code_c, code_cb)
+            tail = undefined if code_cb is None else memo.get(key)
+            if tail is None:
+                try:
+                    tail = _sweep_tail(mode, klein.classify_cell(n, *key), "ok")
+                except BoundaryParameterError:
+                    tail = _sweep_tail(mode, None, "boundary")
+                memo[key] = tail
             lines.append(head + mid + tail)
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -585,6 +528,8 @@ def cmd_identity(args) -> int:
         raise UsageError("identity takes -b and -c together")
     if args.b is None and args.n is not None and args.which in _MAPS:
         raise UsageError(f"identity {args.which} reads -n only with -b and -c")
+    if args.b is not None and args.n is None:
+        raise UsageError(f"identity {args.which} reads -b and -c only with -n")
     if args.b is not None:
         # a proof proves nothing more when it is repeated
         if args.samples is not None:

@@ -74,6 +74,25 @@ def nearby_integer(value: Scalar):
     return int(value) if value.denominator == 1 else None
 
 
+def cell_code(value: Scalar) -> int:
+    """2k when value is on the integer k (in the sense of side), else 2 floor(value) + 1.
+
+    -value has code -cell_code(value), and value + m has cell_code(value) + 2m
+    for an integer m, so every comparison of value, negated or shifted by an
+    integer, with an integer is a comparison of its code with an even number.
+    """
+    if isinstance(value, float):
+        k = round(value)
+        return 2 * k if side(value, k) == 0 else 2 * math.floor(value) + 1
+    return ratio_code(value.numerator, value.denominator)
+
+
+def ratio_code(num: int, den: int) -> int:
+    """cell_code of the exact value num / den, for den > 0."""
+    k, r = divmod(num, den)
+    return 2 * k + 1 if r else 2 * k
+
+
 def in_excluded_set(value: Scalar, n: int) -> bool:
     """True when value is on one of 0, -1, ..., -(n-1)."""
     k = nearby_integer(value)

@@ -5,9 +5,9 @@ exact number of zeros in each of (1,inf), (0,1), (-inf,0).  They are driven
 by Klein's step function E and by signs of generalized binomial
 coefficients; both are integer-valued, so boundary inputs raise rather
 than round.  The regional classifier reproduces the same counts but keyed
-on which parameter window fired, reducing c < 0 inputs through the
-reflection, inversion and Pfaff maps until a directly analyzed region is
-reached.
+on which parameter window fired; it reads only the cell codes of b, c and
+c - b, and reduces c < 0 inputs through the code maps of the reflection,
+inversion and Pfaff maps until a directly analyzed region is reached.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .core import (
     BoundaryParameterError,
     Counts,
     Params,
+    cell_code,
     in_excluded_set,
     nearby_integer,
     side,
@@ -76,10 +77,7 @@ def _require_hypothesis(p: Params):
     """
     for name, v in (("b", p.b), ("c-b", p.c - p.b)):
         if in_excluded_set(v, p.n):
-            raise BoundaryParameterError(
-                f"{name}={v} lies in {{0, -1, ..., {1 - p.n}}}; "
-                "the count formulas do not apply on this boundary"
-            )
+            raise BoundaryParameterError(_boundary_message(name, p))
 
 
 def _branch_count(e: int, sign: int) -> int:
@@ -113,17 +111,6 @@ def predict_counts(p: Params) -> Counts:
     )
 
 
-def _strict_floor(v) -> int:
-    """floor(v) demanding v be safely off integers.
-
-    Exact integers and float near-integers are classification boundaries
-    for the window indices and raise instead of picking a side.
-    """
-    if nearby_integer(v) is not None:
-        raise BoundaryParameterError(f"window index boundary at {v}")
-    return math.floor(v)
-
-
 def _prediction(n, n1, n2, n3, provenance) -> Counts:
     """Counts of a degree-n polynomial; the rest of the degree is conjugate pairs."""
     rest = n - n1 - n2 - n3
@@ -132,62 +119,57 @@ def _prediction(n, n1, n2, n3, provenance) -> Counts:
     return Counts(n1, n2, n3, nonreal_pairs=rest // 2, provenance=provenance)
 
 
-def _classify_c_positive(p: Params) -> Counts:
-    """The five b-windows for c > 0."""
-    n, b, c = p.n, p.b, p.c
-    if b > 0:
-        d = b - c
-        if side(d, n) == 0:
-            raise BoundaryParameterError(f"b-c={d} equals n; window boundary")
-        if d > n:
+def _index(code: int) -> int:
+    """floor(x) + 1 for a value x off the integers, read from its odd cell code."""
+    return code // 2 + 1
+
+
+def _cell_c_positive(n: int, B: int, C: int, D: int) -> Counts:
+    """The five b-windows for c > 0; b - c has code -D."""
+    if B > 0:
+        if D == -2 * n:
+            raise BoundaryParameterError("b-c=n")
+        if D < -2 * n:
             return _prediction(n, 0, n, 0, "thm3.2.i")
-        if d > 0:
-            j = _strict_floor(d) + 1
+        if D < 0:
+            j = _index(-D)
             return _prediction(n, (n - j) % 2, j, 0, f"thm3.2.ii(j={j})")
         return _prediction(n, n % 2, 0, 0, "thm3.2.iii")
-    if side(b, -n) == 0:
-        raise BoundaryParameterError(f"b={b} equals -n; window boundary")
-    if b > -n:
-        j = _strict_floor(-b) + 1
+    if B == -2 * n:
+        raise BoundaryParameterError("b=-n")
+    if B > -2 * n:
+        j = _index(-B)
         return _prediction(n, (n - j) % 2, 0, j, f"thm3.2.iv(j={j})")
     return _prediction(n, 0, 0, n, "thm3.2.v")
 
 
-def _classify_c_negative_b_positive(p: Params) -> Counts:
+def _cell_c_negative_b_positive(n: int, B: int, C: int, D: int) -> Counts:
     """c < 0, b > 0, c-b > 1-n: counts keyed on the (j, k) window indices."""
-    n, b, c = p.n, p.b, p.c
-    k = _strict_floor(-c) + 1
-    j = _strict_floor(-(c - b)) + 1
-    if j < k:
-        raise RuntimeError(
-            f"window indices j={j} < k={k} contradict the region analysis for {p}"
-        )
+    k = _index(-C)
+    j = _index(-D)
     nj_odd = (n - j) % 2
     k_odd = k % 2
     sub = {(0, 0): "a", (1, 0): "b", (0, 1): "c", (1, 1): "d"}[(nj_odd, k_odd)]
-    return _prediction(
-        n, nj_odd, j - k, k_odd, f"thm3.3.ii.{sub}(j={j},k={k})"
-    )
+    return _prediction(n, nj_odd, j - k, k_odd, f"thm3.3.ii.{sub}(j={j},k={k})")
 
 
-def _classify_all_negative(p: Params) -> Counts:
+def _cell_all_negative(n: int, B: int, C: int, D: int) -> Counts:
     """1-n < b, c, c-b < 0: pure parity counts from the (j, k, l) indices."""
-    n, b, c = p.n, p.b, p.c
-    j = _strict_floor(-b) + 1
-    k = _strict_floor(-c) + 1
-    ell = _strict_floor(-(c - b)) + 1
-    n1 = (n + j + ell) % 2
-    n2 = (k + ell) % 2
-    n3 = (j + k) % 2
-    return _prediction(n, n1, n2, n3, f"thm3.4(j={j},k={k},l={ell})")
+    j, k, ell = _index(-B), _index(-C), _index(-D)
+    return _prediction(n, (n + j + ell) % 2, (k + ell) % 2, (j + k) % 2,
+                       f"thm3.4(j={j},k={k},l={ell})")
 
 
-def _carried_back(n: int, sub: Counts, *maps: str) -> Counts:
-    """Counts of the input whose reduction through maps, in order, gave sub.
+def _carried_back(n: int, codes, classify, *maps: str) -> Counts:
+    """Counts of codes, which classify decides on their image under maps.
 
-    Each map's interval swap (transforms.REDUCTIONS) is undone, last map
+    The codes go through each map's code map in transforms.REDUCTIONS, in
+    order; the counts come back through each map's interval swap, last map
     first, and each map's equation tag is prefixed to the provenance.
     """
+    for name in maps:
+        codes = transforms.REDUCTIONS[name].codes(n, *codes)
+    sub = classify(n, *codes)
     counts = list(sub.counts)
     for name in reversed(maps):
         i, j = transforms.REDUCTIONS[name].swap
@@ -196,39 +178,79 @@ def _carried_back(n: int, sub: Counts, *maps: str) -> Counts:
     return _prediction(n, *counts, via + sub.provenance)
 
 
-def classify_region(p: Params) -> Counts:
-    """Counts with provenance naming the parameter region that decided them.
+def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
+    """Counts with provenance for the cell codes (core.cell_code) of (b, c, c-b).
 
-    c > 0 is handled directly.  For c < 0 the input is reduced through the
+    Why the codes decide.  Every decision of the regional analysis compares
+    b, c or c - b, negated or shifted by an integer, with an integer, or
+    takes its floor: the hypothesis (b, c, c - b outside {0, ..., 1-n}),
+    the branch tests c > 0, c - b < 1-n, b < 1-n, b > 0, c - b > 0 and
+    c > 1-n, the window edges b - c = n and b = -n, and the window indices
+    floor(-b), floor(-c) and floor(b - c).  Each of these compares a code
+    with an even number or reads the floor from an odd code, and the
+    reflection, inversion and Pfaff maps send (b, c, c - b) to such values
+    again, so they act on the codes by the integer maps in
+    transforms.REDUCTIONS.
+    The counts and their provenance are therefore constant on each cell of
+    the codes: an open cell of the lines {b in Z}, {c in Z} and
+    {c - b in Z} (F. Klein, Math. Ann. 37, 1890), or a piece of one of those
+    lines.  For a float the codes are read by core.side, so a value within
+    INTEGRALITY_TOL of an integer is on it.
+
+    c > 0 is handled directly.  For c < 0 the codes are reduced through the
     reflection, inversion and Pfaff maps until a directly analyzed region
-    applies; the counts are carried back through the interval swaps in
-    transforms.REDUCTIONS, and each map's equation tag ("(2.1)", "(2.2)",
-    "(3.8)") is recorded as a "reduced-via-<tag>->" provenance prefix.  Any
-    case-boundary equality raises BoundaryParameterError.
+    applies; the counts are carried back through the interval swaps, and
+    each map's equation tag ("(2.1)", "(2.2)", "(3.8)") is recorded as a
+    "reduced-via-<tag>->" provenance prefix.  c itself must be valid for
+    Params.  A boundary raises BoundaryParameterError naming its edge:
+    "b", "c-b" (in {0, ..., 1-n}), "b-c=n" or "b=-n".  The window indices
+    read only odd codes, since an even one is on an edge that raised first.
     """
-    _require_hypothesis(p)
-    n, b, c = p.n, p.b, p.c
-    if c > 0:
-        return _classify_c_positive(p)
-
-    if c - b < 1 - n:
+    lo = 2 * (1 - n)
+    if B % 2 == 0 and lo <= B <= 0:
+        raise BoundaryParameterError("b")
+    if D % 2 == 0 and lo <= D <= 0:
+        raise BoundaryParameterError("c-b")
+    codes = (B, C, D)
+    if C > 0:
+        return _cell_c_positive(n, *codes)
+    if D < lo:
         # Reflection target has c' = 1-n+b-c > 0.
-        sub = _classify_c_positive(transforms.euler_reflect(p))
-        return _carried_back(n, sub, "euler_reflect")
-    if b < 1 - n:
+        return _carried_back(n, codes, _cell_c_positive, "euler_reflect")
+    if B < lo:
         # Inversion target has c' = 1-b-n > 0.
-        sub = _classify_c_positive(transforms.invert(p))
-        return _carried_back(n, sub, "invert")
-    if b > 0:
-        return _classify_c_negative_b_positive(p)
-    if c - b > 0:
+        return _carried_back(n, codes, _cell_c_positive, "invert")
+    if B > 0:
+        return _cell_c_negative_b_positive(n, *codes)
+    if D > 0:
         # Pfaff target has numerator parameter c-b > 0 and the same c < 0.
-        sub = _classify_c_negative_b_positive(transforms.pfaff(p))
-        return _carried_back(n, sub, "pfaff")
-    if c > 1 - n:
-        return _classify_all_negative(p)
+        return _carried_back(n, codes, _cell_c_negative_b_positive, "pfaff")
+    if C > lo:
+        return _cell_all_negative(n, *codes)
     # Remaining sliver: b, c-b in (1-n, 0) with c < 1-n.  Reflect first
     # (new c' lands in (1-n, 0) with c'-b > 0), then Pfaff into the
     # directly analyzed region.
-    sub = _classify_c_negative_b_positive(transforms.pfaff(transforms.euler_reflect(p)))
-    return _carried_back(n, sub, "euler_reflect", "pfaff")
+    return _carried_back(n, codes, _cell_c_negative_b_positive, "euler_reflect", "pfaff")
+
+
+def _boundary_message(edge: str, p: Params) -> str:
+    """The message of the edge that classify_cell named, for the point p."""
+    if edge == "b-c=n":
+        return f"b-c={p.b - p.c} equals n; window boundary"
+    if edge == "b=-n":
+        return f"b={p.b} equals -n; window boundary"
+    v = p.b if edge == "b" else p.c - p.b
+    return (f"{edge}={v} lies in {{0, -1, ..., {1 - p.n}}}; "
+            "the count formulas do not apply on this boundary")
+
+
+def classify_region(p: Params) -> Counts:
+    """Counts with provenance naming the parameter region that decided them.
+
+    classify_cell decides on the cell codes of (b, c, c-b); a boundary
+    raises BoundaryParameterError with the values of p in its message.
+    """
+    try:
+        return classify_cell(p.n, cell_code(p.b), cell_code(p.c), cell_code(p.c - p.b))
+    except BoundaryParameterError as exc:
+        raise BoundaryParameterError(_boundary_message(exc.args[0], p)) from None

@@ -4,37 +4,46 @@ Each transform here is a parameter map between two hypergeometric
 polynomials tied by a two-sided functional identity, together with the
 Moebius map that carries zeros of one onto zeros of the other.  Each
 Moebius map swaps two of the intervals (1,inf), (0,1), (-inf,0) and fixes
-the third; REDUCTIONS states those swaps once, so interval zero counts can
-be carried between parameter regions.
+the third; REDUCTIONS states those swaps and each map's action on cell
+codes once, so interval zero counts can be carried between parameter regions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .core import InvalidParameterError, Params, in_excluded_set, side
 
 
 class Reduction(NamedTuple):
-    """Equation tag of a parameter map and the two count positions it swaps.
+    """Equation tag of a parameter map, the two count positions it swaps,
+    and the map on cell codes.
 
     Count positions index (n1, n2, n3): 0 is (1,inf), 1 is (0,1) and 2 is
-    (-inf,0).
+    (-inf,0).  codes(n, B, C, D) sends the cell codes (core.cell_code) of
+    (b, c, c-b) to those of the image point; a code of 1-n-x is 2(1-n)
+    minus the code of x.
     """
 
     tag: str
     swap: Tuple[int, int]
+    codes: Callable[[int, int, int, int], Tuple[int, int, int]]
 
 
 # Keyed by the name of the parameter map in this module.
 REDUCTIONS = {
     # z -> 1-z swaps (1,inf) and (-inf,0), fixes (0,1) as a set.
-    "euler_reflect": Reduction("(2.1)", (0, 2)),
+    # (b, c, c-b) -> (b, 1-n-(c-b), 1-n-c)
+    "euler_reflect": Reduction("(2.1)", (0, 2),
+                               lambda n, B, C, D: (B, 2 * (1 - n) - D, 2 * (1 - n) - C)),
     # z -> 1/z swaps (1,inf) and (0,1), fixes (-inf,0) as a set.
-    "invert": Reduction("(2.2)", (0, 1)),
+    # (b, c, c-b) -> (1-n-c, 1-n-b, c-b)
+    "invert": Reduction("(2.2)", (0, 1),
+                        lambda n, B, C, D: (2 * (1 - n) - C, 2 * (1 - n) - B, D)),
     # z -> z/(z-1) swaps (0,1) and (-inf,0), fixes (1,inf) as a set.
-    "pfaff": Reduction("(3.8)", (1, 2)),
+    # (b, c, c-b) -> (c-b, c, b)
+    "pfaff": Reduction("(3.8)", (1, 2), lambda n, B, C, D: (D, C, B)),
 }
 
 

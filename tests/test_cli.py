@@ -71,6 +71,16 @@ def test_classify_invalid_parameter_exit_code(capsys):
     assert "invalid" in err
 
 
+def test_classify_float_just_outside_the_band_answers(capsys):
+    # c is 1.0000889e-12 from -3, outside the band Params reads it by
+    code, out, err = run(capsys, "classify", "-n", "4", "-b", "0.500000000001",
+                         "-c", "-2.999999999999", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["provenance"] == "reduced-via-(2.1)->thm3.2.ii(j=1)"
+    assert [payload[k] for k in ("n1", "n2", "n3", "nonreal_pairs")] == [0, 1, 1, 1]
+
+
 def test_classify_float_routes_to_float_mode(capsys):
     code, out, _ = run(capsys, "classify", "-n", "3", "-b", "10.0", "-c", "2.0",
                        "--format", "json")
@@ -371,6 +381,14 @@ def test_identity_reads_a_fixed_point_of_f(capsys, which, b, c):
     code, out, _ = run(capsys, "identity", which, "-n", "3", "-b", b, "-c", c)
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("which", ["jacobi", "pfaff"])
+def test_identity_fixed_point_needs_n(capsys, which):
+    code, out, err = run(capsys, "identity", which, "-b", "1", "-c", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error") and "-n" in err
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperzero import (
     Params,
@@ -17,7 +17,7 @@ from hyperzero import (
     sturm_counts,
     xyz,
 )
-from hyperzero.core import BoundaryParameterError, InvalidParameterError
+from hyperzero.core import BoundaryParameterError, InvalidParameterError, nearby_integer
 
 from conftest import assert_float_band, general_position_params
 
@@ -204,6 +204,45 @@ def test_classify_agrees_on_fractions_and_their_floats(n, b, c):
 def test_classify_float_boundary_proximity():
     with pytest.raises(BoundaryParameterError):
         classify_region(Params(3, 2.0 + 1e-13, 2.0))
+
+
+@pytest.mark.parametrize("n, b, c, message", [
+    (3, -1, 2, "b=-1 lies in {0, -1, ..., -2}; the count formulas do not apply on this boundary"),
+    (2, 1, 1, "c-b=0 lies in {0, -1, ..., -1}; the count formulas do not apply on this boundary"),
+    (3, Fraction(9, 2), Fraction(3, 2), "b-c=3 equals n; window boundary"),
+    (3, -3, 2, "b=-3 equals -n; window boundary"),
+    (3, -3, Fraction(-11, 2), "b=-3 equals -n; window boundary"),  # via the reflection
+    (3, 4.5, 1.5, "b-c=3.0 equals n; window boundary"),
+])
+def test_classify_boundary_messages_name_the_values(n, b, c, message):
+    with pytest.raises(BoundaryParameterError) as info:
+        classify_region(Params(n, b, c))
+    assert str(info.value) == message
+
+
+def _near_integers(lo, hi):
+    """Values on, in and just outside the float band of the integers."""
+    offsets = st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, -9e-13, 1.1e-12, -1.1e-12, 1e-11])
+    return st.one_of(
+        st.fractions(lo, hi, max_denominator=12),
+        st.integers(lo, hi).map(Fraction),
+        st.floats(lo, hi),
+        st.tuples(st.integers(lo, hi), offsets).map(lambda t: t[0] + t[1]),
+    )
+
+
+@settings(max_examples=600)
+@given(st.integers(1, 12), _near_integers(-26, 26), _near_integers(-26, 26))
+@example(4, 0.500000000001, -2.999999999999)  # raised from a recomputed c + n - 1
+def test_classify_raises_boundary_only_on_an_integer_line(n, b, c):
+    try:
+        p = Params(n, b, c)
+    except InvalidParameterError:
+        return
+    try:
+        classify_region(p)
+    except BoundaryParameterError:
+        assert any(nearby_integer(v) is not None for v in (p.b, p.c, p.c - p.b)), p
 
 
 def test_classify_matches_predict_on_random_samples():

@@ -1,11 +1,13 @@
-"""The lattice-cell claim behind sweep: one classification per open cell.
+"""The lattice-cell claim behind sweep: one classification per cell code triple.
 
 The counts and provenance of classify_region are constant on each open
 cell of the lines {b in Z}, {c in Z} and {c - b in Z}
-(cli._cell_coordinates states the argument).  These tests check the claim
-on every cell of a box, check one point of every cell against the exact
-Sturm count, check that float points away from the lines agree with the
-exact cell, and check sweep's output against a plain per-point loop.
+(klein.classify_cell states the argument), and on each piece of those
+lines that one triple of cell codes names.  These tests check the claim
+on every cell of a box and on points of the lines, check one point of
+every cell against the exact Sturm count, check that float points away
+from the lines agree with the exact cell, and check sweep's output against
+a plain per-point loop and its classifier calls against the code triples.
 """
 
 import contextlib
@@ -16,8 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyperzero import Params, classify_region, cli, coefficients, sturm_counts
-from hyperzero.core import BoundaryParameterError, InvalidParameterError
+from hyperzero import Params, classify_region, cli, coefficients, klein, sturm_counts
+from hyperzero.core import BoundaryParameterError, InvalidParameterError, cell_code
 
 
 def _cells(n):
@@ -67,6 +69,36 @@ def test_every_cell_in_the_box_gives_one_answer(n):
         assert all(_cell_of(b, c) == cell for b, c in points)
         answers = [classify_region(Params(n, b, c)) for b, c in points]
         assert answers[0] == answers[1] == answers[2], (n, cell, points)
+
+
+def _code_triple(p):
+    return cell_code(p.b), cell_code(p.c), cell_code(p.c - p.b)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_points_sharing_a_code_triple_give_one_answer(n):
+    # small denominators and c - b drawn as an integer put many points on
+    # the lines; floats 1e-13 off an integer share its code
+    rng = random.Random(200 + n)
+    r = 2 * n + 2
+    answers = {}
+    for _ in range(6000):
+        den = rng.choice((1, 1, 2, 3, 4, 6))
+        b = Fraction(rng.randint(-r * den, r * den), den)
+        if rng.random() < 0.3:
+            c = b + rng.randint(-2 * r, 2 * r)
+        else:
+            c = Fraction(rng.randint(-r * den, r * den), den)
+        if rng.random() < 0.2:
+            b, c = float(b) + rng.choice((-1e-13, 1e-13)), float(c)
+        try:
+            p = Params(n, b, c)
+        except InvalidParameterError:
+            continue
+        answers.setdefault(_code_triple(p), set()).add(_outcome(n, b, c))
+    shared = [outs for outs in answers.values() if len(outs) > 1]
+    assert not shared, shared[:3]
+    assert sum(1 for t in answers if any(code % 2 == 0 for code in t)) > 100
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -181,3 +213,32 @@ def test_sweep_equals_the_per_point_loop_on_random_grids():
     for _ in range(40):
         argv = _random_grid(rng)
         assert _sweep(argv) == _reference_sweep(argv), argv
+
+
+@pytest.mark.parametrize("argv", [FIXED_GRIDS[3], FIXED_GRIDS[1], FIXED_GRIDS[4]], ids=" ".join)
+def test_sweep_classifies_once_per_code_triple_and_builds_no_params_per_point(
+        monkeypatch, argv):
+    args = cli.build_parser().parse_args(argv)
+    bs, cs = cli._axes(args)
+    triples = set()
+    for b, c in [(b, c) for c in cs for b in bs]:
+        try:
+            triples.add(_code_triple(Params(args.n, b, c)))
+        except InvalidParameterError:
+            pass
+    classified, built = [], []
+    classify_cell, params = klein.classify_cell, cli.Params
+
+    def counted_classify(n, *codes):
+        classified.append(codes)
+        return classify_cell(n, *codes)
+
+    def counted_params(*a):
+        built.append(a)
+        return params(*a)
+
+    monkeypatch.setattr(klein, "classify_cell", counted_classify)
+    monkeypatch.setattr(cli, "Params", counted_params)
+    _sweep(argv)
+    assert sorted(classified) == sorted(triples)
+    assert len(built) == len(cs)  # one per row, for the checks of n and c

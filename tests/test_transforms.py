@@ -15,7 +15,7 @@ from hyperzero import (
     pfaff,
     quadratic_class_match,
 )
-from hyperzero.core import InvalidParameterError, pochhammer
+from hyperzero.core import InvalidParameterError, cell_code, pochhammer
 from hyperzero.transforms import (
     QUADRATIC_TEMPLATES,
     REDUCTIONS,
@@ -48,6 +48,25 @@ def test_reduction_swaps_match_point_maps():
         image = {i: j, j: i}
         for k, x in enumerate(samples):
             assert position[image.get(k, k)](point_maps[name](x)), (name, x)
+
+
+def _codes(p):
+    return cell_code(p.b), cell_code(p.c), cell_code(p.c - p.b)
+
+
+def test_reduction_code_maps_match_parameter_maps():
+    parameter_maps = {"euler_reflect": euler_reflect, "invert": invert, "pfaff": pfaff}
+    assert set(REDUCTIONS) == set(parameter_maps)
+    rng = random.Random(71)
+    for _ in range(400):
+        # den 2 puts many of b, c and c - b on the integers
+        p = random_params(rng, n_hi=10, den=rng.choice((1, 2, 8)))
+        for name, reduction in REDUCTIONS.items():
+            try:
+                image = parameter_maps[name](p)
+            except InvalidParameterError:
+                continue
+            assert reduction.codes(p.n, *_codes(p)) == _codes(image), (name, p)
 
 
 # ---------------------------------------------------------------------------
