@@ -266,7 +266,7 @@ def _verify_exit(status: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.b_range or args.c_range:
+    if args.b_range or args.c_range or args.margin is not None:
         return _verify_sweep(args)
     p = _params_from(args)
     rep = oracle.verify(p)
@@ -323,9 +323,9 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
     are rational, or a pinned -b or -c, which is a one-step range.  The
     margin is a rational offset added to every point of a range of more
     than one step, to land strictly inside theorem windows; when supplied
-    it must be positive.  A float value that is not finite (the span of a
-    range overflowed) is a usage error.  The grid is row-ordered: c outer,
-    b inner.
+    it must be positive, and a range must be given.  A float value that is
+    not finite (the span of a range overflowed) is a usage error.  The grid
+    is row-ordered: c outer, b inner.
     """
     for name in "bc":
         if getattr(args, name) is not None and getattr(args, f"{name}_range"):
@@ -339,10 +339,12 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
             ranges.append((v, v, 1))
         else:
             raise UsageError(f"need -{name} or --{name}-range")
-    margin = parse_scalar(args.margin) if args.margin else Fraction(0)
+    if args.margin is not None and not (args.b_range or args.c_range):
+        raise UsageError("--margin offsets the points of a range; give --b-range or --c-range")
+    margin = Fraction(0) if args.margin is None else parse_scalar(args.margin)
     if any(steps < 1 for _, _, steps in ranges):
         raise UsageError("steps must be >= 1")
-    if args.margin and not margin > 0:
+    if args.margin is not None and not margin > 0:
         raise UsageError("margin must be > 0")
     axes = []
     for lo, hi, steps in ranges:
@@ -490,24 +492,17 @@ def _fixed_point(args) -> Params:
     return Params(p.n, Fraction(p.b), Fraction(p.c))
 
 
-def _identity_sides(which: str, p: Params, z: Fraction) -> List[tuple]:
-    """The (lhs, rhs) pairs of the identity at the exact point p and z."""
+def _carried(which: str, p: Params):
+    """(point, factor) with F_p(z) = factor(z) * F_target(point(z)), the
+    target being the image of the exact point p under the map of which."""
     n, b, c = p.n, p.b, p.c
-    if which == "gegenbauer":
-        return [gegenbauer_sides(n, c - Fraction(1, 2), z)]
-    source = coefficients(p)
-    if which == "jacobi":
-        # the classical argument form at 1-2z, then the inverse one at 1-2/z
-        rhs = math.factorial(n) / pochhammer(c, n) * jacobi(n, c - 1, b - c - n, 1 - 2 * z)
-        return [(evaluate(source, z), rhs), jacobi_form_sides(p, z)]
-    target = coefficients(_MAPS[which](p))
     if which == "pfaff":
-        return [(evaluate(source, z), (1 - z) ** n * evaluate(target, z / (z - 1)))]
+        return transforms.pfaff_point, lambda z: (1 - z) ** n
     if which == "euler":
         scale = pochhammer(c - b, n) / pochhammer(c, n)
-        return [(evaluate(source, 1 - z), scale * evaluate(target, z))]
-    prefactor = pochhammer(b, n) / pochhammer(c, n) * (-z) ** n
-    return [(evaluate(source, z), prefactor * evaluate(target, 1 / z))]
+        return transforms.euler_point, lambda z: scale
+    scale = pochhammer(b, n) / pochhammer(c, n)
+    return transforms.inversion_point, lambda z: scale * (-z) ** n
 
 
 def _proved(which: str, p: Params) -> bool:
@@ -515,10 +510,23 @@ def _proved(which: str, p: Params) -> bool:
 
     Both sides are polynomials of degree at most n in z, so they are equal
     when they are equal at the n + 1 distinct rationals z = 2, ..., n + 2.
-    These avoid 0 and 1, where z/(z-1), 1/z and 1-2/z are undefined.
+    These avoid 0 and 1, where z/(z-1), 1/z and 1-2/z are undefined.  Each
+    polynomial of F is built once per point.
     """
-    return all(lhs == rhs for z in range(2, p.n + 3)
-               for lhs, rhs in _identity_sides(which, p, Fraction(z)))
+    n, b, c = p.n, p.b, p.c
+    zs = [Fraction(z) for z in range(2, n + 3)]
+    if which == "gegenbauer":
+        sides = [gegenbauer_sides(n, c - Fraction(1, 2), z) for z in zs]
+    elif which == "jacobi":
+        # the classical argument form at 1-2z, then the inverse one at 1-2/z
+        source, scale = coefficients(p), math.factorial(n) / pochhammer(c, n)
+        sides = [(evaluate(source, z), scale * jacobi(n, c - 1, b - c - n, 1 - 2 * z)) for z in zs]
+        sides += [jacobi_form_sides(p, z) for z in zs]
+    else:
+        source, target = coefficients(p), coefficients(_MAPS[which](p))
+        point, factor = _carried(which, p)
+        sides = [(evaluate(source, z), factor(z) * evaluate(target, point(z))) for z in zs]
+    return all(lhs == rhs for lhs, rhs in sides)
 
 
 def cmd_identity(args) -> int:

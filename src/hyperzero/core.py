@@ -66,14 +66,6 @@ def side(value: Scalar, edge=0) -> int:
     return (d > 0) - (d < 0)
 
 
-def nearby_integer(value: Scalar):
-    """The integer this scalar is on (in the sense of side), or None."""
-    if isinstance(value, float):
-        k = round(value)
-        return k if side(value, k) == 0 else None
-    return int(value) if value.denominator == 1 else None
-
-
 def cell_code(value: Scalar) -> int:
     """2k when value is on the integer k (in the sense of side), else 2 floor(value) + 1.
 
@@ -93,10 +85,25 @@ def ratio_code(num: int, den: int) -> int:
     return 2 * k + 1 if r else 2 * k
 
 
+def half_code(value: Scalar) -> int:
+    """cell_code of value - 1/2, with value on k + 1/2 decided by side(value, k + 1/2).
+
+    A float is compared with floor(value) + 1/2, its one half-integer within
+    1/2; value - 1/2 is not formed, since it rounds when |value| + 1/2 needs
+    a larger exponent than value does.
+    """
+    if isinstance(value, float):
+        k = math.floor(value)
+        return 2 * k + side(value, k + 0.5)
+    return ratio_code(2 * value.numerator - value.denominator, 2 * value.denominator)
+
+
 def in_excluded_set(value: Scalar, n: int) -> bool:
-    """True when value is on one of 0, -1, ..., -(n-1)."""
-    k = nearby_integer(value)
-    return k is not None and 1 - n <= k <= 0
+    """True when value is on one of 0, -1, ..., -(n-1); never for a float that is not finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    code = cell_code(value)
+    return code % 2 == 0 and 2 * (1 - n) <= code <= 0
 
 
 @dataclass(frozen=True)
@@ -151,10 +158,7 @@ class Params:
         For b = -m with 0 <= m < n the series coefficients vanish beyond
         index m, so the polynomial's effective degree drops to m.
         """
-        m = nearby_integer(self.b)
-        if m is not None and 1 - self.n <= m <= 0:
-            return self.n + m
-        return 0
+        return self.n + cell_code(self.b) // 2 if in_excluded_set(self.b, self.n) else 0
 
 
 @dataclass(frozen=True)
@@ -312,12 +316,11 @@ def jacobi_form_sides(p: Params, z):
 def gegenbauer_point(n: int, lam) -> Params:
     """The point (n, n+2*lam, lam+1/2) of the Gegenbauer connection.
 
-    The connection divides by (2*lam)_n, so a lam where it vanishes (on the
-    edge, by side) is invalid, as is a point that Params rejects.
+    The connection divides by (2*lam)_n, so a lam where it vanishes (2*lam
+    in the excluded set of n) is invalid, as is a point that Params rejects.
     """
-    for i in range(n):
-        if side(2 * lam + i) == 0:
-            raise InvalidParameterError(f"(2*lam)_n vanishes for lam={lam}, n={n}")
+    if in_excluded_set(2 * lam, n):
+        raise InvalidParameterError(f"(2*lam)_n vanishes for lam={lam}, n={n}")
     return Params(n, n + 2 * lam, lam + Fraction(1, 2))
 
 

@@ -22,7 +22,6 @@ from .core import (
     Params,
     cell_code,
     in_excluded_set,
-    nearby_integer,
     side,
 )
 
@@ -37,14 +36,11 @@ class KleinXYZ:
 def klein_E(u) -> int:
     """Klein's step function: 0 for u <= 0, floor(u) off integers, u-1 on them.
 
-    u <= 0 and "on an integer" are decided by core.side, so a float within
-    1e-12 of an integer takes the integer branch; that branch lowers the
-    value by one, which propagates to whole-unit count changes.
+    Both are read from the cell code of u (core.cell_code), so a float
+    within 1e-12 of an integer takes the integer branch; that branch lowers
+    the value by one, which propagates to whole-unit count changes.
     """
-    if side(u) <= 0:
-        return 0
-    k = nearby_integer(u)
-    return math.floor(u) if k is None else k - 1
+    return max(0, (cell_code(u) - 1) // 2)
 
 
 def xyz(p: Params) -> KleinXYZ:

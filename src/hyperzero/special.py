@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import klein
-from .core import BoundaryParameterError, Params, as_scalar, side
+from .core import BoundaryParameterError, Params, as_scalar, cell_code, half_code
 
 # The four regions cut out by the circle |z-1| = 1 and the real axis.
 REGIONS = ("inside_upper", "inside_lower", "outside_upper", "outside_lower")
@@ -65,34 +65,28 @@ def _geometry(n: int, on_circle, real_gt1, real_in01, real_neg, nonreal_pairs,
                     regions, fixed_points, provenance)
 
 
-def _inside(lo, x, hi) -> bool:
-    return side(x, lo) > 0 and side(x, hi) < 0
-
-
 def _window_2b(n: int, b):
-    half = Fraction(1, 2)
+    """The c = 2b window of b and its index: the half code H of b - 1/2 reads
+    the half-integer edges, the cell code B of b the integer ones."""
     if n == 1:
         # Single zero at exactly 2 for every admissible b; the windows
         # overlap as printed but all make the same claim, so no boundaries.
-        if b > -half:
-            return "i", None
-        if b > -1:
-            return "iii", None
-        return "v", None
+        return ("i" if b > -Fraction(1, 2) else "iii" if b > -1 else "v"), None
     top = n // 2
-    if side(b, -half) > 0:
+    H = half_code(b)
+    if H > -2:  # b > -1/2
         return "i", None
-    for j in range(1, top):
-        if _inside(-half - j, b, half - j):
-            return "ii", j
-    lo = -top if n % 2 == 0 else -1 - top
-    if _inside(lo, b, half - top):
-        return "iii", None
-    for j in range(1, top):
-        if _inside(j - n, b, j - n + 1):
-            return "iv", j
-    if side(b, 1 - n) < 0:
-        return "v", None
+    if -2 * top < H and H % 2:  # -1/2 - j < b < 1/2 - j for 0 < j < top
+        return "ii", -klein._index(H)
+    if H < -2 * top:  # b < 1/2 - top
+        B = cell_code(b)
+        lo = -top if n % 2 == 0 else -1 - top
+        if B > 2 * lo:
+            return "iii", None
+        if B < 2 * (1 - n):
+            return "v", None
+        if B % 2:  # j - n < b < j - n + 1 for 0 < j < top
+            return "iv", n - klein._index(-B)
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=2b, n={n}")
 
 
@@ -108,8 +102,7 @@ def predict_2b(n: int, b) -> Geometry:
     b = as_scalar(b)
     params = Params(n, b, 2 * b)  # rejects b in {0, -1/2, ..., -(n-1)/2}
     case, j = _window_2b(n, b)
-    odd = n % 2
-    circle_real = odd  # z = 2 is a zero exactly when n is odd
+    circle_real = n % 2  # z = 2 is a zero exactly when n is odd
     if case == "i":
         on_circle, per_region, extra_real = n, 0, 0
     elif case == "ii":
@@ -144,76 +137,56 @@ def predict_2b(n: int, b) -> Geometry:
     tag = f"thm2.1.{case}" + (f"(j={j})" if j is not None else "")
     return _geometry(
         n, on_circle, counts.n1 - circle_real, counts.n2, counts.n3, off_nonreal // 2,
-        per_region, fixed_points=(2,) if odd else (), provenance=tag,
+        per_region, fixed_points=(2,) if circle_real else (), provenance=tag,
     )
 
 
-def _window_half(n: int, b):
-    half = Fraction(1, 2)
-    if side(b, n - half) > 0:
-        return "i", None
-    for j in range(1, n):
-        if _inside(n - half - j, b, n + half - j):
-            return "ii", j
-    if _inside(0, b, half):
-        return "iii", None
-    for j in range(1, n):
-        if _inside(-j, b, -j + 1):
-            return "iv", j
-    if side(b, 1 - n) < 0:
-        return "v", None
-    raise BoundaryParameterError(f"b={b} sits on a window boundary for c=1/2, n={n}")
-
-
 def predict_half(n: int, b) -> Geometry:
-    """Interval counts for the c = 1/2 polynomial, keyed on the b-window."""
+    """Interval counts for the c = 1/2 polynomial, keyed on the b-window.
+
+    The windows are read from the half code H of b - 1/2 above b = 1/2 and
+    from the cell code B of b below it.
+    """
     b = as_scalar(b)
     Params(n, b, Fraction(1, 2))  # validity only; c = 1/2 is never excluded
-    case, j = _window_half(n, b)
-    if case == "i":
-        gt1, in01, neg, pairs = 0, n, 0, 0
-    elif case == "ii":
-        gt1, in01, neg, pairs = j % 2, n - j, 0, j // 2
-    elif case == "iii":
-        gt1, in01, neg, pairs = n % 2, 0, 0, n // 2
-    elif case == "iv":
-        gt1, in01, neg, pairs = (n - j) % 2, 0, j, (n - j) // 2
-    else:
-        gt1, in01, neg, pairs = 0, 0, n, 0
-    tag = f"thm2.2.{case}" + (f"(j={j})" if j is not None else "")
-    return _geometry(n, 0, gt1, in01, neg, pairs, provenance=tag)
-
-
-def _window_minus2n(n: int, b):
-    if side(b) > 0:
-        return "i", None
-    for k in range(1, n + 1):
-        if _inside(-k, b, -k + 1):
-            return "ii", k
-    for k in range(0, n):
-        if _inside(-n - k - 1, b, -n - k):
-            return "iii", k
-    if side(b, -2 * n) < 0:
-        return "iv", None
-    raise BoundaryParameterError(f"b={b} sits on a window boundary for c=-2n, n={n}")
+    H = half_code(b)
+    if H > 0:
+        if H > 2 * (n - 1):  # b > n - 1/2
+            return _geometry(n, 0, 0, n, 0, 0, provenance="thm2.2.i")
+        if H % 2:  # n - 1/2 - j < b < n + 1/2 - j
+            j = n - klein._index(H)
+            return _geometry(n, 0, j % 2, n - j, 0, j // 2, provenance=f"thm2.2.ii(j={j})")
+    elif H < 0:
+        B = cell_code(b)
+        if B > 0:  # 0 < b < 1/2
+            return _geometry(n, 0, n % 2, 0, 0, n // 2, provenance="thm2.2.iii")
+        if B < 2 * (1 - n):  # b < 1 - n
+            return _geometry(n, 0, 0, 0, n, 0, provenance="thm2.2.v")
+        if B % 2:  # -j < b < 1 - j
+            j = klein._index(-B)
+            return _geometry(n, 0, (n - j) % 2, 0, j, (n - j) // 2,
+                             provenance=f"thm2.2.iv(j={j})")
+    raise BoundaryParameterError(f"b={b} sits on a window boundary for c=1/2, n={n}")
 
 
 def predict_minus2n(n: int, b) -> Geometry:
     """Interval counts for the c = -2n polynomial, keyed on the b-window.
 
     c = -2n lies below the excluded range {0, ..., 1-n}, so the polynomial
-    is defined for every n; only the integer b boundaries are special.
+    is defined for every n; only the integer b boundaries are special, and
+    the windows are read from the cell code B of b.
     """
     b = as_scalar(b)
     Params(n, b, -2 * n)
-    case, k = _window_minus2n(n, b)
-    if case == "i":
-        gt1, in01, neg, pairs = 0, 0, n % 2, n // 2
-    elif case == "ii":
-        gt1, in01, neg, pairs = k, 0, (n - k) % 2, (n - k) // 2
-    elif case == "iii":
-        gt1, in01, neg, pairs = n - k, k % 2, 0, k // 2
-    else:
-        gt1, in01, neg, pairs = 0, n % 2, 0, n // 2
-    tag = f"thm2.3.{case}" + (f"(k={k})" if k is not None else "")
-    return _geometry(n, 0, gt1, in01, neg, pairs, provenance=tag)
+    B = cell_code(b)
+    if B > 0:
+        return _geometry(n, 0, 0, 0, n % 2, n // 2, provenance="thm2.3.i")
+    if B < -4 * n:
+        return _geometry(n, 0, 0, n % 2, 0, n // 2, provenance="thm2.3.iv")
+    if B % 2 == 0:
+        raise BoundaryParameterError(f"b={b} sits on a window boundary for c=-2n, n={n}")
+    k = klein._index(-B)  # -k < b < 1 - k
+    if k <= n:
+        return _geometry(n, 0, k, 0, (n - k) % 2, (n - k) // 2, provenance=f"thm2.3.ii(k={k})")
+    k -= n + 1  # -n - k - 1 < b < -n - k
+    return _geometry(n, 0, n - k, k % 2, 0, k // 2, provenance=f"thm2.3.iii(k={k})")

@@ -454,6 +454,10 @@ def test_python_dash_m_runs_the_cli(capsys):
     ("sweep", "-n", "3", "--b-range", "1:2:2", "-c", "1/3", "--c-range", "1:2:2"),
     ("verify", "-n", "3", "-b", "1/2", "--b-range", "1:2:2", "-c", "1/3"),
     ("verify", "-n", "3", "-b", "1/2", "-c", "1/3", "--c-range", "1:2:2"),
+    # --margin offsets the points of a range, so it needs one
+    ("verify", "-n", "2", "-b", "1/2", "-c", "1", "--margin", "1/7"),
+    ("sweep", "-n", "2", "-b", "1/2", "-c", "1", "--margin", "1/7"),
+    ("sweep", "-n", "2", "--b-range", "0:1:3", "-c", "1", "--margin", ""),
     # identity reads -b and -c only together, and pfaff, euler and invert
     # read -n only with them
     ("identity", "pfaff", "-n", "3", "-b", "1/2", "--samples", "3"),

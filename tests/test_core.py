@@ -235,6 +235,12 @@ def test_gegenbauer_check_vanishing_pochhammer():
         gegenbauer_sides(3, -1, Fraction(2, 5))
 
 
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_gegenbauer_check_non_finite_lambda_is_invalid(lam):
+    with pytest.raises(InvalidParameterError):
+        gegenbauer_sides(3, lam, Fraction(2, 5))
+
+
 def test_gegenbauer_check_vanishing_pochhammer_float_band():
     assert_float_band(lambda lam: gegenbauer_sides(3, lam, Fraction(2, 5)), -1,
                       InvalidParameterError)

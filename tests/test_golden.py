@@ -48,6 +48,14 @@ VERIFY_POINTS = [
     ("5", "7/3", "1/2"),      # template c=1/2
     ("5", "7/3", "-10"),      # template c=-2n
     ("5", "2.5", "-2.3"),     # float mode, reduced-via-(2.1)
+    # template points on and next to window edges
+    ("3", "5/2", "1/2"),      # c=1/2 on the edge b = n - 1/2
+    ("3", "-2", "1/2"),       # c=1/2 on the edge b = -2
+    ("3", "-3", "-6"),        # c=-2n on the edge b = -3, also c=2b there
+    ("3", "-4", "-6"),        # c=-2n on the edge b = -4
+    ("6", "-4", "-8"),        # c=2b on the edge b = -4
+    ("3", "2.5000000000005", "0.5"),  # c=1/2 within the float band of b = 5/2
+    ("3", "2.500000000002", "0.5"),   # c=1/2 just outside that band
 ]
 
 # verify in the default text format; _print_report_text reads every record

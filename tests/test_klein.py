@@ -17,7 +17,8 @@ from hyperzero import (
     sturm_counts,
     xyz,
 )
-from hyperzero.core import BoundaryParameterError, InvalidParameterError, nearby_integer
+from hyperzero.core import BoundaryParameterError, InvalidParameterError, cell_code
+from hyperzero.oracle import _to_int_coeffs, squarefree_decomposition
 
 from conftest import assert_float_band, general_position_params
 
@@ -242,7 +243,7 @@ def test_classify_raises_boundary_only_on_an_integer_line(n, b, c):
     try:
         classify_region(p)
     except BoundaryParameterError:
-        assert any(nearby_integer(v) is not None for v in (p.b, p.c, p.c - p.b)), p
+        assert any(cell_code(v) % 2 == 0 for v in (p.b, p.c, p.c - p.b)), p
 
 
 def test_classify_matches_predict_on_random_samples():
@@ -346,3 +347,48 @@ def test_window_reduction_via_pfaff_inner_windows():
         assert image.provenance.startswith("thm3.2.ii")
         assert direct.counts == (image.n1, image.n3, image.n2)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# every region of the plane
+
+
+def _region(num: int, den: int, n: int) -> int:
+    """#{k in 0, ..., n-1 : num/den > -k} for num/den off the integers."""
+    return max(0, min(n, n - 1 - (-num) // den))
+
+
+def _region_points(n: int):
+    """One exact point (b, c) per region of the 3n lines {b, c, c-b in {0, ..., 1-n}}.
+
+    A region of their arrangement is the intersection of three strips, so
+    the triple of strip indices of (b, c, c-b) names it, and every region
+    meets the box |b|, |c| <= 2n + 1.  The grid b = 1/7 + i/3,
+    c = 2/11 + j/3 is read in numerators over 231 and misses every line
+    {b in Z}, {c in Z}, {c - b in Z}.
+    """
+    den, r = 231, 231 * (2 * n + 1)
+    axis = range(-3 * (2 * n + 1) - 1, 3 * (2 * n + 1) + 1)
+    bs = [33 + 77 * i for i in axis if abs(33 + 77 * i) <= r]
+    cs = [42 + 77 * j for j in axis if abs(42 + 77 * j) <= r]
+    found = {}
+    for yc in cs:
+        for yb in bs:
+            key = (_region(yb, den, n), _region(yc, den, n), _region(yc - yb, den, n))
+            found.setdefault(key, (Fraction(yb, den), Fraction(yc, den)))
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_region_of_the_plane_agrees_with_sturm(n):
+    regions = _region_points(n)
+    assert len(regions) == 1 + 5 * n * (n + 1) // 2
+    for b, c in regions.values():
+        p = Params(n, b, c)
+        q = coefficients(p)
+        region, formula, sturm = classify_region(p), predict_counts(p), sturm_counts(q)
+        assert region.counts == formula.counts == sturm.counts, (n, b, c)
+        assert region.nonreal_pairs == formula.nonreal_pairs, (n, b, c)
+        assert sturm.mult_at_1 == 0, (n, b, c)
+        [(factor, mult)] = squarefree_decomposition(_to_int_coeffs(q))
+        assert (mult, len(factor) - 1) == (1, n), (n, b, c)
