@@ -18,7 +18,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import klein, oracle, transforms
 from .core import (
@@ -31,10 +31,9 @@ from .core import (
     cell_code,
     coefficients,
     evaluate,
+    gegenbauer,
     gegenbauer_point,
-    gegenbauer_sides,
     jacobi,
-    jacobi_form_sides,
     pochhammer,
     ratio_code,
 )
@@ -236,7 +235,10 @@ def _report_dict(rep: oracle.VerificationReport) -> dict:
     return out
 
 
-def _print_report_text(rep: oracle.VerificationReport) -> None:
+def _print_report(rep: oracle.VerificationReport, fmt: str) -> None:
+    if fmt == "json":
+        print(_dumps(_report_dict(rep)))
+        return
     p = rep.params
     print(
         f"verify n={p.n} b={format_scalar(p.b)} c={format_scalar(p.c)} "
@@ -270,10 +272,7 @@ def cmd_verify(args) -> int:
         return _verify_sweep(args)
     p = _params_from(args)
     rep = oracle.verify(p)
-    if args.format == "json":
-        print(_dumps(_report_dict(rep)))
-    else:
-        _print_report_text(rep)
+    _print_report(rep, args.format)
     return _verify_exit(rep.status)
 
 
@@ -291,10 +290,7 @@ def _verify_sweep(args) -> int:
                 print(_dumps(line) if args.format == "json" else
                       f"verify n={args.n} b={format_scalar(b)} c={format_scalar(c)} -> UNDEFINED")
                 continue
-            if args.format == "json":
-                print(_dumps(_report_dict(rep)))
-            else:
-                _print_report_text(rep)
+            _print_report(rep, args.format)
             if rep.status == "fail":
                 worst = EXIT_MISMATCH
     return worst
@@ -480,7 +476,8 @@ def _fixed_point(args) -> Params:
 
     A float point is first checked on its floats, by the band of core.side:
     Params, the map's target, the gegenbauer template and (2*lam)_n.  Only
-    then is it proved on its exact doubles.
+    then is it proved on its exact doubles, a gegenbauer point on the exact
+    template point of its c, whose b is n + 2c - 1.
     """
     p = _params_from(args)
     if args.which in _MAPS:
@@ -489,20 +486,35 @@ def _fixed_point(args) -> Params:
         if GEGENBAUER_TEMPLATE not in transforms.quadratic_class_match(p):
             raise UsageError(f"identity gegenbauer reads only points on {GEGENBAUER_TEMPLATE}")
         gegenbauer_point(p.n, p.c - Fraction(1, 2))
+        return gegenbauer_point(p.n, Fraction(p.c) - Fraction(1, 2))
     return Params(p.n, Fraction(p.b), Fraction(p.c))
 
 
-def _carried(which: str, p: Params):
-    """(point, factor) with F_p(z) = factor(z) * F_target(point(z)), the
-    target being the image of the exact point p under the map of which."""
+def _right_sides(which: str, p: Params) -> List[Callable[[Fraction], Fraction]]:
+    """The right sides R of the identity at the exact point p, F_p(z) = R(z) for each.
+
+    The F of the image of p under the map of pfaff, euler and invert is
+    built here, once per point; jacobi and gegenbauer evaluate their
+    classical polynomial, with parameters read from p, at each z.
+    """
     n, b, c = p.n, p.b, p.c
+    if which == "jacobi":
+        # the classical argument form at 1-2z, then the inverse one at 1-2/z
+        scale = math.factorial(n) / pochhammer(c, n)
+        return [lambda z: scale * jacobi(n, c - 1, b - c - n, 1 - 2 * z),
+                lambda z: scale * z ** n * jacobi(n, -n - b, b - c - n, 1 - 2 / z)]
+    if which == "gegenbauer":
+        lam = c - Fraction(1, 2)
+        scale = math.factorial(n) / pochhammer(2 * lam, n)
+        return [lambda z: scale * gegenbauer(n, lam, 1 - 2 * z)]
+    target = coefficients(_MAPS[which](p))
     if which == "pfaff":
-        return transforms.pfaff_point, lambda z: (1 - z) ** n
+        return [lambda z: (1 - z) ** n * evaluate(target, transforms.pfaff_point(z))]
     if which == "euler":
         scale = pochhammer(c - b, n) / pochhammer(c, n)
-        return transforms.euler_point, lambda z: scale
+        return [lambda z: scale * evaluate(target, transforms.euler_point(z))]
     scale = pochhammer(b, n) / pochhammer(c, n)
-    return transforms.inversion_point, lambda z: scale * (-z) ** n
+    return [lambda z: scale * (-z) ** n * evaluate(target, transforms.inversion_point(z))]
 
 
 def _proved(which: str, p: Params) -> bool:
@@ -510,23 +522,12 @@ def _proved(which: str, p: Params) -> bool:
 
     Both sides are polynomials of degree at most n in z, so they are equal
     when they are equal at the n + 1 distinct rationals z = 2, ..., n + 2.
-    These avoid 0 and 1, where z/(z-1), 1/z and 1-2/z are undefined.  Each
-    polynomial of F is built once per point.
+    These avoid 0 and 1, where z/(z-1), 1/z and 1-2/z are undefined.  F_p
+    is built once and evaluated once at each z, for every right side.
     """
-    n, b, c = p.n, p.b, p.c
-    zs = [Fraction(z) for z in range(2, n + 3)]
-    if which == "gegenbauer":
-        sides = [gegenbauer_sides(n, c - Fraction(1, 2), z) for z in zs]
-    elif which == "jacobi":
-        # the classical argument form at 1-2z, then the inverse one at 1-2/z
-        source, scale = coefficients(p), math.factorial(n) / pochhammer(c, n)
-        sides = [(evaluate(source, z), scale * jacobi(n, c - 1, b - c - n, 1 - 2 * z)) for z in zs]
-        sides += [jacobi_form_sides(p, z) for z in zs]
-    else:
-        source, target = coefficients(p), coefficients(_MAPS[which](p))
-        point, factor = _carried(which, p)
-        sides = [(evaluate(source, z), factor(z) * evaluate(target, point(z))) for z in zs]
-    return all(lhs == rhs for lhs, rhs in sides)
+    source = coefficients(p)
+    values = [(z, evaluate(source, z)) for z in map(Fraction, range(2, p.n + 3))]
+    return all(lhs == right(z) for right in _right_sides(which, p) for z, lhs in values)
 
 
 def cmd_identity(args) -> int:

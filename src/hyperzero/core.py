@@ -297,22 +297,6 @@ def gegenbauer(n: int, lam, x):
     return cur
 
 
-def jacobi_form_sides(p: Params, z):
-    """Both sides of F(-n,b;c;z) = n! z^n / (c)_n * P_n^(-n-b, b-c-n)(1 - 2/z).
-
-    The sides are computed independently: the left from the series
-    coefficients, the right from the explicit Jacobi sum.
-    """
-    if z == 0:
-        raise InvalidParameterError("the Jacobi-argument form needs z != 0")
-    n, b, c = p.n, p.b, p.c
-    lhs = evaluate(coefficients(p), z)
-    alpha = -n - b
-    beta = b - c - n
-    rhs = math.factorial(n) * z ** n / pochhammer(c, n) * jacobi(n, alpha, beta, 1 - 2 / z)
-    return lhs, rhs
-
-
 def gegenbauer_point(n: int, lam) -> Params:
     """The point (n, n+2*lam, lam+1/2) of the Gegenbauer connection.
 
@@ -322,17 +306,6 @@ def gegenbauer_point(n: int, lam) -> Params:
     if in_excluded_set(2 * lam, n):
         raise InvalidParameterError(f"(2*lam)_n vanishes for lam={lam}, n={n}")
     return Params(n, n + 2 * lam, lam + Fraction(1, 2))
-
-
-def gegenbauer_sides(n: int, lam, z):
-    """Both sides of F(-n, n+2*lam; lam+1/2; z) = n! / (2*lam)_n * C_n^lam(1-2z)."""
-    if n == 0:
-        return 1, 1
-    lam = as_scalar(lam)
-    p = gegenbauer_point(n, lam)
-    lhs = evaluate(coefficients(p), z)
-    rhs = math.factorial(n) / pochhammer(2 * lam, n) * gegenbauer(n, lam, 1 - 2 * z)
-    return lhs, rhs
 
 
 class Counts(NamedTuple):

@@ -156,7 +156,7 @@ def _cell_all_negative(n: int, B: int, C: int, D: int) -> Counts:
                        f"thm3.4(j={j},k={k},l={ell})")
 
 
-def _carried_back(n: int, codes, classify, *maps: str) -> Counts:
+def _reduced(n: int, codes, classify, *maps: str) -> Counts:
     """Counts of codes, which classify decides on their image under maps.
 
     The codes go through each map's code map in transforms.REDUCTIONS, in
@@ -212,21 +212,21 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
         return _cell_c_positive(n, *codes)
     if D < lo:
         # Reflection target has c' = 1-n+b-c > 0.
-        return _carried_back(n, codes, _cell_c_positive, "euler_reflect")
+        return _reduced(n, codes, _cell_c_positive, "euler_reflect")
     if B < lo:
         # Inversion target has c' = 1-b-n > 0.
-        return _carried_back(n, codes, _cell_c_positive, "invert")
+        return _reduced(n, codes, _cell_c_positive, "invert")
     if B > 0:
         return _cell_c_negative_b_positive(n, *codes)
     if D > 0:
         # Pfaff target has numerator parameter c-b > 0 and the same c < 0.
-        return _carried_back(n, codes, _cell_c_negative_b_positive, "pfaff")
+        return _reduced(n, codes, _cell_c_negative_b_positive, "pfaff")
     if C > lo:
         return _cell_all_negative(n, *codes)
     # Remaining sliver: b, c-b in (1-n, 0) with c < 1-n.  Reflect first
     # (new c' lands in (1-n, 0) with c'-b > 0), then Pfaff into the
     # directly analyzed region.
-    return _carried_back(n, codes, _cell_c_negative_b_positive, "euler_reflect", "pfaff")
+    return _reduced(n, codes, _cell_c_negative_b_positive, "euler_reflect", "pfaff")
 
 
 def _boundary_message(edge: str, p: Params) -> str:

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperzero import cli
+from hyperzero import Params, cli, core, transforms
 
 
 def run(capsys, *argv):
@@ -381,6 +382,57 @@ def test_identity_reads_a_fixed_point_of_f(capsys, which, b, c):
     code, out, _ = run(capsys, "identity", which, "-n", "3", "-b", b, "-c", c)
     assert code == 0
     assert "PASS" in out
+
+
+_TINY = Fraction(1, 10 ** 40)
+
+
+def _shifted(fn):
+    return lambda z: fn(z) + _TINY
+
+
+def _scaled(fn):
+    return lambda *args: fn(*args) * (1 + _TINY)
+
+
+@pytest.mark.parametrize("which, module, name, perturb, b", [
+    ("pfaff", transforms, "pfaff_point", _shifted, "1/3"),
+    ("euler", transforms, "euler_point", _shifted, "1/3"),
+    ("invert", transforms, "inversion_point", _shifted, "1/3"),
+    ("jacobi", cli, "jacobi", _scaled, "1/3"),
+    ("gegenbauer", cli, "gegenbauer", _scaled, "11/3"),
+])
+def test_identity_fails_when_a_right_side_is_off(capsys, monkeypatch, which, module, name,
+                                                 perturb, b):
+    # a right side 1e-40 off is not the polynomial F, and the exact proof says so
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    code, out, _ = run(capsys, "identity", which, "-n", "3", "-b", b, "-c", "5/6")
+    assert (code, out) == (3, f"{which}: 0/1 points proved: FAIL\n")
+
+
+@pytest.mark.parametrize("which, builds", [
+    ("jacobi", 1), ("gegenbauer", 1), ("pfaff", 2), ("euler", 2), ("invert", 2),
+])
+def test_identity_builds_each_f_once_per_point(monkeypatch, which, builds):
+    # F_p, and for pfaff, euler and invert the F of its image, not one per z;
+    # the builds are counted under both names that reach core.coefficients
+    calls = []
+    coefficients = core.coefficients
+    for module in (cli, core):
+        monkeypatch.setattr(module, "coefficients",
+                            lambda p: calls.append(1) or coefficients(p))
+    # on the gegenbauer template, with lam = 1/3
+    assert cli._proved(which, Params(12, Fraction(38, 3), Fraction(5, 6)))
+    assert len(calls) == builds
+
+
+def test_identity_proves_a_float_gegenbauer_point_on_its_template(capsys):
+    # b is on c = (-n+b+1)/2 within the 1e-12 band, but its exact double is
+    # not; the proof is made at the template point of the exact double of c
+    b, c = "3.6666666666666", "0.8333333333333334"
+    code, out, _ = run(capsys, "identity", "gegenbauer", "-n", "3", "-b", b, "-c", c)
+    assert (code, out) == (0, "gegenbauer: 1/1 points proved: PASS\n")
+    assert not cli._proved("gegenbauer", Params(3, Fraction(float(b)), Fraction(float(c))))
 
 
 @pytest.mark.parametrize("which", ["jacobi", "pfaff"])

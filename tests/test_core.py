@@ -20,7 +20,8 @@ from hyperzero import (
     pochhammer,
     poly,
 )
-from hyperzero.core import InvalidParameterError, gegenbauer_sides, jacobi_form_sides
+from hyperzero.cli import _proved
+from hyperzero.core import InvalidParameterError, gegenbauer_point
 
 from conftest import assert_float_band, random_params
 
@@ -192,29 +193,20 @@ def test_jacobi_connection_degree_two():
     assert abs(lhs - rhs) < 1e-12
 
 
-def _equal(sides):
-    lhs, rhs = sides
-    return lhs == rhs
-
-
 def test_jacobi_form_check_examples():
-    assert _equal(jacobi_form_sides(Params(1, 2, 3), Fraction(1, 2)))
-    assert _equal(jacobi_form_sides(Params(3, Fraction(-3, 2), Fraction(1, 2)), Fraction(2)))
-
-
-def test_jacobi_form_check_rejects_origin():
-    with pytest.raises(InvalidParameterError):
-        jacobi_form_sides(Params(2, 1, 3), Fraction(0))
+    assert _proved("jacobi", Params(1, 2, 3))
+    assert _proved("jacobi", Params(3, Fraction(-3, 2), Fraction(1, 2)))
 
 
 def test_jacobi_form_check_random_samples():
     rng = random.Random(31)
     for _ in range(100):
         p = random_params(rng)
-        z = Fraction(rng.randint(-24, 24), 8)
-        if z == 0:
+        # each draw also takes a z, which fixes the points seed 31 gives;
+        # _proved proves the identity for every z
+        if rng.randint(-24, 24) == 0:
             continue
-        assert _equal(jacobi_form_sides(p, z)), (p, z)
+        assert _proved("jacobi", p), p
 
 
 def test_gegenbauer_legendre_special_case():
@@ -224,26 +216,24 @@ def test_gegenbauer_legendre_special_case():
 
 
 def test_gegenbauer_check_examples():
-    assert _equal(gegenbauer_sides(1, 1, Fraction(1, 4)))
-    assert _equal(gegenbauer_sides(2, Fraction(1, 2), Fraction(7, 10)))
-    assert _equal(gegenbauer_sides(0, Fraction(-37, 10), Fraction(123)))
+    assert _proved("gegenbauer", gegenbauer_point(1, 1))
+    assert _proved("gegenbauer", gegenbauer_point(2, Fraction(1, 2)))
 
 
 def test_gegenbauer_check_vanishing_pochhammer():
     # (2*lam)_3 = (-2)(-1)(0) = 0 at lam = -1
     with pytest.raises(InvalidParameterError):
-        gegenbauer_sides(3, -1, Fraction(2, 5))
+        gegenbauer_point(3, -1)
 
 
 @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
 def test_gegenbauer_check_non_finite_lambda_is_invalid(lam):
     with pytest.raises(InvalidParameterError):
-        gegenbauer_sides(3, lam, Fraction(2, 5))
+        gegenbauer_point(3, lam)
 
 
 def test_gegenbauer_check_vanishing_pochhammer_float_band():
-    assert_float_band(lambda lam: gegenbauer_sides(3, lam, Fraction(2, 5)), -1,
-                      InvalidParameterError)
+    assert_float_band(lambda lam: gegenbauer_point(3, lam), -1, InvalidParameterError)
 
 
 def test_gegenbauer_check_random_samples():
@@ -258,8 +248,8 @@ def test_gegenbauer_check_random_samples():
             Params(n, n + 2 * lam, lam + Fraction(1, 2))
         except InvalidParameterError:
             continue
-        z = Fraction(rng.randint(-16, 16), 8)
-        assert _equal(gegenbauer_sides(n, lam, z)), (n, lam, z)
+        rng.randint(-16, 16)  # the z of each draw, as above
+        assert _proved("gegenbauer", gegenbauer_point(n, lam)), (n, lam)
         count += 1
 
 

@@ -58,7 +58,7 @@ VERIFY_POINTS = [
     ("3", "2.500000000002", "0.5"),   # c=1/2 just outside that band
 ]
 
-# verify in the default text format; _print_report_text reads every record
+# verify in the default text format; _print_report reads every record
 VERIFY_TEXT = [
     ("verify", "-n", "5", "-b", "7/3", "-c", "14/3"),   # template c=2b
     ("verify", "-n", "5", "-b", "2.5", "-c", "-2.3"),   # float mode
