@@ -14,6 +14,7 @@ sign would silently cross one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,12 +216,18 @@ def generalized_binomial(alpha, k: int):
     return _binomials(alpha, k)[-1]
 
 
-def _binomials(alpha, k: int) -> list:
-    """generalized_binomial(alpha, i) for i = 0, ..., k, each from the last by one ratio."""
+@functools.lru_cache(maxsize=16, typed=True)
+def _binomials(alpha, k: int) -> tuple:
+    """generalized_binomial(alpha, i) for i = 0, ..., k, each from the last by one ratio.
+
+    Built once per (alpha, k): a jacobi proof evaluates the same two lists
+    at every z.  typed, since Fraction(1) == 1.0 and an exact alpha must
+    never read a list of floats.
+    """
     out = [1]
     for i in range(k):
         out.append(out[-1] * (alpha - i) / (i + 1))
-    return out
+    return tuple(out)
 
 
 def coefficients(p: Params) -> Poly:

@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import klein, special, transforms
@@ -196,11 +195,9 @@ def _to_int_coeffs(q: Poly) -> List[int]:
     deg = q.effective_degree
     if deg < 0:
         raise ValueError("zero polynomial")
-    cs = [Fraction(a) for a in q.coeffs[: deg + 1]]
-    denom = 1
-    for a in cs:
-        denom = denom * a.denominator // math.gcd(denom, a.denominator)
-    return [int(a * denom) for a in cs]
+    cs = q.coeffs[: deg + 1]
+    denom = math.lcm(*(a.denominator for a in cs))
+    return [a.numerator * (denom // a.denominator) for a in cs]
 
 
 def _sign(v) -> int:
@@ -462,12 +459,25 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     """p(z) and p'(z) evaluated exactly, rounded to floats at the end.
 
     Float components are dyadic rationals, so z = (mr + mi*i) / 2**s with
-    integers mr, mi; the Horner recurrences then run in pure integer
-    arithmetic with a power-of-two scale and no gcd normalization, which is
-    what keeps exact evaluation affordable at degree 100.  One pass carries
-    both partials: with P~_j = P_j * 2**(s*j) and D~_j = D_j * 2**(s*(j-1)),
-    P~_j = P~_{j-1} * m + a_{d-j} * 2**(s*j) and D~_j = D~_{j-1} * m + P~_{j-1},
-    where m = mr + mi*i.
+    integers mr, mi, and the evaluation runs in pure integer arithmetic with
+    a power-of-two scale and no gcd normalization, which is what keeps
+    exact evaluation affordable at degree 100.  p is real, so it is divided
+    by the real quadratic (x - z)(x - conj z) (Knuth, TAOCP 2, 4.6.4;
+    Goertzel 1958): with T = 2*mr, M = mr**2 + mi**2 and B_{d+1} = B_{d+2} = 0,
+
+        B_k = a_k * 2**(s*(d-k)) + T*B_{k+1} - M*B_{k+2},   k = d, ..., 0,
+
+    and the quotient's C_j = B_{j+2} + T*C_{j+1} - M*C_{j+2} in the same
+    loop.  The remainder and the quotient at z then give
+
+        p(z) * 2**(s*d) = (B_0 - mr*B_1) + i*mi*B_1,
+        p'(z) * 2**(s*(d-1)) = (B_1 - 2*mi**2*C_1) + i*2*mi*(C_0 - mr*C_1),
+
+    four big-integer products per coefficient instead of the eight of a
+    complex Horner, and two (a real Horner) when mi = 0.  Each integer is
+    the exact value times its scale, so it does not depend on how it was
+    computed, and neither do the floats _big_to_float makes of it nor the
+    OverflowError it raises.
     """
     nr, dr_den = z.real.as_integer_ratio()
     ni, di_den = z.imag.as_integer_ratio()
@@ -477,12 +487,25 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     mr = nr << (s - sr)
     mi = ni << (s - si)
 
-    pr = pi = dr = di = 0
     shift = 0
-    for a in reversed(int_cs):
-        dr, di = dr * mr - di * mi + pr, dr * mi + di * mr + pi
-        pr, pi = pr * mr - pi * mi + (a << shift), pr * mi + pi * mr
-        shift += s
+    if mi == 0:
+        pr = dr = 0
+        for a in reversed(int_cs):
+            dr = dr * mr + pr
+            pr = pr * mr + (a << shift)
+            shift += s
+        pi = di = 0
+    else:
+        t = 2 * mr
+        m = mr * mr + mi * mi
+        b1 = b2 = c1 = c2 = 0
+        for a in reversed(int_cs):
+            c1, c2 = b2 + t * c1 - m * c2, c1
+            b1, b2 = (a << shift) + t * b1 - m * b2, b1
+            shift += s
+        # b1, b2 = B_0, B_1 and c1, c2 = C_0, C_1
+        pr, pi = b1 - mr * b2, mi * b2
+        dr, di = b2 - 2 * mi * mi * c2, 2 * mi * (c1 - mr * c2)
     pbits = shift - s
     dbits = pbits - s
     p = complex(_big_to_float(pr, pbits), _big_to_float(pi, pbits))

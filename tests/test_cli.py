@@ -426,6 +426,34 @@ def test_identity_builds_each_f_once_per_point(monkeypatch, which, builds):
     assert len(calls) == builds
 
 
+def test_identity_jacobi_builds_each_binomial_list_once():
+    # the two forms read three distinct lists, (n+c-1, n), (b-c, n) and
+    # (-b, n), at each of the n + 1 values of z; a build per call made 52
+    binomials = getattr(core._binomials, "__wrapped__", core._binomials).__code__
+    builds = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is binomials:
+            builds.append(frame.f_locals["alpha"])
+
+    p = Params(12, Fraction(87, 8), Fraction(4))
+    core._binomials.cache_clear()
+    sys.setprofile(profile)
+    try:
+        assert cli._proved("jacobi", p)
+    finally:
+        sys.setprofile(None)
+    assert sorted(builds) == sorted([12 + p.c - 1, p.b - p.c, -p.b])
+
+
+def test_binomial_lists_of_equal_exact_and_float_alpha_stay_apart():
+    # Fraction(1, 2) == 0.5, but one is an exact list and the other a float one
+    exact = core._binomials(Fraction(1, 2), 3)
+    floats = core._binomials(0.5, 3)
+    assert all(type(v) is Fraction for v in exact[1:])
+    assert all(type(v) is float for v in floats[1:])
+
+
 def test_identity_proves_a_float_gegenbauer_point_on_its_template(capsys):
     # b is on c = (-n+b+1)/2 within the 1e-12 band, but its exact double is
     # not; the proof is made at the template point of the exact double of c

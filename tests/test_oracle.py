@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperzero import (
     Params,
@@ -20,6 +21,8 @@ from hyperzero import (
 )
 from hyperzero.core import InvalidParameterError, Root, RootSet, horner_with_derivative
 from hyperzero.oracle import (
+    _big_to_float,
+    _exact_eval_pair,
     _primitive,
     _sturm_sequence,
     _to_int_coeffs,
@@ -115,6 +118,36 @@ def test_squarefree_decomposition_multiplicities():
     cs = _to_int_coeffs(poly(from_roots([1, 1, 1, Fraction(-1, 2), Fraction(-1, 2), 4])))
     decomp = squarefree_decomposition(cs)
     assert sorted((len(f) - 1, m) for f, m in decomp) == [(1, 1), (1, 2), (1, 3)]
+
+
+def _times_lcm(q):
+    """The exact coefficients up to the effective degree, times the lcm of their denominators."""
+    cs = q.coeffs[: q.effective_degree + 1]
+    scale = math.lcm(*(Fraction(a).denominator for a in cs))
+    return [Fraction(a) * scale for a in cs]
+
+
+@pytest.mark.parametrize("q", [
+    coefficients(Params(9, Fraction(-3), Fraction(7, 3))),  # b = -3: effective degree 3
+    coefficients(Params(12, Fraction(101, 7), Fraction(-19, 6))),
+    poly([0, 0, Fraction(-5, 12), 0]),  # a single nonzero coefficient
+    poly([Fraction(7, 4)]),
+    poly([Fraction(1, 6), Fraction(-4, 15), Fraction(9, 10), 0, 0]),
+])
+def test_to_int_coeffs_is_the_exact_polynomial_times_the_lcm(q):
+    expect = _times_lcm(q)
+    assert all(a.denominator == 1 for a in expect)
+    got = _to_int_coeffs(q)
+    assert len(got) == q.effective_degree + 1
+    assert all(type(a) is int for a in got)
+    assert got == expect
+
+
+def test_to_int_coeffs_keeps_its_errors():
+    with pytest.raises(InvalidParameterError):
+        _to_int_coeffs(coefficients(Params(5, 1.25, 3.5)))
+    with pytest.raises(ValueError):
+        _to_int_coeffs(poly([0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +262,69 @@ def test_exact_evaluation_at_integral_points():
     # dyadic scale s = 0 (both components integral) must still run the
     # Horner multiplies; z = 2 is an exact zero of every odd-degree member
     # of the c = 2b family
-    from hyperzero.oracle import _exact_eval_pair, _to_int_coeffs
-
     f = _to_int_coeffs(coefficients(Params(13, Fraction(47, 4), Fraction(47, 2))))
     p, dp = _exact_eval_pair(f, 2 + 0j)
     assert p == 0
     assert dp != 0
     p, _ = _exact_eval_pair(f, 3 + 0j)
     assert p != 0
+
+
+def _rounded(value: Fraction, scale_bits: int) -> float:
+    # the kernel rounds value * 2**scale_bits, an integer, with _big_to_float
+    scaled = value * 2 ** scale_bits
+    assert scaled.denominator == 1
+    return _big_to_float(scaled.numerator, scale_bits)
+
+
+def _exact_pair(cs, z):
+    """p(z) and p'(z) as float pairs, from sums of Fraction powers of z.
+
+    The kernel's scales are 2**(s*d) and 2**(s*(d-1)), where 2**s is the
+    larger denominator of the two parts of z.
+    """
+    x, y = Fraction(z.real), Fraction(z.imag)
+    s = max(x.denominator, y.denominator).bit_length() - 1
+    d = len(cs) - 1
+    powers = [(Fraction(1), Fraction(0))]
+    for _ in range(d):
+        u, v = powers[-1]
+        powers.append((u * x - v * y, u * y + v * x))
+    p = [sum(a * w[i] for a, w in zip(cs, powers)) for i in (0, 1)]
+    dp = [sum(k * cs[k] * powers[k - 1][i] for k in range(1, d + 1)) for i in (0, 1)]
+    return (complex(_rounded(p[0], s * d), _rounded(p[1], s * d)),
+            complex(_rounded(dp[0], s * (d - 1)), _rounded(dp[1], s * (d - 1))))
+
+
+def _bits(pair):
+    # float.hex tells -0.0 from 0.0
+    return tuple(part.hex() for w in pair for part in (w.real, w.imag))
+
+
+def _outcome(evaluate_pair, cs, z):
+    try:
+        return _bits(evaluate_pair(cs, z))
+    except OverflowError:
+        return OverflowError
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_tiny = st.floats(1e-300, 1e-12) | st.floats(-1e-12, -1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-2 ** 600, 2 ** 600), min_size=2, max_size=41),
+    st.one_of(_signed_zero, st.integers(-40, 40).map(float), st.floats(-4, 4),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    st.one_of(_signed_zero, st.integers(-40, 40).map(float), st.floats(-4, 4), _tiny,
+              st.floats(allow_nan=False, allow_infinity=False)),
+)
+def test_exact_eval_pair_is_the_exact_value_rounded(cs, real, imag):
+    # bit for bit, or OverflowError on both sides; degrees 1 to 40, and z
+    # real, imaginary, with 2**s up to 2**1074, or so large that p overflows
+    z = complex(real, imag)
+    assert _outcome(_exact_eval_pair, cs, z) == _outcome(_exact_pair, cs, z)
 
 
 def test_high_degree_pseudo_roots_are_rescued():
