@@ -3,7 +3,10 @@
 Neither sturm_counts nor all_roots consults the count formulas.  Real
 roots per interval are counted by sign variations of an exact integer Sturm
 chain; all complex roots are computed by simultaneous (Aberth-style)
-iteration followed by Newton polishing.  verify() runs both sides against
+iteration in up to three stages: a pass with Horner evaluation on the float
+coefficients, a stage that evaluates F by Gauss's contiguous relation in a,
+and a rescue with exact evaluation.  Only exact Newton steps certify a root;
+the float stages merely steer the search.  verify() runs both sides against
 the predictions and reports field-by-field agreement.
 
 Sturm chains are kept as integer polynomials: every element may be scaled
@@ -20,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import klein, special, transforms
 from .core import (
@@ -37,10 +40,18 @@ from .core import (
 )
 from .special import Geometry
 
+# z -> (p(z), p'(z), the bound |p(z)| must meet for z to settle)
+Evaluator = Callable[[complex], Tuple[complex, complex, float]]
+
 # The one root rule: all_roots accepts a computed root z when an exact
 # Newton step bounds its distance to a true root by ROOT_BAND (1 + |z|), and
 # interval_counts and geometry_report place roots with the same band.
 ROOT_BAND = 1e-9
+
+# Sweep budget of the recurrence stage of all_roots.  Where the stage finds
+# every root it takes fewer than 50 sweeps on the verify families; where it
+# runs out, the points it did settle are kept.
+RECURRENCE_SWEEPS = 60
 
 # ---------------------------------------------------------------------------
 # integer polynomial helpers (ascending coefficients)
@@ -322,10 +333,20 @@ def _is_finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def _settle_on_step(pair: Callable[[complex], Tuple[complex, complex]],
+                    tol: float) -> Evaluator:
+    """An _aberth evaluator from z -> (p(z), p'(z)): z settles once its
+    Newton step |p/p'| is at most tol (1 + |z|), and never where p' = 0."""
+    def evaluate(z: complex) -> Tuple[complex, complex, float]:
+        p, dp = pair(z)
+        return p, dp, (tol * abs(dp) * (1 + abs(z)) if dp != 0 else -1.0)
+    return evaluate
+
+
 def _aberth(
     coeffs: List[float],
     max_sweeps: int,
-    exact: Optional[List[int]] = None,
+    evaluate: Optional[Evaluator] = None,
     warm: Optional[List[complex]] = None,
     frozen: Optional[List[bool]] = None,
 ) -> Tuple[List[complex], int]:
@@ -336,22 +357,29 @@ def _aberth(
     but leftover residual means the configuration stalled (typically two
     points shadowing one root), and the unconverged points are reseeded at
     fresh angles on the `_root_bound` circle instead of being accepted.
+    When the sweeps run out, the NonConvergenceError carries each point
+    with whether it settled.
 
-    With float evaluation, "converged" can only mean small backward error:
-    |p| at most 1e-14 of sum |a_k| |z|**k, which the same Horner pass
-    computes.  With `exact` (the integer coefficients of the same
-    polynomial) p and p' are evaluated exactly, which tightens that to a
-    true Newton-distance criterion; the rescue pass for ill-conditioned
-    high-degree inputs uses it.  Points marked `frozen` are already
-    validated: they take part in the repulsion sums of the others but are
-    neither evaluated nor moved.  A point that settles is treated like a
-    frozen one from then on: evaluation is deterministic and a settled point
-    is never moved, so evaluating it again could only settle it again.
+    `evaluate` maps z to p(z), p'(z) and the bound |p| must meet for z to
+    settle.  all_roots runs three stages with three evaluators.  The Horner
+    pass uses the default, Horner on `coeffs` in floats, where "converged"
+    can only mean small backward error: |p| at most 1e-14 of
+    sum |a_k| |z|**k, which the same Horner pass computes.  The recurrence
+    stage (_contiguous_pair) and the exact rescue (_exact_eval_pair) pass
+    `_settle_on_step` evaluators, which settle on a Newton distance
+    instead.  Settling certifies nothing: for an exact input, all_roots
+    certifies every point by exact Newton steps afterwards.  Points marked
+    `frozen` are
+    already validated: they take part in the repulsion sums of the others
+    but are neither evaluated nor moved.  A point that settles is treated
+    like a frozen one from then on: evaluation is deterministic and a
+    settled point is never moved, so evaluating it again could only settle
+    it again.
     """
     d = len(coeffs) - 1
     if d == 1:
         return [complex(-coeffs[0] / coeffs[1])], 0
-    if exact is None:
+    if evaluate is None:
         terms = [(a, abs(a)) for a in reversed(coeffs)]
 
         def evaluate(z: complex) -> Tuple[complex, complex, float]:
@@ -363,10 +391,6 @@ def _aberth(
                 p = p * z + a
                 scale = scale * az + size
             return p, dp, 1e-14 * scale
-    else:
-        def evaluate(z: complex) -> Tuple[complex, complex, float]:
-            p, dp = _exact_eval_pair(exact, z)
-            return p, dp, (1e-14 * abs(dp) * (1 + abs(z)) if dp != 0 else -1.0)
 
     center = complex(-coeffs[-2] / (d * coeffs[-1]))
     if not _is_finite(center) or abs(center) > 1e12:
@@ -419,7 +443,7 @@ def _aberth(
                 zs[k] = reseed(k, sweeps)
     raise NonConvergenceError(
         f"root iteration did not settle within {max_sweeps} sweeps",
-        best=zs,
+        best=list(zip(zs, settled)),
     )
 
 
@@ -513,6 +537,44 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     return p, dp
 
 
+def _contiguous_steps(n: int, b, c) -> Tuple[Tuple, ...]:
+    """The n steps of Gauss's contiguous relation in a, for _contiguous_pair.
+
+    With F_k = F(-k, b; c; z), DLMF 15.5.E11 at a = -k reads
+
+        (c + k) F_{k+1} = (2k + c - (b + k) z) F_k + k (z - 1) F_{k-1},
+
+    so step k holds (u, v, w) = (2k + c, b + k, k) / (c + k), in the number
+    type of b and c.  F(-n, b; c) is defined, so no c + k with k < n is 0.
+    """
+    return tuple(((2 * k + c) / (c + k), (b + k) / (c + k), k / (c + k)) for k in range(n))
+
+
+def _contiguous_pair(steps: Tuple[Tuple, ...], z):
+    """F(-n, b; c; z) and its z-derivative from the n steps of _contiguous_steps.
+
+    From F_0 = 1 (the k = 0 step gives F_1 = 1 - bz/c), each step is
+    F_{k+1} = t F_k + w (z - 1) F_{k-1} with t = u - v z, and its
+    z-derivative F'_{k+1} = t F'_k - v F_k + w ((z - 1) F'_{k-1} + F_{k-1}).
+    That is O(n) operations in whatever number type the steps and z have:
+    exact in Fractions, and in floats free of big integers and on the scale
+    of F, not of its monomial coefficients.  Forward recursion is unstable
+    where the wanted solution is not the dominant one (Gautschi, SIAM
+    Review 9, 1967), so the float values only steer the search of all_roots
+    and never certify a root.
+    """
+    f_prev, f = 0, 1
+    d_prev, d = 0, 0
+    zm1 = z - 1
+    for u, v, w in steps:
+        t = u - v * z
+        f_prev, f, d_prev, d = (
+            f, t * f + w * (zm1 * f_prev),
+            d, t * d - v * f + w * (zm1 * d_prev + f_prev),
+        )
+    return f, d
+
+
 def _exact_newton(int_cs: List[int], z: complex) -> Tuple[complex, float]:
     """Newton steps with exact evaluation: the point and its last step's size.
 
@@ -602,13 +664,24 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
     return out
 
 
-def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
+def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
     """All complex roots of q with multiplicities and polished residuals.
 
     Exact inputs are split into squarefree factors first, so multiple roots
     are solved as simple roots of their factor and tagged with the factor's
     multiplicity.  Float inputs are solved directly with multiplicity 1 per
     root.  Residuals are reported against the original polynomial.
+
+    Each factor is solved in up to three stages.  The first is Aberth with
+    Horner on its float coefficients, then Newton polish.  An exact factor
+    certifies each point by exact Newton steps (_exact_newton) against
+    ROOT_BAND; only those certify.  When points stay unsound and q is
+    coefficients(Params(n, b, c)) with b and c given, and q is squarefree
+    of degree n, a recurrence stage reruns Aberth on the unsound points
+    with F evaluated by _contiguous_pair, for at most RECURRENCE_SWEEPS
+    sweeps, and certifies the points it settled.  The points still unsound
+    go to the exact rescue: Aberth with exact evaluation, restarted from
+    their first-pass positions, the certified points frozen.
     """
     deg = q.effective_degree
     if deg < 1:
@@ -659,6 +732,12 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
                 sound[j if dj >= di else i] = False
         return sound
 
+    def restart(polished, solved, sound) -> List[complex]:
+        # The sound points stay where they are; the others restart from
+        # their Aberth positions before polishing: a polished duplicate sits
+        # on a root already taken and would settle there at once.
+        return [zp if ok else z0 for (zp, _), z0, ok in zip(polished, solved, sound)]
+
     total_sweeps = 0
     found: List[Tuple[complex, int, float]] = []
     for fac, int_fac, mult in tasks:
@@ -667,24 +746,43 @@ def all_roots(q: Poly, max_sweeps: int = 1000) -> RootSet:
         polished = [refine(fac, int_fac, z) for z in solved]
         if int_fac is not None:
             sound = sound_mask(polished)
+            # Backward-stable pseudo-roots: the float landscape is flat at
+            # the evaluation scale of the monomial coefficients.  Where F is
+            # this one factor, the recurrence evaluates it on its own scale;
+            # its steps are rounded from exact values, since a float c + k
+            # may round to 0.  A point it settles still needs its exact
+            # certificate.
+            if not all(sound) and b is not None and len(int_fac) == len(q.coeffs):
+                steps = [tuple(map(float, step)) for step in _contiguous_steps(deg, b, c)]
+                contiguous = functools.partial(_contiguous_pair, steps)
+                try:
+                    staged, sweeps = _aberth(fac, RECURRENCE_SWEEPS,
+                                             _settle_on_step(contiguous, 1e-13),
+                                             restart(polished, solved, sound), sound)
+                    settled = [True] * deg
+                except NonConvergenceError as exc:
+                    staged, settled = zip(*exc.best)
+                    sweeps = RECURRENCE_SWEEPS
+                total_sweeps += sweeps
+                polished = [
+                    refine(fac, int_fac, z, float_polish=False) if done and not ok else old
+                    for old, ok, done, z in zip(polished, sound, settled, staged)
+                ]
+                sound = sound_mask(polished)
             if not all(sound):
-                # Backward-stable pseudo-roots: the float landscape is flat
-                # at the evaluation scale, so rerun the iteration with exact
+                # The points still unsound: rerun the iteration with exact
                 # evaluation, keeping the validated points frozen in place.
-                # The others restart from their Aberth positions before
-                # polishing: a polished duplicate sits on a root already
-                # taken and would settle there at once.
-                solved, sweeps = _aberth(
-                    fac, max_sweeps, exact=int_fac,
-                    warm=[zp if ok else z0 for (zp, _), z0, ok in zip(polished, solved, sound)],
-                    frozen=sound,
+                rescued, sweeps = _aberth(
+                    fac, max_sweeps,
+                    _settle_on_step(functools.partial(_exact_eval_pair, int_fac), 1e-14),
+                    restart(polished, solved, sound), sound,
                 )
                 total_sweeps += sweeps
                 # float polishing would wander in the flat landscape that
                 # made the rescue necessary; go straight to exact steps
                 polished = [
                     old if ok else refine(fac, int_fac, z, float_polish=False)
-                    for old, ok, z in zip(polished, sound, solved)
+                    for old, ok, z in zip(polished, sound, rescued)
                 ]
                 if not all(sound_mask(polished)):
                     raise NonConvergenceError(
@@ -851,7 +949,7 @@ def verify(p: Params) -> VerificationReport:
     q = coefficients(p)
     deg = q.effective_degree
     sturm = sturm_counts(q) if (p.is_exact and deg >= 1) else None
-    rootset = all_roots(q) if deg >= 1 else RootSet((), 0)
+    rootset = all_roots(q, b=p.b, c=p.c) if deg >= 1 else RootSet((), 0)
     numeric = interval_counts(rootset)
     observation = geometry_report(rootset)
 

@@ -65,8 +65,8 @@ VERIFY_TEXT = [
 ]
 
 # roots in JSON pin the sweep count and every digit of every root: the hard
-# points, one float point, and a point where 45 of the 60 roots go through
-# the exact-evaluation rescue
+# points, one float point, and a point where 45 of the 60 roots are left
+# unsound by the first pass and found by the recurrence stage
 ROOTS = [
     ("roots", "-n", str(n), "-b", str(b), "-c", str(c), "--format", "json")
     for n, b, c in HARD_POINTS

@@ -15,13 +15,22 @@ from hyperzero import (
     evaluate,
     geometry_report,
     interval_counts,
+    oracle,
     poly,
     sturm_counts,
     verify,
 )
-from hyperzero.core import InvalidParameterError, Root, RootSet, horner_with_derivative
+from hyperzero.core import (
+    InvalidParameterError,
+    NonConvergenceError,
+    Root,
+    RootSet,
+    horner_with_derivative,
+)
 from hyperzero.oracle import (
     _big_to_float,
+    _contiguous_pair,
+    _contiguous_steps,
     _exact_eval_pair,
     _primitive,
     _sturm_sequence,
@@ -251,8 +260,6 @@ def test_roots_degree_cap():
 
 
 def test_roots_nonconvergence_reports_best_iterate():
-    from hyperzero.core import NonConvergenceError
-
     with pytest.raises(NonConvergenceError) as excinfo:
         all_roots(poly([1, -12, 21]), max_sweeps=0)
     assert excinfo.value.best is not None
@@ -386,6 +393,100 @@ def test_newton_polygon_starts_keep_sweeps_low():
     assert rs.iterations <= 50
 
 
+@pytest.mark.parametrize("n,b,c", [
+    (7, Fraction(-5, 3), Fraction(-11, 4)),     # negative b and c
+    (9, Fraction(13, 5), Fraction(1, 2)),       # c = 1/2
+    (8, Fraction(-7, 3), Fraction(-14, 3)),     # c = 2b
+    (10, Fraction(-29, 3), Fraction(17, 6)),    # b near -n
+    (10, Fraction(-10), Fraction(-23, 2)),      # b = -n
+    (6, Fraction(-3), Fraction(5, 7)),          # b = -3: F has degree 3
+    (12, Fraction(61, 4), Fraction(-7, 3)),     # the verify-high family
+    (1, Fraction(2), Fraction(3)),
+], ids=str)
+def test_contiguous_pair_is_horner_exactly(n, b, c):
+    # the recurrence in Fractions is F and F' themselves, not approximations
+    q = coefficients(Params(n, b, c))
+    steps = _contiguous_steps(n, b, c)
+    for z in range(2, n + 3):
+        assert _contiguous_pair(steps, Fraction(z)) == horner_with_derivative(q.coeffs, z)
+
+
+def _root_bits(rs):
+    return [(r.value.real.hex(), r.value.imag.hex(), r.multiplicity, r.residual.hex())
+            for r in rs.roots]
+
+
+STAGED_POINTS = HARD_POINTS + [
+    (60, Fraction(30569, 500), Fraction(-7, 3)),
+    (60, Fraction(61017, 1000), Fraction(-7, 3)),
+    (80, Fraction(10182, 125), Fraction(-7, 3)),
+    (50, Fraction(-3, 7), Fraction(-50, 3)),    # forward recursion unstable
+    # c + 2 = 1e-17 is not 0, but float(c) + 2 is: the steps are rounded
+    # from exact values, where steps formed in floats would divide by zero
+    (10, Fraction(406, 5), Fraction(-2) + Fraction(1, 10**17)),
+]
+
+
+@pytest.mark.parametrize("n,b,c", STAGED_POINTS, ids=str)
+def test_recurrence_stage_leaves_every_root_bit_identical(n, b, c, monkeypatch):
+    # the stage only steers: the exact certificate decides where each root
+    # lands, so the answer is the one of the exact rescue alone (all_roots
+    # without b and c), to the last bit of every value and residual
+    q = coefficients(Params(n, b, c))
+    staged = []
+    contiguous = oracle._contiguous_pair
+    monkeypatch.setattr(oracle, "_contiguous_pair",
+                        lambda *args: staged.append(1) or contiguous(*args))
+    with_stage = all_roots(q, b=b, c=c)
+    assert staged  # the first pass left unsound points here
+    assert _root_bits(with_stage) == _root_bits(all_roots(q))
+
+
+def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeypatch):
+    # here the recurrence settles some unsound points within its budget and
+    # not the others; the settled ones are certified and frozen, so the
+    # exact rescue restarts only the others
+    p = Params(35, Fraction(113, 12), Fraction(-19, 3))
+    calls = []  # (sweep budget, frozen mask, settled mask if it ran out)
+    aberth = oracle._aberth
+
+    def spy(coeffs, max_sweeps, *args):
+        frozen = args[-1] if args else None
+        try:
+            out = aberth(coeffs, max_sweeps, *args)
+        except NonConvergenceError as exc:
+            calls.append((max_sweeps, frozen, [done for _, done in exc.best]))
+            raise
+        calls.append((max_sweeps, frozen, None))
+        return out
+
+    monkeypatch.setattr(oracle, "_aberth", spy)
+    all_roots(coefficients(p), b=p.b, c=p.c)
+    _, (budget, sound, settled), (_, rescue, _) = calls
+    assert budget == oracle.RECURRENCE_SWEEPS and settled is not None
+    newly_settled = sum(done and not ok for ok, done in zip(sound, settled))
+    assert 0 < newly_settled < sound.count(False)
+    assert rescue.count(False) == sound.count(False) - newly_settled
+    assert verify(p).status == "pass"
+
+
+def test_float_roots_do_not_take_the_recurrence_stage():
+    q = coefficients(Params(20, 17.518, 7.02))
+    assert _root_bits(all_roots(q, b=17.518, c=7.02)) == _root_bits(all_roots(q))
+
+
+def test_recurrence_stage_cuts_the_exact_evaluations(monkeypatch):
+    # the exact rescue alone makes 1,591 exact evaluations here, the
+    # recurrence stage leaves 418 for the certificates and the rescue
+    calls = []
+    exact = oracle._exact_eval_pair
+    monkeypatch.setattr(oracle, "_exact_eval_pair",
+                        lambda *args: calls.append(1) or exact(*args))
+    p = Params(60, Fraction(30569, 500), Fraction(-7, 3))
+    assert all_roots(coefficients(p), b=p.b, c=p.c).total_multiplicity == 60
+    assert len(calls) <= 600
+
+
 def test_fundamental_accounting():
     rng = random.Random(65)
     for _ in range(30):
@@ -486,8 +587,6 @@ def test_verify_float_mode_is_numeric_confidence():
 def test_exact_verify_runs_one_remainder_sequence(monkeypatch):
     # squarefree, no root at 0 or 1: the Sturm chain of sturm_counts and the
     # first gcd of Yun's splitting in all_roots are one remainder sequence
-    from hyperzero import oracle
-
     calls = []
     remainders = oracle._remainders
     monkeypatch.setattr(oracle, "_remainders", lambda f, g: calls.append(1) or remainders(f, g))
