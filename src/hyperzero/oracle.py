@@ -329,10 +329,6 @@ def _newton_polygon_starts(coeffs: List[float]) -> List[complex]:
     return zs
 
 
-def _is_finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def _settle_on_step(pair: Callable[[complex], Tuple[complex, complex]],
                     tol: float) -> Evaluator:
     """An _aberth evaluator from z -> (p(z), p'(z)): z settles once its
@@ -393,7 +389,7 @@ def _aberth(
             return p, dp, 1e-14 * scale
 
     center = complex(-coeffs[-2] / (d * coeffs[-1]))
-    if not _is_finite(center) or abs(center) > 1e12:
+    if not cmath.isfinite(center) or abs(center) > 1e12:
         center = 0j
     radius = _root_bound(coeffs)
 
@@ -411,7 +407,7 @@ def _aberth(
                 continue
             z = zs[k]
             p, dp, settle = evaluate(z)
-            if not (_is_finite(p) and _is_finite(dp)):
+            if not (cmath.isfinite(p) and cmath.isfinite(dp)):
                 # evaluation overflowed; pull the point toward the cluster
                 zs[k] = center + (z - center) * 0.5
                 moved = True
@@ -428,7 +424,7 @@ def _aberth(
             acc = sum([1 / ((z - zj) or tiny) for zj in zs[:k] + zs[k + 1:]])
             denom = 1 - w * acc
             step = w if denom == 0 else w / denom
-            if not _is_finite(step):
+            if not cmath.isfinite(step):
                 zs[k] = center + (z - center) * 0.5
                 moved = True
                 continue
@@ -583,10 +579,19 @@ def _exact_newton(int_cs: List[int], z: complex) -> Tuple[complex, float]:
     removes that floor while the step itself stays a float.  Steps go on
     until one moves z by at most 1e-12 (1 + |z|), which leaves a simple
     root within roundoff; one or two usually suffice, a start inside a
-    cluster of roots may need more.  The last step |p/p'| is the exact
-    Newton-distance estimate of the point it started from, so it bounds the
-    returned point's distance too: 0 at an exact root, inf where p' = 0.
+    cluster of roots may need more, up to 8.  A point that is not
+    converging is handed off at once: a step still above
+    ROOT_BAND (1 + |z|) that is not at most half the one before ends the
+    steps, since Newton near a simple root shrinks its step far more than
+    twofold, while a pseudo-root of the float pass crawls, its step
+    shrinking by a few percent.  Such a point comes back unsound, for the
+    later stages of all_roots to restart; so does a start merely too far
+    from its root, whose root those stages find again.  The last step
+    |p/p'| is the exact Newton-distance estimate of the point it started
+    from, so it bounds the returned point's distance too: 0 at an exact
+    root, inf where p' = 0.
     """
+    last = math.inf
     for _ in range(8):
         p, dp = _exact_eval_pair(int_cs, z)
         if p == 0:
@@ -598,6 +603,9 @@ def _exact_newton(int_cs: List[int], z: complex) -> Tuple[complex, float]:
         step = abs(w)
         if step <= 1e-12 * (1 + abs(z)):
             break
+        if step > ROOT_BAND * (1 + abs(z)) and step > last / 2:
+            break
+        last = step
     return z, step
 
 
@@ -675,13 +683,17 @@ def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
     Each factor is solved in up to three stages.  The first is Aberth with
     Horner on its float coefficients, then Newton polish.  An exact factor
     certifies each point by exact Newton steps (_exact_newton) against
-    ROOT_BAND; only those certify.  When points stay unsound and q is
-    coefficients(Params(n, b, c)) with b and c given, and q is squarefree
-    of degree n, a recurrence stage reruns Aberth on the unsound points
-    with F evaluated by _contiguous_pair, for at most RECURRENCE_SWEEPS
-    sweeps, and certifies the points it settled.  The points still unsound
-    go to the exact rescue: Aberth with exact evaluation, restarted from
-    their first-pass positions, the certified points frozen.
+    ROOT_BAND; only those certify.  The steps hand a point off as soon as
+    it is not converging (a step above ROOT_BAND (1 + |z|) that does not
+    halve the one before), so a pseudo-root of the float pass costs two
+    exact evaluations before it goes unsound to the next stage.  When
+    points stay unsound and q is coefficients(Params(n, b, c)) with b and c
+    given, and q is squarefree of degree n, a recurrence stage reruns
+    Aberth on the unsound points with F evaluated by _contiguous_pair, for
+    at most RECURRENCE_SWEEPS sweeps, and certifies the points it settled.
+    The points still unsound go to the exact rescue: Aberth with exact
+    evaluation, restarted from their first-pass positions, the certified
+    points frozen.
     """
     deg = q.effective_degree
     if deg < 1:

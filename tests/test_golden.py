@@ -56,6 +56,7 @@ VERIFY_POINTS = [
     ("6", "-4", "-8"),        # c=2b on the edge b = -4
     ("3", "2.5000000000005", "0.5"),  # c=1/2 within the float band of b = 5/2
     ("3", "2.500000000002", "0.5"),   # c=1/2 just outside that band
+    ("80", "10182/125", "-7/3"),      # the verify-high family at n = 80
 ]
 
 # verify in the default text format; _print_report reads every record
@@ -65,14 +66,15 @@ VERIFY_TEXT = [
 ]
 
 # roots in JSON pin the sweep count and every digit of every root: the hard
-# points, one float point, and a point where 45 of the 60 roots are left
-# unsound by the first pass and found by the recurrence stage
+# points, one float point, and two points of the verify-high family whose
+# first pass leaves most roots unsound for the recurrence stage
 ROOTS = [
     ("roots", "-n", str(n), "-b", str(b), "-c", str(c), "--format", "json")
     for n, b, c in HARD_POINTS
 ] + [
     ("roots", "-n", "20", "-b", "17.518", "-c", "7.02", "--format", "json"),
     ("roots", "-n", "60", "-b", "30569/500", "-c", "-7/3", "--format", "json"),
+    ("roots", "-n", "80", "-b", "10182/125", "-c", "-7/3", "--format", "json"),
 ]
 
 # verify and sweep over grids: the order of the grid, the margin on a

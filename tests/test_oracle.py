@@ -475,16 +475,59 @@ def test_float_roots_do_not_take_the_recurrence_stage():
     assert _root_bits(all_roots(q, b=17.518, c=7.02)) == _root_bits(all_roots(q))
 
 
-def test_recurrence_stage_cuts_the_exact_evaluations(monkeypatch):
-    # the exact rescue alone makes 1,591 exact evaluations here, the
-    # recurrence stage leaves 418 for the certificates and the rescue
+def _counting_exact_evaluations(monkeypatch):
     calls = []
     exact = oracle._exact_eval_pair
     monkeypatch.setattr(oracle, "_exact_eval_pair",
                         lambda *args: calls.append(1) or exact(*args))
+    return calls
+
+
+def test_recurrence_stage_cuts_the_exact_evaluations(monkeypatch):
+    # the exact rescue alone makes 1,341 exact evaluations here, the
+    # recurrence stage leaves 168 for the certificates and the rescue
+    calls = _counting_exact_evaluations(monkeypatch)
     p = Params(60, Fraction(30569, 500), Fraction(-7, 3))
     assert all_roots(coefficients(p), b=p.b, c=p.c).total_multiplicity == 60
     assert len(calls) <= 600
+
+
+def test_exact_newton_hands_off_a_point_it_does_not_converge_on(monkeypatch):
+    # the first pass leaves 42 of these 60 points unsound, pseudo-roots
+    # whose exact Newton steps crawl: the second step, which does not halve
+    # the first, ends them above the root band, while the points at true
+    # roots still converge to 1e-12
+    from hyperzero.oracle import ROOT_BAND, _exact_newton
+
+    p = Params(60, Fraction(30569, 500), Fraction(-7, 3))
+    starts = []
+    monkeypatch.setattr(oracle, "_exact_newton",
+                        lambda cs, z: starts.append((cs, z)) or _exact_newton(cs, z))
+    roots = all_roots(coefficients(p), b=p.b, c=p.c).values()
+    monkeypatch.setattr(oracle, "_exact_newton", _exact_newton)
+    calls = _counting_exact_evaluations(monkeypatch)
+    factor = starts[0][0]
+    handed_off = 0
+    for _, z in starts[:60]:
+        calls.clear()
+        w, step = _exact_newton(factor, z)
+        if step > 1e-12 * (1 + abs(w)):
+            assert step > ROOT_BAND * (1 + abs(w)) and len(calls) <= 2, z
+            handed_off += 1
+    assert handed_off == 42
+    for z in roots:
+        w, step = _exact_newton(factor, z)
+        assert step <= 1e-12 * (1 + abs(w)), z
+
+
+@pytest.mark.parametrize("n,b,c,bound", [
+    (60, Fraction(30569, 500), Fraction(-7, 3), 250),   # 418 when every crawl runs 8 steps
+    (80, Fraction(10182, 125), Fraction(-7, 3), 320),   # 596 when every crawl runs 8 steps
+], ids=str)
+def test_pseudo_roots_cost_few_exact_evaluations(n, b, c, bound, monkeypatch):
+    calls = _counting_exact_evaluations(monkeypatch)
+    assert all_roots(coefficients(Params(n, b, c)), b=b, c=c).total_multiplicity == n
+    assert len(calls) <= bound
 
 
 def test_fundamental_accounting():
