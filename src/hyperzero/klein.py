@@ -121,18 +121,23 @@ def _index(code: int) -> int:
 
 
 def _cell_c_positive(n: int, B: int, C: int, D: int) -> Counts:
-    """The five b-windows for c > 0; b - c has code -D."""
+    """The five b-windows for c > 0; b - c has code -D.
+
+    The window edges b - c = n and b = -n (code -2n) are not count jumps:
+    each reads as the cell just above it, whose counts the next window
+    shares.
+    """
+    if B == -2 * n:
+        B += 1
+    if D == -2 * n:
+        D += 1
     if B > 0:
-        if D == -2 * n:
-            raise BoundaryParameterError("b-c=n")
         if D < -2 * n:
             return _prediction(n, 0, n, 0, "thm3.2.i")
         if D < 0:
             j = _index(-D)
             return _prediction(n, (n - j) % 2, j, 0, f"thm3.2.ii(j={j})")
         return _prediction(n, n % 2, 0, 0, "thm3.2.iii")
-    if B == -2 * n:
-        raise BoundaryParameterError("b=-n")
     if B > -2 * n:
         j = _index(-B)
         return _prediction(n, (n - j) % 2, 0, j, f"thm3.2.iv(j={j})")
@@ -198,9 +203,13 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
     applies; the counts are carried back through the interval swaps, and
     each map's equation tag ("(2.1)", "(2.2)", "(3.8)") is recorded as a
     "reduced-via-<tag>->" provenance prefix.  c itself must be valid for
-    Params.  A boundary raises BoundaryParameterError naming its edge:
-    "b", "c-b" (in {0, ..., 1-n}), "b-c=n" or "b=-n".  The window indices
-    read only odd codes, since an even one is on an edge that raised first.
+    Params.  A boundary raises BoundaryParameterError naming its edge, "b"
+    or "c-b" (in {0, ..., 1-n}): these 3n lines of b, c and c - b, with c's
+    rejected by Params, are the only places the true counts can change
+    (the discriminant of the Jacobi polynomial is a product of powers of
+    the values there; D. Hilbert, J. reine angew. Math. 103, 1888).  The
+    window edges b - c = n and b = -n are not among them, and read as the
+    cell above them; after that, the window indices read only odd codes.
     """
     lo = 2 * (1 - n)
     if B % 2 == 0 and lo <= B <= 0:
@@ -231,10 +240,6 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
 
 def _boundary_message(edge: str, p: Params) -> str:
     """The message of the edge that classify_cell named, for the point p."""
-    if edge == "b-c=n":
-        return f"b-c={p.b - p.c} equals n; window boundary"
-    if edge == "b=-n":
-        return f"b={p.b} equals -n; window boundary"
     v = p.b if edge == "b" else p.c - p.b
     return (f"{edge}={v} lies in {{0, -1, ..., {1 - p.n}}}; "
             "the count formulas do not apply on this boundary")

@@ -694,7 +694,19 @@ def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
     The points still unsound go to the exact rescue: Aberth with exact
     evaluation, restarted from their first-pass positions, the certified
     points frozen.
+
+    A value beyond the float range (a huge exact coefficient, a leading
+    coefficient that underflows beside the others, or an exact evaluation
+    at high degree) ends the solve in a NonConvergenceError that names it.
     """
+    try:
+        return _solve(q, max_sweeps, b, c)
+    except OverflowError as exc:
+        raise NonConvergenceError(f"a value overflowed the float range ({exc})") from None
+
+
+def _solve(q: Poly, max_sweeps: int, b, c) -> RootSet:
+    """all_roots, which turns its OverflowError into a NonConvergenceError."""
     deg = q.effective_degree
     if deg < 1:
         raise InvalidParameterError("need effective degree >= 1 to solve for roots")
@@ -753,6 +765,8 @@ def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
     total_sweeps = 0
     found: List[Tuple[complex, int, float]] = []
     for fac, int_fac, mult in tasks:
+        if fac[-1] == 0.0:
+            raise NonConvergenceError("a leading coefficient underflowed the float range")
         solved, sweeps = _aberth(fac, max_sweeps)
         total_sweeps += sweeps
         polished = [refine(fac, int_fac, z) for z in solved]

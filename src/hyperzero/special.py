@@ -1,12 +1,11 @@
 """Zero-geometry predictions for the three directly analyzed quadratic templates.
 
-For c = 2b the zeros organize around the circle |z-1| = 1: depending on
-which b-window holds, some number of zeros sits exactly on the circle and
-the non-real remainder splits evenly over the four regions cut out by the
-circle and the real axis.  For c = 1/2 and c = -2n the structure is pure
-interval counts.  Real zeros that are not forced onto the circle are
-located by the interval count formulas, so the two sources of information
-compose into one full picture per parameter window.
+For c = 2b the zeros organize around the circle |z-1| = 1: some number of
+zeros sits exactly on the circle and the non-real remainder splits evenly
+over the four regions cut out by the circle and the real axis.  All of it
+is read from the count theorem at degree floor(n/2), through the quadratic
+transformation that sends the circle to a half-line.  For c = 1/2 and
+c = -2n the structure is pure interval counts, keyed on the b-window.
 """
 
 from __future__ import annotations
@@ -65,79 +64,41 @@ def _geometry(n: int, on_circle, real_gt1, real_in01, real_neg, nonreal_pairs,
                     regions, fixed_points, provenance)
 
 
-def _window_2b(n: int, b):
-    """The c = 2b window of b and its index: the half code H of b - 1/2 reads
-    the half-integer edges, the cell code B of b the integer ones."""
-    if n == 1:
-        # Single zero at exactly 2 for every admissible b; the windows
-        # overlap as printed but all make the same claim, so no boundaries.
-        return ("i" if b > -Fraction(1, 2) else "iii" if b > -1 else "v"), None
-    top = n // 2
-    H = half_code(b)
-    if H > -2:  # b > -1/2
-        return "i", None
-    if -2 * top < H and H % 2:  # -1/2 - j < b < 1/2 - j for 0 < j < top
-        return "ii", -klein._index(H)
-    if H < -2 * top:  # b < 1/2 - top
-        B = cell_code(b)
-        lo = -top if n % 2 == 0 else -1 - top
-        if B > 2 * lo:
-            return "iii", None
-        if B < 2 * (1 - n):
-            return "v", None
-        if B % 2:  # j - n < b < j - n + 1 for 0 < j < top
-            return "iv", n - klein._index(-B)
-    raise BoundaryParameterError(f"b={b} sits on a window boundary for c=2b, n={n}")
-
-
 def predict_2b(n: int, b) -> Geometry:
-    """Zero geometry of the c = 2b polynomial, keyed on the b-window.
+    """Zero geometry of the c = 2b polynomial, read from the count theorem.
 
-    Circle membership and the per-region split come from the window case;
-    the interval placement of the off-circle real zeros comes from the
-    count formulas at (n, b, 2b), which are valid everywhere the windows
-    are interior.  The two are cross-checked against each other and any
-    disagreement is a hard error.
+    The quadratic transformation (DLMF 15.8(iii); A&S 15.3.16) gives
+
+        F(-n, b; 2b; z) = (1 - z/2)^n G(w^2),   w = z / (2 - z),
+
+    with G = F(-m, beta; b + 1/2; t), m = floor(n/2) and beta = 1/2 - m for
+    even n, -1/2 - m for odd n, where the leftover factor 2 - z is the
+    fixed zero z = 2.  w sends the circle |z-1| = 1 to the imaginary axis
+    and the disk to Re w > 0, so each zero t < 0 of G is a pair of zeros on
+    the circle, each t > 1 a pair in (1,inf), each 0 < t < 1 one zero in
+    (0,1) and one in (-inf,0), and each nonreal pair of G one zero in each
+    of REGIONS.  G's counts come from klein.classify_cell on its codes
+    (for n = 1, G = 1).  A boundary of G, or b + 1/2 in G's excluded set,
+    is a window boundary of c = 2b; F's own boundaries raise after it.
     """
     b = as_scalar(b)
     params = Params(n, b, 2 * b)  # rejects b in {0, -1/2, ..., -(n-1)/2}
-    case, j = _window_2b(n, b)
-    circle_real = n % 2  # z = 2 is a zero exactly when n is odd
-    if case == "i":
-        on_circle, per_region, extra_real = n, 0, 0
-    elif case == "ii":
-        on_circle, per_region, extra_real = n - 2 * j, j // 2, 2 * (j % 2)
-    elif case == "iii":
-        on_circle, per_region = circle_real, n // 4
-        extra_real = 2 if n % 4 in (2, 3) else 0
-    elif case == "iv":
-        on_circle, per_region, extra_real = circle_real, j // 2, 2 * (j % 2)
+    m, odd = divmod(n, 2)
+    if m == 0:
+        g = klein._prediction(0, 0, 0, 0, "G=1")
     else:
-        on_circle, per_region, extra_real = circle_real, 0, n - circle_real
-
-    counts = klein.predict_counts(params)
-    total_real = counts.n1 + counts.n2 + counts.n3
-    off_real = total_real - circle_real
-    if case == "iv":
-        # The n-2j zeros pinned in (1,inf) are off-circle except a fixed z=2.
-        expected_off_real = (n - 2 * j - circle_real) + extra_real
-    else:
-        expected_off_real = extra_real
-    if off_real != expected_off_real:
-        raise RuntimeError(
-            f"window case {case} expects {expected_off_real} off-circle real zeros, "
-            f"count formulas give {off_real} (n={n}, b={b})"
-        )
-    off_nonreal = (n - total_real) - (on_circle - circle_real)
-    if off_nonreal != 4 * per_region:
-        raise RuntimeError(
-            f"window case {case} expects {4 * per_region} off-circle non-real zeros, "
-            f"count formulas give {off_nonreal} (n={n}, b={b})"
-        )
-    tag = f"thm2.1.{case}" + (f"(j={j})" if j is not None else "")
+        C = half_code(b) + 2  # the code of b + 1/2
+        try:
+            if C % 2 == 0 and 2 * (1 - m) <= C <= 0:  # G is undefined
+                raise BoundaryParameterError("c")
+            g = klein.classify_cell(m, 1 - 2 * m - 2 * odd, C, cell_code(b) + 2 * m + 2 * odd)
+        except BoundaryParameterError:
+            raise BoundaryParameterError(
+                f"b={b} sits on a window boundary for c=2b, n={n}") from None
+    klein._require_hypothesis(params)
     return _geometry(
-        n, on_circle, counts.n1 - circle_real, counts.n2, counts.n3, off_nonreal // 2,
-        per_region, fixed_points=(2,) if circle_real else (), provenance=tag,
+        n, 2 * g.n3 + odd, 2 * g.n1, g.n2, g.n2, 2 * g.nonreal_pairs, g.nonreal_pairs,
+        fixed_points=(2,) if odd else (), provenance="thm2.1-via-(15.3.16)->" + g.provenance,
     )
 
 

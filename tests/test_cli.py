@@ -605,18 +605,41 @@ def _classify_or_sweep_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(_classify_or_sweep_argv())
-def test_classify_and_sweep_end_in_a_documented_exit_code(argv):
-    """classify and sweep answer any argv with exit 0, 1 or 2, never a traceback.
+_BIG = st.integers(-10**400, 10**400)
+_EXACT_SCALARS = st.one_of(
+    _INTS.map(str),
+    _BIG.map(str),
+    st.tuples(_BIG, st.integers(1, 10**400)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(_INTS, st.integers(1, 10**6)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
 
-    verify and roots are left out: they can still end in an OverflowError
-    from oracle._big_to_float when the exact-evaluation rescue meets large
-    integer coefficients (ROADMAP item 1).
+
+@st.composite
+def _verify_or_roots_argv(draw):
+    scalars = draw(st.sampled_from([_EXACT_SCALARS, _SCALARS]))
+    return [draw(st.sampled_from(["verify", "roots"])), f"-n={draw(st.integers(-2, 12))}",
+            f"-b={draw(scalars)}", f"-c={draw(scalars)}",
+            "--format", draw(st.sampled_from(["json", "text"]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_classify_or_sweep_argv(), _verify_or_roots_argv()))
+@example(["verify", "-n", "100", "-b", "101234/1000", "-c", "-7/3"])  # exact evaluation overflows
+@example(["roots", "-n", "100", "-b", "101234/1000", "-c", "-7/3"])
+@example(["verify", "-n", "3", "-b", "1" + "0" * 400, "-c", "1/3"])  # a coefficient overflows
+@example(["roots", "-n", "3", "-b", "1" + "0" * 400, "-c", "1/3"])
+@example(["roots", "-n", "1", "-b", "-1", "-c", "1" + "0" * 400])  # a leading coefficient underflows
+@example(["verify", "-n", "12", "-b", "2301/37",  # c next to the pole -1
+          "-c", "-100000000000000001/100000000000000000"])
+def test_classify_and_sweep_end_in_a_documented_exit_code(argv):
+    """Any argv ends in a documented exit code, never a traceback.
+
+    classify and sweep answer with exit 0, 1 or 2; verify and roots may also
+    exit 3, when the solver did not converge or overflowed the float range.
     """
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    assert code in (0, 1, 2), argv
+    assert code in ((0, 1, 2, 3) if argv[0] in ("verify", "roots") else (0, 1, 2)), argv
 
 
 _IDENTITY_SCALARS = st.one_of(

@@ -2,7 +2,8 @@
 
 The sweeps cover every thm3.* window, all four reduced-via chains and
 boundary and undefined rows in exact and float mode; the verify points
-cover one input per reduction chain and per geometry template; the
+cover one input per reduction chain and per geometry template, and one
+on each window edge; the
 identity runs are seeded; the roots runs pin the solver's sweep counts
 and root digits; the grid runs pin the grid that sweep and verify share.
 A change that alters any printed byte fails here.
@@ -57,7 +58,13 @@ VERIFY_POINTS = [
     ("3", "2.5000000000005", "0.5"),  # c=1/2 within the float band of b = 5/2
     ("3", "2.500000000002", "0.5"),   # c=1/2 just outside that band
     ("80", "10182/125", "-7/3"),      # the verify-high family at n = 80
+    # the window edges, which are not count jumps
+    ("4", "-4", "5/3"),       # b = -n
+    ("4", "13/3", "1/3"),     # b - c = n
 ]
+
+# F = 1 + 2z on the window edge b = -n: its one zero is at -1/2
+CLASSIFY = [("classify", "-n", "1", "-b", "-1", "-c", "1/2")]
 
 # verify in the default text format; _print_report reads every record
 VERIFY_TEXT = [
@@ -96,6 +103,7 @@ IDENTITIES = [
 
 CASES = (
     SWEEPS
+    + CLASSIFY
     + [("verify", "-n", n, "-b", b, "-c", c, "--format", "json") for n, b, c in VERIFY_POINTS]
     + VERIFY_TEXT
     + IDENTITIES

@@ -20,7 +20,7 @@ from hyperzero import (
 from hyperzero.core import BoundaryParameterError, InvalidParameterError, cell_code
 from hyperzero.oracle import _to_int_coeffs, squarefree_decomposition
 
-from conftest import assert_float_band, general_position_params
+from conftest import general_position_params
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +170,17 @@ def test_classify_all_negative():
     assert pred.provenance == "thm3.4(j=1,k=1,l=1)"
 
 
+def _agrees_with_sturm(p: Params):
+    """classify_region answers at p with the Sturm counts of its exact value."""
+    exact = Params(p.n, Fraction(p.b), Fraction(p.c))
+    sturm = sturm_counts(coefficients(exact))
+    assert classify_region(p).counts == sturm.counts, p
+    assert sturm.mult_at_1 == 0, p
+
+
 def test_classify_boundary_cases():
     with pytest.raises(BoundaryParameterError):
         classify_region(Params(2, 1, 1))  # b = c
-    with pytest.raises(BoundaryParameterError):
-        classify_region(Params(3, Fraction(9, 2), Fraction(3, 2)))  # b - c = n
-    with pytest.raises(BoundaryParameterError):
-        classify_region(Params(3, -3, 2))  # b = -n
     with pytest.raises(BoundaryParameterError):
         classify_region(Params(3, -1, 2))  # degenerate b
 
@@ -186,8 +190,10 @@ def test_classify_boundary_cases():
     (2.0, -3),  # b = -n
 ])
 def test_classify_window_edges_float_band(c, edge):
-    assert_float_band(lambda b: classify_region(Params(3, b, c)), edge,
-                      BoundaryParameterError)
+    # on the edge, inside its float band and outside it, the counts are the
+    # Sturm counts of the exact double
+    for offset in (0.0, -1e-13, 1e-13, -1e-9, 1e-9):
+        _agrees_with_sturm(Params(3, edge + offset, c))
 
 
 off_integers = st.fractions(-30, 30, max_denominator=1000).filter(lambda v: v.denominator > 1)
@@ -210,15 +216,21 @@ def test_classify_float_boundary_proximity():
 @pytest.mark.parametrize("n, b, c, message", [
     (3, -1, 2, "b=-1 lies in {0, -1, ..., -2}; the count formulas do not apply on this boundary"),
     (2, 1, 1, "c-b=0 lies in {0, -1, ..., -1}; the count formulas do not apply on this boundary"),
-    (3, Fraction(9, 2), Fraction(3, 2), "b-c=3 equals n; window boundary"),
-    (3, -3, 2, "b=-3 equals -n; window boundary"),
-    (3, -3, Fraction(-11, 2), "b=-3 equals -n; window boundary"),  # via the reflection
-    (3, 4.5, 1.5, "b-c=3.0 equals n; window boundary"),
 ])
 def test_classify_boundary_messages_name_the_values(n, b, c, message):
     with pytest.raises(BoundaryParameterError) as info:
         classify_region(Params(n, b, c))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n, b, c", [
+    (3, Fraction(9, 2), Fraction(3, 2)),  # b - c = n
+    (3, -3, 2),  # b = -n
+    (3, -3, Fraction(-11, 2)),  # b = -n, via the reflection
+    (3, 4.5, 1.5),  # b - c = n in float mode
+])
+def test_classify_answers_on_the_window_edges(n, b, c):
+    _agrees_with_sturm(Params(n, b, c))
 
 
 def _near_integers(lo, hi):
@@ -358,6 +370,13 @@ def _region(num: int, den: int, n: int) -> int:
     return max(0, min(n, n - 1 - (-num) // den))
 
 
+def _axis(n: int, first: int):
+    """Numerators over 231 of first/231 + i/3 within the box |x| <= 2n + 1."""
+    r = 231 * (2 * n + 1)
+    return [first + 77 * i for i in range(-3 * (2 * n + 1) - 1, 3 * (2 * n + 1) + 1)
+            if abs(first + 77 * i) <= r]
+
+
 def _region_points(n: int):
     """One exact point (b, c) per region of the 3n lines {b, c, c-b in {0, ..., 1-n}}.
 
@@ -367,10 +386,7 @@ def _region_points(n: int):
     c = 2/11 + j/3 is read in numerators over 231 and misses every line
     {b in Z}, {c in Z}, {c - b in Z}.
     """
-    den, r = 231, 231 * (2 * n + 1)
-    axis = range(-3 * (2 * n + 1) - 1, 3 * (2 * n + 1) + 1)
-    bs = [33 + 77 * i for i in axis if abs(33 + 77 * i) <= r]
-    cs = [42 + 77 * j for j in axis if abs(42 + 77 * j) <= r]
+    den, bs, cs = 231, _axis(n, 33), _axis(n, 42)
     found = {}
     for yc in cs:
         for yb in bs:
@@ -379,13 +395,25 @@ def _region_points(n: int):
     return found
 
 
+def _edge_points(n: int):
+    """Exact points on the window edges b = -n and b - c = n, which are not
+    count jumps, at every c of the _region_points grid, and floats within
+    the band of each edge at every seventh."""
+    cs = [Fraction(yc, 231) for yc in _axis(n, 42)]
+    points = [(b, c) for c in cs for b in (Fraction(-n), c + n)]
+    for c in cs[::7]:
+        for offset in (-9e-13, -1e-13, 1e-13, 9e-13):
+            points += [(-n + offset, float(c)), (float(c) + n + offset, float(c))]
+    return points
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_every_region_of_the_plane_agrees_with_sturm(n):
     regions = _region_points(n)
     assert len(regions) == 1 + 5 * n * (n + 1) // 2
-    for b, c in regions.values():
+    for b, c in [*regions.values(), *_edge_points(n)]:
         p = Params(n, b, c)
-        q = coefficients(p)
+        q = coefficients(Params(n, Fraction(b), Fraction(c)))  # a float's exact double
         region, formula, sturm = classify_region(p), predict_counts(p), sturm_counts(q)
         assert region.counts == formula.counts == sturm.counts, (n, b, c)
         assert region.nonreal_pairs == formula.nonreal_pairs, (n, b, c)

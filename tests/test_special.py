@@ -10,6 +10,7 @@ from hyperzero import (
     Params,
     all_roots,
     coefficients,
+    evaluate,
     predict_2b,
     predict_half,
     predict_minus2n,
@@ -30,7 +31,7 @@ def test_2b_circle_case():
     assert g.on_circle == 2
     assert g.real_gt1 == g.real_in01 == g.real_neg == 0
     assert g.quadrant_pairs == 0
-    assert g.provenance == "thm2.1.i"
+    assert g.provenance == "thm2.1-via-(15.3.16)->thm3.2.iv(j=1)"
     # concrete roots of 1 - z + z^2/3 sit on |z-1| = 1
     roots = all_roots(coefficients(Params(2, 1, 2))).values()
     assert all(abs(abs(z - 1) - 1) < 1e-10 for z in roots)
@@ -38,7 +39,7 @@ def test_2b_circle_case():
 
 def test_2b_terminal_window_odd_n():
     g = predict_2b(5, Fraction(-29, 10))
-    assert g.provenance == "thm2.1.iii"
+    assert g.provenance == "thm2.1-via-(15.3.16)->reduced-via-(2.2)->thm3.2.iii"
     assert g.on_circle == 1
     assert g.fixed_points == (2,)
     assert g.quadrant_pairs == 1
@@ -47,7 +48,7 @@ def test_2b_terminal_window_odd_n():
 
 def test_2b_all_real_beyond_one():
     g = predict_2b(4, -10)
-    assert g.provenance == "thm2.1.v"
+    assert g.provenance == "thm2.1-via-(15.3.16)->reduced-via-(2.1)->thm3.2.iv(j=2)"
     assert g.real_gt1 == 4
     assert g.on_circle == 0
 
@@ -56,12 +57,8 @@ def test_2b_fixed_zero_for_odd_degree():
     for n in (1, 3, 5, 7):
         for b in (Fraction(3, 4), Fraction(9, 8)):
             q = coefficients(Params(n, b, 2 * b))
-            from hyperzero import evaluate
-
             assert evaluate(q, Fraction(2)) == 0, (n, b)
     # and not for even degree
-    from hyperzero import evaluate
-
     assert evaluate(coefficients(Params(2, Fraction(3, 4), Fraction(3, 2))), Fraction(2)) != 0
 
 
@@ -88,6 +85,48 @@ def test_2b_window_boundaries_raise():
 @pytest.mark.parametrize("b, error", EDGES_2B)
 def test_2b_window_boundaries_float_band(b, error):
     assert_float_band(lambda v: predict_2b(6, v), b, error)
+
+
+# Corners of the float bands: F's own boundary, then b + 1/2 in the excluded
+# set of G, which the count theorem on G's codes alone would not refuse.
+BAND_CORNERS_2B = [
+    (17, -7.00000000000099,
+     "b=-7.00000000000099 lies in {0, -1, ..., -16}; the count formulas do not apply on this boundary"),
+    (3, -0.99999999999901,
+     "b=-0.99999999999901 lies in {0, -1, ..., -2}; the count formulas do not apply on this boundary"),
+    (21, -3.50000000000099, "b=-3.50000000000099 sits on a window boundary for c=2b, n=21"),
+    (3, -0.499999999999, "b=-0.499999999999 sits on a window boundary for c=2b, n=3"),
+]
+
+
+@pytest.mark.parametrize("n, b, message", BAND_CORNERS_2B)
+def test_2b_band_corners_raise(n, b, message):
+    with pytest.raises(BoundaryParameterError) as info:
+        predict_2b(n, b)
+    assert str(info.value) == message
+
+
+def test_2b_quadratic_transformation_holds_exactly():
+    # F(-n, b; 2b; z) = (1 - z/2)^n F(-m, beta; b + 1/2; (z/(2 - z))^2), both
+    # sides polynomials of degree at most n in z: equal at n + 1 points, equal
+    rng = random.Random(208)
+    for n in range(1, 31):
+        m, odd = divmod(n, 2)
+        beta = Fraction(1, 2) - m - odd
+        done = 0
+        while done < 3:
+            b = Fraction(rng.randint(-40 * n, 40 * n), rng.randint(1, 12))
+            try:
+                f = coefficients(Params(n, b, 2 * b))
+                g = coefficients(Params(m, beta, b + Fraction(1, 2))) if m else None
+            except InvalidParameterError:
+                continue
+            for k in range(n + 1):
+                z = Fraction(2 * k + 1, 3)  # never 2
+                t = (z / (2 - z)) ** 2
+                rhs = (1 - z / 2) ** n * (evaluate(g, t) if g else 1)
+                assert evaluate(f, z) == rhs, (n, b, z)
+            done += 1
 
 
 def test_2b_degree_one_has_no_boundaries():
