@@ -277,6 +277,12 @@ def cmd_verify(args) -> int:
 
 
 def _verify_sweep(args) -> int:
+    """verify at every grid point, one row each.
+
+    A point that is undefined, or whose solve does not converge, gets a
+    short row with that status; the solver's message goes to stderr, the
+    sweep goes on, and it exits 3 at the end.
+    """
     bs, cs = _axes(args)
     worst = EXIT_OK
     for c in cs:
@@ -286,13 +292,19 @@ def _verify_sweep(args) -> int:
                 # as one that Params rejects
                 rep = oracle.verify(Params(args.n, b, c))
             except InvalidParameterError:
-                line = {"b": _jsonify_scalar(b), "c": _jsonify_scalar(c), "status": "undefined"}
-                print(_dumps(line) if args.format == "json" else
-                      f"verify n={args.n} b={format_scalar(b)} c={format_scalar(c)} -> UNDEFINED")
-                continue
-            _print_report(rep, args.format)
-            if rep.status == "fail":
+                status = "undefined"
+            except NonConvergenceError as exc:
+                print(f"solver did not converge: {exc}", file=sys.stderr)
+                status = "nonconvergence"
                 worst = EXIT_MISMATCH
+            else:
+                _print_report(rep, args.format)
+                if rep.status == "fail":
+                    worst = EXIT_MISMATCH
+                continue
+            line = {"b": _jsonify_scalar(b), "c": _jsonify_scalar(c), "status": status}
+            print(_dumps(line) if args.format == "json" else
+                  f"verify n={args.n} b={format_scalar(b)} c={format_scalar(c)} -> {status.upper()}")
     return worst
 
 

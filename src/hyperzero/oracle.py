@@ -141,19 +141,17 @@ def _poly_gcd(f: List[int], g: List[int]) -> List[int]:
     return _positive(_remainders(f, g)[-1])
 
 
-@functools.lru_cache(maxsize=1)
-def _sturm_sequence(f: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """_remainders(f, f') of a primitive f, kept for the last f asked for.
+def _sturm_sequence(f: List[int]) -> List[List[int]]:
+    """The Sturm chain of f: f, f', then the sign-corrected fraction-free
+    remainders, as integer polynomials.
 
-    It is the Sturm chain of f: f, f', then the sign-corrected
-    fraction-free remainders, as integer polynomials.  Each element is a
-    positive multiple of the classical chain element, so sign variations
-    are unchanged, and degrees strictly decrease.  Its last element is
-    gcd(f, f') up to sign, so the chain of sturm_counts and the first gcd
-    of squarefree_decomposition share one computation when an exact verify
-    asks for both on the same polynomial.
+    Each element is a positive multiple of the classical chain element, so
+    sign variations are unchanged, and degrees strictly decrease.  Only
+    sturm_counts reads it: all_roots splits F with Yun only where F(1) = 0,
+    and then on F itself, while sturm_counts counts F with its (z - 1)
+    factors divided out, so the two never share a chain.
     """
-    return tuple(map(tuple, _remainders(f, _derive(f))))
+    return _remainders(f, _derive(f))
 
 
 def _exact_div(f: List[int], g: List[int]) -> List[int]:
@@ -181,7 +179,7 @@ def squarefree_decomposition(cs: List[int]) -> List[Tuple[List[int], int]]:
     f = _primitive(_trim(list(cs)))
     if len(f) <= 1:
         return []
-    d = _positive(_sturm_sequence(tuple(f))[-1])
+    d = _poly_gcd(f, _derive(f))
     if len(d) == 1:
         return [(f, 1)]
     w = _exact_div(f, d)
@@ -237,7 +235,7 @@ def sturm_counts(q: Poly) -> Counts:
     The root z = 1 is deflated first and reported as a multiplicity (it is
     the one admissible multiple-zero location with nonzero abscissa); any
     z = 0 factors are stripped.  The remainder is counted by sign variations
-    V of its Sturm chain (_sturm_sequence) at -inf, 0, 1 and +inf:
+    V of its own Sturm chain (_sturm_sequence) at -inf, 0, 1 and +inf:
     V(a) - V(b) is the number of distinct real roots in (a, b] for a < b.
     The chain of a non-squarefree polynomial still counts distinct roots
     (generalized Sturm theorem) because none of the finite query points is
@@ -252,7 +250,7 @@ def sturm_counts(q: Poly) -> Counts:
         cs = cs[1:]
     if len(cs) <= 1:
         return Counts(0, 0, 0, mult_at_1)
-    chain = _sturm_sequence(tuple(_primitive(cs)))
+    chain = _sturm_sequence(_primitive(cs))
     # at +inf each element has the sign of its leading coefficient, at -inf
     # that sign flipped for odd degree; p(0) is the constant term and p(1)
     # the coefficient sum
@@ -680,6 +678,15 @@ def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
     multiplicity.  Float inputs are solved directly with multiplicity 1 per
     root.  Residuals are reported against the original polynomial.
 
+    When b and c are given, q is coefficients(Params(n, b, c)), and F
+    solves z(1 - z)w'' + [c - (b - n + 1)z]w' + nb w = 0 (DLMF 15.10.1),
+    whose only finite singular points are 0 and 1.  A double zero anywhere
+    else would force F = 0, and F(0) = 1, so F is squarefree whenever
+    F(1) != 0 and is its own one factor, with no gcd computed.  Yun's
+    splitting (squarefree_decomposition) runs only where F(1) = 0, that is
+    c - b in {0, ..., 1 - n}, where z = 1 is a multiple zero, and for a q
+    given without b and c.
+
     Each factor is solved in up to three stages.  The first is Aberth with
     Horner on its float coefficients, then Newton polish.  An exact factor
     certifies each point by exact Newton steps (_exact_newton) against
@@ -706,7 +713,11 @@ def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
 
 
 def _solve(q: Poly, max_sweeps: int, b, c) -> RootSet:
-    """all_roots, which turns its OverflowError into a NonConvergenceError."""
+    """all_roots, which turns its OverflowError into a NonConvergenceError.
+
+    With b and c given and F(1) != 0 the primitive integer F is the one
+    squarefree factor, by the argument in all_roots.
+    """
     deg = q.effective_degree
     if deg < 1:
         raise InvalidParameterError("need effective degree >= 1 to solve for roots")
@@ -719,7 +730,13 @@ def _solve(q: Poly, max_sweeps: int, b, c) -> RootSet:
 
     tasks: List[Tuple[List[float], Optional[List[int]], int]] = []
     if q.is_exact:
-        for factor, mult in squarefree_decomposition(_to_int_coeffs(q)):
+        int_cs = _to_int_coeffs(q)
+        # sum(int_cs) is a positive multiple of F(1)
+        if b is not None and sum(int_cs):
+            factors = [(_primitive(int_cs), 1)]
+        else:
+            factors = squarefree_decomposition(int_cs)
+        for factor, mult in factors:
             m = max(abs(a) for a in factor)
             tasks.append(([a / m for a in factor], factor, mult))
     else:
@@ -949,7 +966,9 @@ def verify(p: Params) -> VerificationReport:
     against the Sturm counter and the numeric solver.
 
     Boundary parameters yield status "boundary" with the oracle output still
-    attached; they are unclassifiable, not wrong.
+    attached; they are unclassifiable, not wrong.  The solve comes first: a
+    NonConvergenceError from all_roots ends verify before sturm_counts
+    builds its exact chain.
     """
     notes: List[str] = []
     checks: List[Check] = []
@@ -974,8 +993,8 @@ def verify(p: Params) -> VerificationReport:
 
     q = coefficients(p)
     deg = q.effective_degree
-    sturm = sturm_counts(q) if (p.is_exact and deg >= 1) else None
     rootset = all_roots(q, b=p.b, c=p.c) if deg >= 1 else RootSet((), 0)
+    sturm = sturm_counts(q) if (p.is_exact and deg >= 1) else None
     numeric = interval_counts(rootset)
     observation = geometry_report(rootset)
 

@@ -135,11 +135,16 @@ def predict_minus2n(n: int, b) -> Geometry:
 
     c = -2n lies below the excluded range {0, ..., 1-n}, so the polynomial
     is defined for every n; only the integer b boundaries are special, and
-    the windows are read from the cell code B of b.
+    the windows are read from the cell code B of b.  The edge b = -n (code
+    -2n) is not a count jump: it reads as the cell just above it, as in
+    klein._cell_c_positive, and thm2.3.ii(k=n) and thm2.3.iii(k=0) agree
+    there.
     """
     b = as_scalar(b)
     Params(n, b, -2 * n)
     B = cell_code(b)
+    if B == -2 * n:
+        B += 1
     if B > 0:
         return _geometry(n, 0, 0, 0, n % 2, n // 2, provenance="thm2.3.i")
     if B < -4 * n:

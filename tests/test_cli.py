@@ -211,6 +211,22 @@ def test_verify_range_point_whose_coefficients_overflow_is_undefined(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_range_goes_on_past_a_point_that_does_not_converge(capsys, fmt):
+    big = 10 ** 400
+    code, out, err = run(capsys, "verify", "-n", "3", "--b-range", f"1:{big}:3",
+                         "-c", "1/3", "--format", fmt)
+    assert code == 3
+    assert err.count("solver did not converge: a value overflowed the float range") == 2
+    if fmt == "json":
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert lines[1:] == [{"b": str(b), "c": "1/3", "status": "nonconvergence"}
+                             for b in (Fraction(big + 1, 2), big)]
+        assert lines[0]["status"] == "pass"
+    else:
+        assert out.splitlines()[-1] == f"verify n=3 b={big} c=1/3 -> NONCONVERGENCE"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -2,11 +2,13 @@
 
 The sweeps cover every thm3.* window, all four reduced-via chains and
 boundary and undefined rows in exact and float mode; the verify points
-cover one input per reduction chain and per geometry template, and one
-on each window edge; the
-identity runs are seeded; the roots runs pin the solver's sweep counts
-and root digits; the grid runs pin the grid that sweep and verify share.
-A change that alters any printed byte fails here.
+cover one input per reduction chain and per geometry template, one on
+each window edge, and one whose solve overflows (exit 3, empty stdout);
+the identity runs are seeded; the roots runs pin the solver's sweep
+counts and root digits, Yun's split at F(1) = 0 among them; the grid
+runs pin the grid that sweep and verify share, and a verify grid that
+goes on past points whose solve does not converge.  A change that alters
+any printed byte fails here.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -61,6 +63,8 @@ VERIFY_POINTS = [
     # the window edges, which are not count jumps
     ("4", "-4", "5/3"),       # b = -n
     ("4", "13/3", "1/3"),     # b - c = n
+    # a coefficient beyond the float range: the solve ends in exit 3
+    ("3", "1" + "0" * 400, "1/3"),
 ]
 
 # F = 1 + 2z on the window edge b = -n: its one zero is at -1/2
@@ -82,6 +86,8 @@ ROOTS = [
     ("roots", "-n", "20", "-b", "17.518", "-c", "7.02", "--format", "json"),
     ("roots", "-n", "60", "-b", "30569/500", "-c", "-7/3", "--format", "json"),
     ("roots", "-n", "80", "-b", "10182/125", "-c", "-7/3", "--format", "json"),
+    # F(1) = 0: Yun's split, with z = 1 a zero of multiplicity 3
+    ("roots", "-n", "5", "-b", "7/3", "-c", "1/3", "--format", "json"),
 ]
 
 # verify and sweep over grids: the order of the grid, the margin on a
@@ -91,6 +97,9 @@ GRIDS = [
     ("verify", "-n", "3", "--b-range", "-2:2:5", "--c-range", "-3/2:1/2:3",
      "--margin", "1/7", "--format", "json"),
     ("verify", "-n", "3", "--b-range=1:1e300:2", "-c", "2.5", "--format", "json"),
+    # the sweep goes on past points whose solve overflows
+    ("verify", "-n", "3", "--b-range", "1:1" + "0" * 400 + ":3", "-c", "1/3",
+     "--format", "json"),
     ("sweep", "-n", "4", "-b", "7/3", "--c-range", "-6:6:25", "--margin", "1/9"),
 ]
 

@@ -105,7 +105,7 @@ def test_sturm_requires_exact():
 
 def test_sturm_chain_degrees_decrease():
     cs = _to_int_coeffs(coefficients(Params(6, Fraction(11, 8), Fraction(5, 8))))
-    degrees = [len(p) - 1 for p in _sturm_sequence(tuple(_primitive(cs)))]
+    degrees = [len(p) - 1 for p in _sturm_sequence(_primitive(cs))]
     assert degrees[0] == 6
     assert all(a > b for a, b in zip(degrees, degrees[1:]))
 
@@ -627,15 +627,60 @@ def test_verify_float_mode_is_numeric_confidence():
     assert any("numeric-confidence" in note for note in rep.notes)
 
 
-def test_exact_verify_runs_one_remainder_sequence(monkeypatch):
-    # squarefree, no root at 0 or 1: the Sturm chain of sturm_counts and the
-    # first gcd of Yun's splitting in all_roots are one remainder sequence
+def _count_remainders(monkeypatch):
+    """The list that each later oracle._remainders call appends to."""
     calls = []
     remainders = oracle._remainders
     monkeypatch.setattr(oracle, "_remainders", lambda f, g: calls.append(1) or remainders(f, g))
-    oracle._sturm_sequence.cache_clear()
+    return calls
+
+
+def test_exact_verify_runs_one_remainder_sequence(monkeypatch):
+    # F(1) != 0, so all_roots takes F as squarefree without a gcd, and the
+    # one remainder sequence is the Sturm chain of sturm_counts
+    calls = _count_remainders(monkeypatch)
     assert verify(Params(20, Fraction(7, 3), Fraction(11, 5))).status == "pass"
     assert len(calls) == 1
+
+
+def test_exact_verify_that_does_not_converge_builds_no_chain(monkeypatch):
+    # the solve comes first, and its overflow ends verify before sturm_counts
+    calls = _count_remainders(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="overflowed the float range"):
+        verify(Params(3, Fraction(10 ** 400), Fraction(1, 3)))
+    assert calls == []
+
+
+def test_all_roots_splits_only_where_f_of_one_is_zero(monkeypatch):
+    calls = _count_remainders(monkeypatch)
+    p = Params(20, Fraction(7, 3), Fraction(11, 5))
+    assert len(all_roots(coefficients(p), b=p.b, c=p.c).roots) == 20
+    assert calls == []
+    # c - b = -2 lies in {0, ..., 1 - n}: F(1) = 0, and Yun splits off
+    # z = 1 with multiplicity 3
+    p = Params(5, Fraction(7, 3), Fraction(1, 3))
+    rs = all_roots(coefficients(p), b=p.b, c=p.c)
+    assert calls
+    assert [r.multiplicity for r in rs.roots if r.value == 1] == [3]
+    assert sum(r.multiplicity for r in rs.roots) == 5
+
+
+_quarters = st.fractions(-14, 14, max_denominator=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), _quarters | st.integers(-13, 0).map(Fraction), _quarters)
+def test_f_is_squarefree_where_f_of_one_is_not_zero(n, b, c):
+    # the rule all_roots reads from the hypergeometric equation, checked
+    # against Yun's splitting; an integer b <= 0 lowers the degree, and
+    # b = 0 leaves the constant 1, which all_roots does not solve
+    try:
+        cs = _to_int_coeffs(coefficients(Params(n, b, c)))
+    except InvalidParameterError:
+        return
+    if len(cs) == 1 or sum(cs) == 0:
+        return
+    assert squarefree_decomposition(cs) == [(_primitive(cs), 1)]
 
 
 def test_verify_spot_checks_random():

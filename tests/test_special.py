@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hyperzero import (
     Params,
     all_roots,
+    classify_region,
     coefficients,
     evaluate,
     predict_2b,
@@ -273,9 +274,13 @@ def test_minus2n_spec_cases():
     g = predict_minus2n(3, -7)
     assert (g.real_in01, g.nonreal_pairs) == (1, 1)
     assert g.provenance == "thm2.3.iv"
+    # b = -n reads as the window just above it, which thm2.3.iii(k=0) shares
+    g = predict_minus2n(3, -3)
+    assert g[:5] == (0, 3, 0, 0, 0) and g.provenance == "thm2.3.ii(k=3)"
 
 
-EDGES_MINUS2N = (0, -1, -3, -5, -6)
+# b = -n = -3 is not among them: it is no count jump
+EDGES_MINUS2N = (0, -1, -4, -5, -6)
 
 
 def test_minus2n_window_boundaries_raise():
@@ -287,6 +292,26 @@ def test_minus2n_window_boundaries_raise():
 @pytest.mark.parametrize("b", EDGES_MINUS2N)
 def test_minus2n_window_boundaries_float_band(b):
     assert_float_band(lambda v: predict_minus2n(3, v), b, BoundaryParameterError)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_minus2n_equals_the_count_theorem(n):
+    # every b in eighths over [-3n, n + 1]: where either one answers, both
+    # answer with the same counts
+    for b in (Fraction(k, 8) for k in range(-24 * n, 8 * n + 9)):
+        p = Params(n, b, -2 * n)
+        try:
+            want = classify_region(p)
+        except BoundaryParameterError:
+            want = None
+        try:
+            got = predict_minus2n(n, b)
+        except BoundaryParameterError:
+            got = None
+        if want is None or got is None:
+            assert want is got, (n, b)
+        else:
+            assert got[1:5] == (*want.counts, want.nonreal_pairs), (n, b)
 
 
 def test_minus2n_windows_verified_against_oracle():
