@@ -18,7 +18,6 @@ from .core import (
     coefficients,
     evaluate,
     gegenbauer,
-    generalized_binomial,
     jacobi,
     pochhammer,
     poly,
@@ -73,7 +72,6 @@ __all__ = [
     "euler_reflect",
     "evaluate",
     "gegenbauer",
-    "generalized_binomial",
     "geometry_report",
     "interval_counts",
     "invert",

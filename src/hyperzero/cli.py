@@ -177,7 +177,7 @@ def cmd_classify(args) -> int:
 def cmd_roots(args) -> int:
     p = _params_from(args)
     q = coefficients(p)
-    rs = oracle.all_roots(q, b=p.b, c=p.c)
+    rs = oracle.all_roots(q, p.b, p.c)
     if args.format == "json":
         payload = {
             "mode": p.mode,

@@ -211,14 +211,10 @@ def pochhammer(alpha, k: int):
     return out
 
 
-def generalized_binomial(alpha, k: int):
-    """Binomial coefficient alpha (alpha-1) ... (alpha-k+1) / k! for real alpha."""
-    return _binomials(alpha, k)[-1]
-
-
 @functools.lru_cache(maxsize=16, typed=True)
 def _binomials(alpha, k: int) -> tuple:
-    """generalized_binomial(alpha, i) for i = 0, ..., k, each from the last by one ratio.
+    """The binomials alpha (alpha-1) ... (alpha-i+1) / i! for i = 0, ..., k,
+    each from the last by one ratio.
 
     Built once per (alpha, k): a jacobi proof evaluates the same two lists
     at every z.  typed, since Fraction(1) == 1.0 and an exact alpha must

@@ -79,15 +79,6 @@ def _derive(cs: List[int]) -> List[int]:
     return [k * a for k, a in enumerate(cs) if k > 0] or [0]
 
 
-def _poly_sub(f: List[int], g: List[int]) -> List[int]:
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, a in enumerate(g):
-        out[i] -= a
-    return _trim(out)
-
-
 def _prem(f: List[int], g: List[int]) -> Tuple[List[int], int]:
     """Fraction-free remainder of f by g.
 
@@ -132,24 +123,14 @@ def _remainders(f: List[int], g: List[int]) -> List[List[int]]:
     return out
 
 
-def _positive(d: List[int]) -> List[int]:
-    return list(d) if d[-1] > 0 else [-x for x in d]
-
-
-def _poly_gcd(f: List[int], g: List[int]) -> List[int]:
-    """Primitive gcd with positive leading coefficient."""
-    return _positive(_remainders(f, g)[-1])
-
-
 def _sturm_sequence(f: List[int]) -> List[List[int]]:
     """The Sturm chain of f: f, f', then the sign-corrected fraction-free
     remainders, as integer polynomials.
 
     Each element is a positive multiple of the classical chain element, so
     sign variations are unchanged, and degrees strictly decrease.  Only
-    sturm_counts reads it: all_roots splits F with Yun only where F(1) = 0,
-    and then on F itself, while sturm_counts counts F with its (z - 1)
-    factors divided out, so the two never share a chain.
+    sturm_counts reads it: all_roots builds no remainder sequence, since
+    the one multiple zero F can have is at z = 1 (_deflate_at_one).
     """
     return _remainders(f, _derive(f))
 
@@ -170,32 +151,16 @@ def _exact_div(f: List[int], g: List[int]) -> List[int]:
     return out
 
 
-def squarefree_decomposition(cs: List[int]) -> List[Tuple[List[int], int]]:
-    """Yun's splitting: pairwise-coprime squarefree factors with multiplicities.
+def _deflate_at_one(cs: List[int]) -> Tuple[List[int], int]:
+    """cs with its (z - 1) factors divided out, and their number m.
 
-    The product of factor**multiplicity equals the input up to a constant;
-    constant factors are dropped.
+    sum(cs) is cs(1), so the division by z - 1 is exact while it is 0.
     """
-    f = _primitive(_trim(list(cs)))
-    if len(f) <= 1:
-        return []
-    d = _poly_gcd(f, _derive(f))
-    if len(d) == 1:
-        return [(f, 1)]
-    w = _exact_div(f, d)
-    y = _exact_div(_derive(f), d)
-    z = _poly_sub(y, _derive(w))
-    out: List[Tuple[List[int], int]] = []
-    i = 1
-    while len(w) > 1:
-        g = _poly_gcd(w, z) if z else list(w)
-        if len(g) > 1:
-            out.append((g, i))
-        w = _exact_div(w, g)
-        y = _exact_div(z, g) if z else []
-        z = _poly_sub(y, _derive(w)) if y else []
-        i += 1
-    return out
+    m = 0
+    while len(cs) > 1 and sum(cs) == 0:
+        cs = _exact_div(cs, [-1, 1])
+        m += 1
+    return cs, m
 
 
 def _to_int_coeffs(q: Poly) -> List[int]:
@@ -232,20 +197,17 @@ def _count_flips(signs: List[int]) -> int:
 def sturm_counts(q: Poly) -> Counts:
     """Exact per-interval counts of distinct real roots, endpoints excluded.
 
-    The root z = 1 is deflated first and reported as a multiplicity (it is
-    the one admissible multiple-zero location with nonzero abscissa); any
-    z = 0 factors are stripped.  The remainder is counted by sign variations
-    V of its own Sturm chain (_sturm_sequence) at -inf, 0, 1 and +inf:
-    V(a) - V(b) is the number of distinct real roots in (a, b] for a < b.
-    The chain of a non-squarefree polynomial still counts distinct roots
-    (generalized Sturm theorem) because none of the finite query points is
-    a root.
+    The root z = 1 is deflated first (_deflate_at_one, the split all_roots
+    makes too) and reported as a multiplicity (it is the one admissible
+    multiple-zero location of F with nonzero abscissa); any z = 0 factors
+    are stripped.  The remainder is counted by sign variations V of its own
+    Sturm chain (_sturm_sequence) at -inf, 0, 1 and +inf: V(a) - V(b) is
+    the number of distinct real roots in (a, b] for a < b.  q may be any
+    exact polynomial, not only an F: the chain of a non-squarefree
+    polynomial still counts distinct roots (generalized Sturm theorem)
+    because none of the finite query points is a root.
     """
-    cs = _to_int_coeffs(q)
-    mult_at_1 = 0
-    while len(cs) > 1 and sum(cs) == 0:
-        cs = _exact_div(cs, [-1, 1])
-        mult_at_1 += 1
+    cs, mult_at_1 = _deflate_at_one(_to_int_coeffs(q))
     while cs and cs[0] == 0:
         cs = cs[1:]
     if len(cs) <= 1:
@@ -670,22 +632,21 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
     return out
 
 
-def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
-    """All complex roots of q with multiplicities and polished residuals.
+def all_roots(q: Poly, b, c, max_sweeps: int = 1000) -> RootSet:
+    """All complex roots of q = coefficients(Params(n, b, c)) with
+    multiplicities and polished residuals.
 
-    Exact inputs are split into squarefree factors first, so multiple roots
-    are solved as simple roots of their factor and tagged with the factor's
-    multiplicity.  Float inputs are solved directly with multiplicity 1 per
-    root.  Residuals are reported against the original polynomial.
-
-    When b and c are given, q is coefficients(Params(n, b, c)), and F
-    solves z(1 - z)w'' + [c - (b - n + 1)z]w' + nb w = 0 (DLMF 15.10.1),
+    F solves z(1 - z)w'' + [c - (b - n + 1)z]w' + nb w = 0 (DLMF 15.10.1),
     whose only finite singular points are 0 and 1.  A double zero anywhere
-    else would force F = 0, and F(0) = 1, so F is squarefree whenever
-    F(1) != 0 and is its own one factor, with no gcd computed.  Yun's
-    splitting (squarefree_decomposition) runs only where F(1) = 0, that is
-    c - b in {0, ..., 1 - n}, where z = 1 is a multiple zero, and for a q
-    given without b and c.
+    else would force F = 0, and F(0) = 1, so the one multiple zero F can
+    have is at z = 1, and F/(z - 1)^m is squarefree.  An exact F is split
+    once there: where z = 1 is at most a simple zero (m <= 1), the
+    primitive integer F is its own one factor; otherwise the factors are
+    that cofactor, with multiplicity 1, and z - 1, with multiplicity m.
+    Multiple roots are solved as simple roots of their factor and tagged
+    with its multiplicity.  A float F is solved directly with multiplicity
+    1 per root.  Residuals are reported against F.  An F of degree 0 (b = 0,
+    F = 1) has no roots.
 
     Each factor is solved in up to three stages.  The first is Aberth with
     Horner on its float coefficients, then Newton polish.  An exact factor
@@ -694,33 +655,31 @@ def all_roots(q: Poly, max_sweeps: int = 1000, b=None, c=None) -> RootSet:
     it is not converging (a step above ROOT_BAND (1 + |z|) that does not
     halve the one before), so a pseudo-root of the float pass costs two
     exact evaluations before it goes unsound to the next stage.  When
-    points stay unsound and q is coefficients(Params(n, b, c)) with b and c
-    given, and q is squarefree of degree n, a recurrence stage reruns
-    Aberth on the unsound points with F evaluated by _contiguous_pair, for
-    at most RECURRENCE_SWEEPS sweeps, and certifies the points it settled.
-    The points still unsound go to the exact rescue: Aberth with exact
-    evaluation, restarted from their first-pass positions, the certified
-    points frozen.
+    points stay unsound and F is its own factor at full degree n, a
+    recurrence stage reruns Aberth on the unsound points with F evaluated
+    by _contiguous_pair, for at most RECURRENCE_SWEEPS sweeps, and
+    certifies the points it settled.  The points still unsound go to the
+    exact rescue: Aberth with exact evaluation, restarted from their
+    first-pass positions, the certified points frozen.
 
     A value beyond the float range (a huge exact coefficient, a leading
     coefficient that underflows beside the others, or an exact evaluation
     at high degree) ends the solve in a NonConvergenceError that names it.
     """
     try:
-        return _solve(q, max_sweeps, b, c)
+        return _solve(q, b, c, max_sweeps)
     except OverflowError as exc:
         raise NonConvergenceError(f"a value overflowed the float range ({exc})") from None
 
 
-def _solve(q: Poly, max_sweeps: int, b, c) -> RootSet:
+def _solve(q: Poly, b, c, max_sweeps: int) -> RootSet:
     """all_roots, which turns its OverflowError into a NonConvergenceError.
 
-    With b and c given and F(1) != 0 the primitive integer F is the one
-    squarefree factor, by the argument in all_roots.
+    The exact factors are F's split at z = 1, by the argument in all_roots.
     """
     deg = q.effective_degree
-    if deg < 1:
-        raise InvalidParameterError("need effective degree >= 1 to solve for roots")
+    if deg == 0:
+        return RootSet((), 0)
     if deg > 100:
         raise InvalidParameterError(
             f"degree {deg} exceeds the numeric solver cap of 100"
@@ -731,11 +690,13 @@ def _solve(q: Poly, max_sweeps: int, b, c) -> RootSet:
     tasks: List[Tuple[List[float], Optional[List[int]], int]] = []
     if q.is_exact:
         int_cs = _to_int_coeffs(q)
-        # sum(int_cs) is a positive multiple of F(1)
-        if b is not None and sum(int_cs):
+        cofactor, mult_at_1 = _deflate_at_one(int_cs)
+        if mult_at_1 <= 1:
             factors = [(_primitive(int_cs), 1)]
         else:
-            factors = squarefree_decomposition(int_cs)
+            # a constant cofactor (degenerate b) is no factor
+            factors = [(_primitive(cofactor), 1)] if len(cofactor) > 1 else []
+            factors.append(([-1, 1], mult_at_1))
         for factor, mult in factors:
             m = max(abs(a) for a in factor)
             tasks.append(([a / m for a in factor], factor, mult))
@@ -795,7 +756,7 @@ def _solve(q: Poly, max_sweeps: int, b, c) -> RootSet:
             # its steps are rounded from exact values, since a float c + k
             # may round to 0.  A point it settles still needs its exact
             # certificate.
-            if not all(sound) and b is not None and len(int_fac) == len(q.coeffs):
+            if not all(sound) and len(int_fac) == len(q.coeffs):
                 steps = [tuple(map(float, step)) for step in _contiguous_steps(deg, b, c)]
                 contiguous = functools.partial(_contiguous_pair, steps)
                 try:
@@ -992,9 +953,8 @@ def verify(p: Params) -> VerificationReport:
         notes.append(f"geometry unclassifiable: boundary ({exc})")
 
     q = coefficients(p)
-    deg = q.effective_degree
-    rootset = all_roots(q, b=p.b, c=p.c) if deg >= 1 else RootSet((), 0)
-    sturm = sturm_counts(q) if (p.is_exact and deg >= 1) else None
+    rootset = all_roots(q, p.b, p.c)
+    sturm = sturm_counts(q) if p.is_exact else None
     numeric = interval_counts(rootset)
     observation = geometry_report(rootset)
 

@@ -88,7 +88,7 @@ def test_criterion_3_circle_law():
             if b <= Fraction(-1, 2) or b == 0:
                 continue
             done += 1
-            vals = all_roots(coefficients(Params(n, b, 2 * b))).values()
+            vals = all_roots(coefficients(Params(n, b, 2 * b)), b, 2 * b).values()
             assert len(vals) == n
             for z in vals:
                 assert abs(abs(z - 1) - 1) <= 1e-9, (n, b, z)
@@ -102,7 +102,7 @@ def test_criterion_4_cluster_convergence_to_two():
     started = time.perf_counter()
     previous = None
     for b in (-10, -100, -1000):
-        vals = all_roots(coefficients(Params(6, b, 2 * b))).values()
+        vals = all_roots(coefficients(Params(6, b, 2 * b)), b, 2 * b).values()
         assert all(abs(z.imag) <= 1e-9 for z in vals), b
         assert all(z.real > 1 for z in vals), b
         spread = max(abs(z - 2) for z in vals)
@@ -290,9 +290,10 @@ def test_criterion_8_degenerate_limit_continuity():
     for m in (1, 2, 3):
         base = coefficients(Params(n, -m, c))
         assert base.effective_degree == m
-        base_roots = all_roots(base).values()
+        base_roots = all_roots(base, -m, c).values()
         for sign in (1, -1):
-            shifted = all_roots(coefficients(Params(n, -m + sign * eps, c))).values()
+            b = -m + sign * eps
+            shifted = all_roots(coefficients(Params(n, b, c)), b, c).values()
             assert len(shifted) == n
             for z in base_roots:
                 nearest = min(abs(z - w) for w in shifted)

@@ -5,7 +5,7 @@ boundary and undefined rows in exact and float mode; the verify points
 cover one input per reduction chain and per geometry template, one on
 each window edge, and one whose solve overflows (exit 3, empty stdout);
 the identity runs are seeded; the roots runs pin the solver's sweep
-counts and root digits, Yun's split at F(1) = 0 among them; the grid
+counts and root digits, F's split at z = 1 where F(1) = 0 among them; the grid
 runs pin the grid that sweep and verify share, and a verify grid that
 goes on past points whose solve does not converge.  A change that alters
 any printed byte fails here.
@@ -65,6 +65,8 @@ VERIFY_POINTS = [
     ("4", "13/3", "1/3"),     # b - c = n
     # a coefficient beyond the float range: the solve ends in exit 3
     ("3", "1" + "0" * 400, "1/3"),
+    # F(1) = 0 with z = 1 of multiplicity 8 and a negative leading coefficient
+    ("11", "37/5", "22/5"),
 ]
 
 # F = 1 + 2z on the window edge b = -n: its one zero is at -1/2
@@ -86,8 +88,20 @@ ROOTS = [
     ("roots", "-n", "20", "-b", "17.518", "-c", "7.02", "--format", "json"),
     ("roots", "-n", "60", "-b", "30569/500", "-c", "-7/3", "--format", "json"),
     ("roots", "-n", "80", "-b", "10182/125", "-c", "-7/3", "--format", "json"),
-    # F(1) = 0: Yun's split, with z = 1 a zero of multiplicity 3
+    # F(1) = 0: F splits into (z - 1)^m and its cofactor; m = 3 here
     ("roots", "-n", "5", "-b", "7/3", "-c", "1/3", "--format", "json"),
+    # m = 8 with a negative leading coefficient, and m = 14 with a cofactor
+    # of degree 6
+    ("roots", "-n", "11", "-b", "37/5", "-c", "22/5", "--format", "json"),
+    ("roots", "-n", "20", "-b", "61/7", "-c", "19/7", "--format", "json"),
+    # c - b = 1 - n: z = 1 is a simple zero and stays inside F
+    ("roots", "-n", "8", "-b", "369/11", "-c", "292/11", "--format", "json"),
+    # degenerate b with F(1) = 0: F = (1 - z)^2 up to a constant cofactor
+    ("roots", "-n", "5", "-b", "-2", "-c", "-5", "--format", "json"),
+    # F = (1 - z)^3: no cofactor
+    ("roots", "-n", "3", "-b", "1/2", "-c", "1/2", "--format", "json"),
+    # b = 0: F = 1 has no roots
+    ("roots", "-n", "3", "-b", "0", "-c", "1", "--format", "json"),
 ]
 
 # verify and sweep over grids: the order of the grid, the margin on a

@@ -31,11 +31,11 @@ from hyperzero.oracle import (
     _big_to_float,
     _contiguous_pair,
     _contiguous_steps,
+    _deflate_at_one,
     _exact_eval_pair,
     _primitive,
     _sturm_sequence,
     _to_int_coeffs,
-    squarefree_decomposition,
 )
 
 from conftest import general_position_params, random_params
@@ -112,21 +112,14 @@ def test_sturm_chain_degrees_decrease():
 
 def test_squarefree_part_on_general_position_params():
     # multiple zeros can only sit at 0 or 1, and neither occurs in general
-    # position, so the polynomial is its own single squarefree factor
+    # position, so F of full degree is squarefree: the last element of its
+    # Sturm chain, gcd(F, F'), is a constant
     rng = random.Random(61)
     for _ in range(40):
         p = general_position_params(rng, n_hi=8)
         cs = _to_int_coeffs(coefficients(p))
-        [(factor, mult)] = squarefree_decomposition(cs)
-        assert mult == 1
-        assert len(factor) == len(cs)
-
-
-def test_squarefree_decomposition_multiplicities():
-    # (z-1)^3 (z+1/2)^2 (z-4): one degree-1 factor at each multiplicity
-    cs = _to_int_coeffs(poly(from_roots([1, 1, 1, Fraction(-1, 2), Fraction(-1, 2), 4])))
-    decomp = squarefree_decomposition(cs)
-    assert sorted((len(f) - 1, m) for f, m in decomp) == [(1, 1), (1, 2), (1, 3)]
+        assert len(cs) == p.n + 1 and sum(cs) != 0
+        assert len(_sturm_sequence(_primitive(cs))[-1]) == 1
 
 
 def _times_lcm(q):
@@ -164,7 +157,9 @@ def test_to_int_coeffs_keeps_its_errors():
 
 
 def test_roots_conjugate_quadratic():
-    rs = all_roots(poly([1, -1, Fraction(1, 3)]))
+    # F(-2, 1; 2; z) = 1 - z + z^2/3
+    p = Params(2, 1, 2)
+    rs = all_roots(coefficients(p), p.b, p.c)
     vals = sorted(rs.values(), key=lambda z: z.imag)
     expect = 1.5 - 1j * math.sqrt(3) / 2
     assert abs(vals[0] - expect) < 1e-10
@@ -172,13 +167,13 @@ def test_roots_conjugate_quadratic():
 
 
 def test_roots_linear():
-    rs = all_roots(coefficients(Params(1, 2, 3)))
+    rs = all_roots(coefficients(Params(1, 2, 3)), 2, 3)
     assert abs(rs.values()[0] - 1.5) < 1e-14
 
 
 def test_roots_chebyshev_nodes():
     n = 9
-    rs = all_roots(coefficients(Params(n, n, Fraction(1, 2))))
+    rs = all_roots(coefficients(Params(n, n, Fraction(1, 2))), n, Fraction(1, 2))
     got = sorted(z.real for z in rs.values())
     expect = sorted((1 - math.cos((2 * k - 1) * math.pi / (2 * n))) / 2 for k in range(1, n + 1))
     assert max(abs(a - b) for a, b in zip(got, expect)) < 1e-9
@@ -190,10 +185,8 @@ def test_roots_residual_contract():
     for _ in range(25):
         p = random_params(rng, n_hi=9)
         q = coefficients(p)
-        if q.effective_degree < 1:
-            continue
         fc = q.float_coeffs()
-        for root in all_roots(q).roots:
+        for root in all_roots(q, p.b, p.c).roots:
             scale = sum(abs(a) * abs(root.value) ** i for i, a in enumerate(fc))
             assert root.residual <= 1e-10 * max(scale, 1.0), (p, root)
 
@@ -204,10 +197,8 @@ def test_roots_polish_termination_contract():
     for _ in range(15):
         p = random_params(rng, n_hi=8)
         q = coefficients(p)
-        if q.effective_degree < 1:
-            continue
         fc = q.float_coeffs()[: q.effective_degree + 1]
-        for root in all_roots(q).roots:
+        for root in all_roots(q, p.b, p.c).roots:
             if root.residual == 0.0:
                 continue
             pv, dp = horner_with_derivative(fc, root.value)
@@ -224,10 +215,7 @@ def test_roots_conjugate_pairing_invariant():
     rng = random.Random(64)
     for _ in range(25):
         p = random_params(rng, n_hi=9)
-        q = coefficients(p)
-        if q.effective_degree < 1:
-            continue
-        vals = list(all_roots(q).values())
+        vals = list(all_roots(coefficients(p), p.b, p.c).values())
         nonreal = [z for z in vals if z.imag != 0]
         while nonreal:
             z = nonreal.pop()
@@ -238,30 +226,36 @@ def test_roots_conjugate_pairing_invariant():
 
 def test_roots_total_multiplicity():
     q = coefficients(Params(5, -3, Fraction(7, 3)))
-    rs = all_roots(q)
+    rs = all_roots(q, -3, Fraction(7, 3))
     assert rs.total_multiplicity == q.effective_degree == 3
 
 
 def test_roots_multiple_root_at_one():
-    cs = poly(from_roots([1, 1, Fraction(5, 2)]))
-    rs = all_roots(cs)
+    # F(-3, 6; 5; z) = (1 - z)^2 (1 - 8z/5)
+    p = Params(3, 6, 5)
+    rs = all_roots(coefficients(p), p.b, p.c)
     mults = sorted((round(r.value.real, 6), r.multiplicity) for r in rs.roots)
-    assert mults == [(1.0, 2), (2.5, 1)]
+    assert mults == [(0.625, 1), (1.0, 2)]
 
 
-def test_roots_rejects_constants():
-    with pytest.raises(InvalidParameterError):
-        all_roots(poly([1]))
+def test_roots_of_a_constant_f_are_empty():
+    # b = 0: F = 1 has no roots
+    p = Params(3, 0, 1)
+    assert coefficients(p).effective_degree == 0
+    assert all_roots(coefficients(p), p.b, p.c) == RootSet((), 0)
 
 
 def test_roots_degree_cap():
+    p = Params(101, 2.5, 3.5)
     with pytest.raises(InvalidParameterError):
-        all_roots(poly([0.5] * 102))
+        all_roots(coefficients(p), p.b, p.c)
 
 
 def test_roots_nonconvergence_reports_best_iterate():
+    # F(-2, 6; 1; z) = 1 - 12z + 21z^2
+    p = Params(2, 6, 1)
     with pytest.raises(NonConvergenceError) as excinfo:
-        all_roots(poly([1, -12, 21]), max_sweeps=0)
+        all_roots(coefficients(p), p.b, p.c, max_sweeps=0)
     assert excinfo.value.best is not None
 
 
@@ -342,7 +336,7 @@ def test_high_degree_pseudo_roots_are_rescued():
 
     p = Params(40, Fraction(33, 16), Fraction(33, 8))
     q = coefficients(p)
-    rs = all_roots(q)
+    rs = all_roots(q, p.b, p.c)
     assert rs.total_multiplicity == 40
     ics = _to_int_coeffs(q)
     for z in rs.values():
@@ -367,7 +361,7 @@ def test_roots_are_distinct_and_verify_passes(n, b, c):
     # and two exact Newton steps left a c = 2b root 1.5e-9 off the circle
     p = Params(n, b, c)
     assert verify(p).status == "pass"
-    vals = all_roots(coefficients(p)).values()
+    vals = all_roots(coefficients(p), b, c).values()
     for i, z in enumerate(vals):
         for w in vals[i + 1:]:
             assert abs(z - w) > 1e-9 * (1 + abs(z)), (z, w)
@@ -381,7 +375,7 @@ def test_every_root_is_within_the_root_band(n, b, c):
 
     q = coefficients(Params(n, b, c))
     ics = _to_int_coeffs(q)
-    rs = all_roots(q)
+    rs = all_roots(q, b, c)
     assert rs.total_multiplicity == n
     for z in rs.values():
         assert _exact_root_distance(ics, z) <= ROOT_BAND * (1 + abs(z)), z
@@ -389,7 +383,8 @@ def test_every_root_is_within_the_root_band(n, b, c):
 
 def test_newton_polygon_starts_keep_sweeps_low():
     # one start circle for every root needed about 2n sweeps here
-    rs = all_roots(coefficients(Params(35, Fraction(-134, 3), Fraction(480, 7))))
+    p = Params(35, Fraction(-134, 3), Fraction(480, 7))
+    rs = all_roots(coefficients(p), p.b, p.c)
     assert rs.iterations <= 50
 
 
@@ -430,16 +425,18 @@ STAGED_POINTS = HARD_POINTS + [
 @pytest.mark.parametrize("n,b,c", STAGED_POINTS, ids=str)
 def test_recurrence_stage_leaves_every_root_bit_identical(n, b, c, monkeypatch):
     # the stage only steers: the exact certificate decides where each root
-    # lands, so the answer is the one of the exact rescue alone (all_roots
-    # without b and c), to the last bit of every value and residual
+    # lands, so the answer is the one of the exact rescue alone (a stage of
+    # no sweeps leaves every point where the first pass put it), to the
+    # last bit of every value and residual
     q = coefficients(Params(n, b, c))
     staged = []
     contiguous = oracle._contiguous_pair
     monkeypatch.setattr(oracle, "_contiguous_pair",
                         lambda *args: staged.append(1) or contiguous(*args))
-    with_stage = all_roots(q, b=b, c=c)
+    with_stage = all_roots(q, b, c)
     assert staged  # the first pass left unsound points here
-    assert _root_bits(with_stage) == _root_bits(all_roots(q))
+    monkeypatch.setattr(oracle, "RECURRENCE_SWEEPS", 0)
+    assert _root_bits(with_stage) == _root_bits(all_roots(q, b, c))
 
 
 def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeypatch):
@@ -461,7 +458,7 @@ def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeyp
         return out
 
     monkeypatch.setattr(oracle, "_aberth", spy)
-    all_roots(coefficients(p), b=p.b, c=p.c)
+    all_roots(coefficients(p), p.b, p.c)
     _, (budget, sound, settled), (_, rescue, _) = calls
     assert budget == oracle.RECURRENCE_SWEEPS and settled is not None
     newly_settled = sum(done and not ok for ok, done in zip(sound, settled))
@@ -470,9 +467,12 @@ def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeyp
     assert verify(p).status == "pass"
 
 
-def test_float_roots_do_not_take_the_recurrence_stage():
-    q = coefficients(Params(20, 17.518, 7.02))
-    assert _root_bits(all_roots(q, b=17.518, c=7.02)) == _root_bits(all_roots(q))
+def test_float_roots_do_not_take_the_recurrence_stage(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "_contiguous_pair", lambda *args: calls.append(1))
+    p = Params(20, 17.518, 7.02)
+    assert all_roots(coefficients(p), p.b, p.c).total_multiplicity == 20
+    assert calls == []
 
 
 def _counting_exact_evaluations(monkeypatch):
@@ -488,7 +488,7 @@ def test_recurrence_stage_cuts_the_exact_evaluations(monkeypatch):
     # recurrence stage leaves 168 for the certificates and the rescue
     calls = _counting_exact_evaluations(monkeypatch)
     p = Params(60, Fraction(30569, 500), Fraction(-7, 3))
-    assert all_roots(coefficients(p), b=p.b, c=p.c).total_multiplicity == 60
+    assert all_roots(coefficients(p), p.b, p.c).total_multiplicity == 60
     assert len(calls) <= 600
 
 
@@ -503,7 +503,7 @@ def test_exact_newton_hands_off_a_point_it_does_not_converge_on(monkeypatch):
     starts = []
     monkeypatch.setattr(oracle, "_exact_newton",
                         lambda cs, z: starts.append((cs, z)) or _exact_newton(cs, z))
-    roots = all_roots(coefficients(p), b=p.b, c=p.c).values()
+    roots = all_roots(coefficients(p), p.b, p.c).values()
     monkeypatch.setattr(oracle, "_exact_newton", _exact_newton)
     calls = _counting_exact_evaluations(monkeypatch)
     factor = starts[0][0]
@@ -526,7 +526,7 @@ def test_exact_newton_hands_off_a_point_it_does_not_converge_on(monkeypatch):
 ], ids=str)
 def test_pseudo_roots_cost_few_exact_evaluations(n, b, c, bound, monkeypatch):
     calls = _counting_exact_evaluations(monkeypatch)
-    assert all_roots(coefficients(Params(n, b, c)), b=b, c=c).total_multiplicity == n
+    assert all_roots(coefficients(Params(n, b, c)), b, c).total_multiplicity == n
     assert len(calls) <= bound
 
 
@@ -536,7 +536,7 @@ def test_fundamental_accounting():
         p = general_position_params(rng, n_hi=12)
         q = coefficients(p)
         st = sturm_counts(q)
-        nc = interval_counts(all_roots(q))
+        nc = interval_counts(all_roots(q, p.b, p.c))
         assert st.n1 + st.n2 + st.n3 + st.mult_at_1 + 2 * nc.nonreal_pairs == q.effective_degree
         assert (nc.n1, nc.n2, nc.n3) == (st.n1, st.n2, st.n3), p
 
@@ -652,35 +652,47 @@ def test_exact_verify_that_does_not_converge_builds_no_chain(monkeypatch):
 
 
 def test_all_roots_splits_only_where_f_of_one_is_zero(monkeypatch):
+    # F(1) != 0, so all_roots takes F as its own squarefree factor; neither
+    # point builds a remainder sequence
     calls = _count_remainders(monkeypatch)
     p = Params(20, Fraction(7, 3), Fraction(11, 5))
-    assert len(all_roots(coefficients(p), b=p.b, c=p.c).roots) == 20
-    assert calls == []
-    # c - b = -2 lies in {0, ..., 1 - n}: F(1) = 0, and Yun splits off
-    # z = 1 with multiplicity 3
+    assert len(all_roots(coefficients(p), p.b, p.c).roots) == 20
+    # c - b = -2 lies in {0, ..., 1 - n}: F(1) = 0, and all_roots divides
+    # out z - 1 with multiplicity 3
     p = Params(5, Fraction(7, 3), Fraction(1, 3))
-    rs = all_roots(coefficients(p), b=p.b, c=p.c)
-    assert calls
+    rs = all_roots(coefficients(p), p.b, p.c)
     assert [r.multiplicity for r in rs.roots if r.value == 1] == [3]
     assert sum(r.multiplicity for r in rs.roots) == 5
+    assert calls == []
 
 
 _quarters = st.fractions(-14, 14, max_denominator=4)
 
 
+@st.composite
+def _points(draw):
+    """(n, b, c), with c - b in {0, ..., 1 - n} for about a third of them."""
+    n = draw(st.integers(1, 12))
+    b = draw(_quarters | st.integers(-13, 0).map(Fraction))
+    on_one = draw(st.integers(0, 2)) == 0
+    c = b + draw(st.integers(1 - n, 0)) if on_one else draw(_quarters)
+    return n, b, c
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 12), _quarters | st.integers(-13, 0).map(Fraction), _quarters)
-def test_f_is_squarefree_where_f_of_one_is_not_zero(n, b, c):
-    # the rule all_roots reads from the hypergeometric equation, checked
-    # against Yun's splitting; an integer b <= 0 lowers the degree, and
-    # b = 0 leaves the constant 1, which all_roots does not solve
+@given(_points())
+def test_f_over_its_zeros_at_one_is_squarefree(point):
+    # the split all_roots reads from the hypergeometric equation, checked
+    # against the gcd of the cofactor and its derivative, the last element
+    # of its Sturm chain; an integer b <= 0 lowers the degree
     try:
-        cs = _to_int_coeffs(coefficients(Params(n, b, c)))
+        q = coefficients(Params(*point))
     except InvalidParameterError:
         return
-    if len(cs) == 1 or sum(cs) == 0:
-        return
-    assert squarefree_decomposition(cs) == [(_primitive(cs), 1)]
+    cofactor, m = _deflate_at_one(_to_int_coeffs(q))
+    assert len(_sturm_sequence(_primitive(cofactor))[-1]) == 1
+    assert sum(cofactor) != 0
+    assert m == sturm_counts(q).mult_at_1
 
 
 def test_verify_spot_checks_random():

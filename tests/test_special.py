@@ -34,7 +34,7 @@ def test_2b_circle_case():
     assert g.quadrant_pairs == 0
     assert g.provenance == "thm2.1-via-(15.3.16)->thm3.2.iv(j=1)"
     # concrete roots of 1 - z + z^2/3 sit on |z-1| = 1
-    roots = all_roots(coefficients(Params(2, 1, 2))).values()
+    roots = all_roots(coefficients(Params(2, 1, 2)), 1, 2).values()
     assert all(abs(abs(z - 1) - 1) < 1e-10 for z in roots)
 
 
@@ -166,7 +166,7 @@ def test_2b_simplicity_on_circle():
             b = Fraction(rng.randint(-3, 160), 8)
             if b <= Fraction(-1, 2) or b == 0:
                 continue
-            vals = all_roots(coefficients(Params(n, b, 2 * b))).values()
+            vals = all_roots(coefficients(Params(n, b, 2 * b)), b, 2 * b).values()
             for i in range(len(vals)):
                 for j in range(i + 1, len(vals)):
                     assert abs(vals[i] - vals[j]) > 1e-9
@@ -175,7 +175,7 @@ def test_2b_simplicity_on_circle():
 def test_2b_cluster_convergence_toward_two():
     previous = None
     for b in (-10, -100, -1000):
-        vals = all_roots(coefficients(Params(6, b, 2 * b))).values()
+        vals = all_roots(coefficients(Params(6, b, 2 * b)), b, 2 * b).values()
         assert all(abs(z.imag) <= 1e-9 for z in vals)
         assert all(z.real > 1 for z in vals)
         spread = max(abs(z - 2) for z in vals)
@@ -243,7 +243,7 @@ def test_half_agrees_with_count_formulas():
 def test_half_collapse_toward_zero():
     previous = None
     for b in (-10, -100, -1000):
-        vals = all_roots(coefficients(Params(6, b, Fraction(1, 2)))).values()
+        vals = all_roots(coefficients(Params(6, b, Fraction(1, 2))), b, Fraction(1, 2)).values()
         assert all(abs(z.imag) <= 1e-9 and z.real < 0 for z in vals)
         largest = max(abs(z) for z in vals)
         if previous is not None:
@@ -256,7 +256,8 @@ def test_half_chebyshev_connection():
     import math
 
     n = 7
-    vals = sorted(z.real for z in all_roots(coefficients(Params(n, n, Fraction(1, 2)))).values())
+    roots = all_roots(coefficients(Params(n, n, Fraction(1, 2))), n, Fraction(1, 2))
+    vals = sorted(z.real for z in roots.values())
     nodes = sorted((1 - math.cos((2 * k - 1) * math.pi / (2 * n))) / 2 for k in range(1, n + 1))
     assert max(abs(a - b) for a, b in zip(vals, nodes)) < 1e-9
 

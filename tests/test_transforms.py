@@ -238,26 +238,26 @@ def test_zero_transport(seed):
         p = random_params(rng, n_lo=2, n_hi=6)
         if p.degeneration:
             continue
-        src_roots = all_roots(coefficients(p)).values()
+        src_roots = all_roots(coefficients(p), p.b, p.c).values()
         # reflection
         try:
             tgt = euler_reflect(p)
         except InvalidParameterError:
             tgt = None
         if tgt is not None and tgt.degeneration == 0:
-            tgt_roots = all_roots(coefficients(tgt)).values()
+            tgt_roots = all_roots(coefficients(tgt), tgt.b, tgt.c).values()
             _match_multisets([euler_point(z) for z in tgt_roots], src_roots, 1e-8)
         # Pfaff, skipping source roots that escape to infinity under
         # target degeneration (they sit at z = 1)
         tgt = pfaff(p)
         lost = tgt.degeneration
         if lost == 0:
-            tgt_roots = all_roots(coefficients(tgt)).values()
+            tgt_roots = all_roots(coefficients(tgt), tgt.b, tgt.c).values()
             _match_multisets([pfaff_point(z) for z in src_roots], tgt_roots, 1e-8)
         else:
             keep = [z for z in src_roots if abs(z - 1) > 1e-6]
             assert len(keep) == p.n - lost
-            tgt_roots = all_roots(coefficients(tgt)).values()
+            tgt_roots = all_roots(coefficients(tgt), tgt.b, tgt.c).values()
             _match_multisets([pfaff_point(z) for z in keep], tgt_roots, 1e-8)
         # inversion
         try:
@@ -265,7 +265,7 @@ def test_zero_transport(seed):
         except InvalidParameterError:
             tgt = None
         if tgt is not None:
-            tgt_roots = all_roots(coefficients(tgt)).values()
+            tgt_roots = all_roots(coefficients(tgt), tgt.b, tgt.c).values()
             _match_multisets([inversion_point(z) for z in src_roots], tgt_roots, 1e-7)
         done += 1
 
