@@ -4,10 +4,11 @@ Neither sturm_counts nor all_roots consults the count formulas.  Real
 roots per interval are counted by sign variations of an exact integer Sturm
 chain; all complex roots are computed by simultaneous (Aberth-style)
 iteration in up to three stages: a pass with Horner evaluation on the float
-coefficients, a stage that evaluates F by Gauss's contiguous relation in a,
-and a rescue with exact evaluation.  Only exact Newton steps certify a root;
-the float stages merely steer the search.  verify() runs both sides against
-the predictions and reports field-by-field agreement.
+coefficients, a stage that evaluates F by Gauss's contiguous relation in a
+and reads F' from its last two values, and a rescue with exact evaluation.
+Only exact Newton steps certify a root; the float stages merely steer the
+search.  verify() runs both sides against the predictions and reports
+field-by-field agreement.
 
 Sturm chains are kept as integer polynomials: every element may be scaled
 by a positive constant without changing sign variations, so remainders are
@@ -49,7 +50,7 @@ Evaluator = Callable[[complex], Tuple[complex, complex, float]]
 ROOT_BAND = 1e-9
 
 # Sweep budget of the recurrence stage of all_roots.  Where the stage finds
-# every root it takes fewer than 50 sweeps on the verify families; where it
+# every root it takes at most 52 sweeps on the verify families; where it
 # runs out, the points it did settle are kept.
 RECURRENCE_SWEEPS = 60
 
@@ -510,25 +511,25 @@ def _contiguous_pair(steps: Tuple[Tuple, ...], z):
     """F(-n, b; c; z) and its z-derivative from the n steps of _contiguous_steps.
 
     From F_0 = 1 (the k = 0 step gives F_1 = 1 - bz/c), each step is
-    F_{k+1} = t F_k + w (z - 1) F_{k-1} with t = u - v z, and its
-    z-derivative F'_{k+1} = t F'_k - v F_k + w ((z - 1) F'_{k-1} + F_{k-1}).
-    That is O(n) operations in whatever number type the steps and z have:
-    exact in Fractions, and in floats free of big integers and on the scale
-    of F, not of its monomial coefficients.  Forward recursion is unstable
-    where the wanted solution is not the dominant one (Gautschi, SIAM
-    Review 9, 1967), so the float values only steer the search of all_roots
-    and never certify a root.
+    F_{k+1} = (u - v z) F_k + w (z - 1) F_{k-1}.  The derivative needs no
+    recurrence of its own: z d/dz F(a, b; c; z) = a (F(a + 1) - F(a))
+    (DLMF §15.5(i); termwise, k (a)_k = a ((a + 1)_k - (a)_k)), so at
+    a = -n, F_n' = n (F_n - F_{n-1}) / z, and F_n'(0) = -n b / c, which is
+    -n v of the k = 0 step.  That is O(n) operations in whatever number
+    type the steps and z have: exact in Fractions, and in floats free of big
+    integers and on the scale of F, not of its monomial coefficients.
+    Forward recursion is unstable where the wanted solution is not the
+    dominant one (Gautschi, SIAM Review 9, 1967), so the float values only
+    steer the search of all_roots and never certify a root.
     """
     f_prev, f = 0, 1
-    d_prev, d = 0, 0
     zm1 = z - 1
     for u, v, w in steps:
-        t = u - v * z
-        f_prev, f, d_prev, d = (
-            f, t * f + w * (zm1 * f_prev),
-            d, t * d - v * f + w * (zm1 * d_prev + f_prev),
-        )
-    return f, d
+        f_prev, f = f, (u - v * z) * f + w * (zm1 * f_prev)
+    n = len(steps)
+    if z == 0:
+        return f, -n * steps[0][1]
+    return f, n * (f - f_prev) / z
 
 
 def _exact_newton(int_cs: List[int], z: complex) -> Tuple[complex, float]:
@@ -567,20 +568,6 @@ def _exact_newton(int_cs: List[int], z: complex) -> Tuple[complex, float]:
             break
         last = step
     return z, step
-
-
-def _exact_root_distance(int_cs: List[int], z: complex) -> float:
-    """Newton-distance estimate |p/p'| with exact evaluation; inf at p' = 0.
-
-    all_roots certifies a root by its last exact Newton step instead; this
-    evaluates the returned point afresh, as an independent reference.
-    """
-    p, dp = _exact_eval_pair(int_cs, z)
-    if p == 0:
-        return 0.0
-    if dp == 0:
-        return math.inf
-    return abs(p / dp)
 
 
 def _real_snap(coeffs: List[float], z: complex, res: float) -> Tuple[complex, float]:
@@ -657,7 +644,8 @@ def all_roots(q: Poly, b, c, max_sweeps: int = 1000) -> RootSet:
     exact evaluations before it goes unsound to the next stage.  When
     points stay unsound and F is its own factor at full degree n, a
     recurrence stage reruns Aberth on the unsound points with F evaluated
-    by _contiguous_pair, for at most RECURRENCE_SWEEPS sweeps, and
+    by Gauss's contiguous relation and F' read from its last two values
+    (_contiguous_pair), for at most RECURRENCE_SWEEPS sweeps, and
     certifies the points it settled.  The points still unsound go to the
     exact rescue: Aberth with exact evaluation, restarted from their
     first-pass positions, the certified points frozen.

@@ -328,12 +328,24 @@ def test_exact_eval_pair_is_the_exact_value_rounded(cs, real, imag):
     assert _outcome(_exact_eval_pair, cs, z) == _outcome(_exact_pair, cs, z)
 
 
+def _exact_root_distance(int_cs, z):
+    """Newton-distance estimate |p/p'| with exact evaluation; inf at p' = 0.
+
+    all_roots certifies a root by its last exact Newton step instead; this
+    evaluates the returned point afresh, as an independent reference.
+    """
+    p, dp = _exact_eval_pair(int_cs, z)
+    if p == 0:
+        return 0.0
+    if dp == 0:
+        return math.inf
+    return abs(p / dp)
+
+
 def test_high_degree_pseudo_roots_are_rescued():
     # around degree 40 the float landscape is flat enough that backward-
     # stable pseudo-roots appear off the true zero set; the exact-evaluation
     # rescue must leave every reported root within 1e-9 of a true one
-    from hyperzero.oracle import _exact_root_distance, _to_int_coeffs
-
     p = Params(40, Fraction(33, 16), Fraction(33, 8))
     q = coefficients(p)
     rs = all_roots(q, p.b, p.c)
@@ -371,14 +383,12 @@ def test_roots_are_distinct_and_verify_passes(n, b, c):
 def test_every_root_is_within_the_root_band(n, b, c):
     # all_roots certifies a root by its last exact Newton step; measure the
     # returned point afresh with an exact evaluation
-    from hyperzero.oracle import ROOT_BAND, _exact_root_distance
-
     q = coefficients(Params(n, b, c))
     ics = _to_int_coeffs(q)
     rs = all_roots(q, b, c)
     assert rs.total_multiplicity == n
     for z in rs.values():
-        assert _exact_root_distance(ics, z) <= ROOT_BAND * (1 + abs(z)), z
+        assert _exact_root_distance(ics, z) <= oracle.ROOT_BAND * (1 + abs(z)), z
 
 
 def test_newton_polygon_starts_keep_sweeps_low():
@@ -399,11 +409,27 @@ def test_newton_polygon_starts_keep_sweeps_low():
     (1, Fraction(2), Fraction(3)),
 ], ids=str)
 def test_contiguous_pair_is_horner_exactly(n, b, c):
-    # the recurrence in Fractions is F and F' themselves, not approximations
+    # the recurrence in Fractions is F and F' themselves, not approximations:
+    # F' = n (F_n - F_{n-1}) / z off 0, and -n b / c at z = 0
     q = coefficients(Params(n, b, c))
     steps = _contiguous_steps(n, b, c)
-    for z in range(2, n + 3):
-        assert _contiguous_pair(steps, Fraction(z)) == horner_with_derivative(q.coeffs, z)
+    for z in map(Fraction, [*range(2, n + 3), 0, -3, Fraction(-5, 7), Fraction(13, 9)]):
+        assert _contiguous_pair(steps, z) == horner_with_derivative(q.coeffs, z)
+    assert _contiguous_pair(steps, Fraction(0)) == (1, -n * b / c)
+
+
+@pytest.mark.parametrize("n,b,c", [
+    (12, Fraction(61, 4), Fraction(-7, 3)),
+    (100, Fraction(101234, 1000), Fraction(-7, 3)),
+    (10, Fraction(406, 5), Fraction(-2) + Fraction(1, 10**17)),
+], ids=str)
+def test_contiguous_pair_in_floats_at_zero(n, b, c):
+    # the float stage divides by z only off 0; at 0 it reads F'(0) = -n b / c
+    steps = [tuple(map(float, step)) for step in _contiguous_steps(n, b, c)]
+    for z in (0.0, 0j):
+        _, dp = _contiguous_pair(steps, z)
+        assert cmath.isfinite(dp)
+        assert math.isclose(dp.real, float(-n * b / c), rel_tol=1e-15) and dp.imag == 0
 
 
 def _root_bits(rs):
