@@ -36,6 +36,7 @@ from .core import (
     jacobi,
     pochhammer,
     ratio_code,
+    side,
 )
 
 EXIT_OK = 0
@@ -495,7 +496,7 @@ def _fixed_point(args) -> Params:
     if args.which in _MAPS:
         _MAPS[args.which](p)
     elif args.which == "gegenbauer":
-        if GEGENBAUER_TEMPLATE not in transforms.quadratic_class_match(p):
+        if side(2 * p.c - (-p.n + p.b + 1)) != 0:
             raise UsageError(f"identity gegenbauer reads only points on {GEGENBAUER_TEMPLATE}")
         gegenbauer_point(p.n, p.c - Fraction(1, 2))
         return gegenbauer_point(p.n, Fraction(p.c) - Fraction(1, 2))

@@ -230,19 +230,30 @@ def coefficients(p: Params) -> Poly:
     """Series coefficients of F(-n, b; c; z), all n+1 of them.
 
     Built from the ratio coeff[k+1]/coeff[k] = (k-n)(b+k) / ((c+k)(k+1)),
-    which is exact in rational mode and avoids overflowing intermediate
-    rising-factorial products in float mode.  For b = -m with m < n the
-    factor (b+m) is zero and every later coefficient is exactly zero, in
-    both modes, which realizes the limiting convention for integer b.  A
-    float coefficient that overflows (|b| near 1e300 at n = 3) raises
+    which avoids overflowing intermediate rising-factorial products in float
+    mode.  In exact mode, with b = p_b/q_b and c = p_c/q_c, the ratio is the
+    integer quotient (k-n)(p_b + k q_b) q_c / ((p_c + k q_c) q_b (k+1)), so
+    each coefficient is one Fraction of the last one's numerator and
+    denominator times those integers.  For b = -m with m < n the factor
+    (b+m) is zero and every later coefficient is exactly zero, in both
+    modes, which realizes the limiting convention for integer b.  A float
+    coefficient that overflows (|b| near 1e300 at n = 3) raises
     InvalidParameterError: the polynomial has no float form.
     """
     n, b, c = p.n, p.b, p.c
-    one = Fraction(1) if p.is_exact else 1.0
-    coeffs = [one]
+    if p.is_exact:
+        pb, qb, pc, qc = b.numerator, b.denominator, c.numerator, c.denominator
+        a = Fraction(1)
+        coeffs = [a]
+        for k in range(n):
+            a = Fraction(a.numerator * (k - n) * (pb + k * qb) * qc,
+                         a.denominator * (pc + k * qc) * qb * (k + 1))
+            coeffs.append(a)
+        return Poly(tuple(coeffs))
+    coeffs = [1.0]
     for k in range(n):
         coeffs.append(coeffs[-1] * (k - n) * (b + k) / ((c + k) * (k + 1)))
-    if not p.is_exact and not all(math.isfinite(a) for a in coeffs):
+    if not all(math.isfinite(a) for a in coeffs):
         raise InvalidParameterError(
             f"a float coefficient of F(-{n}, {b}; {c}; z) overflows"
         )

@@ -24,9 +24,10 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from . import klein, special, transforms
+from . import klein, special
 from .core import (
     BoundaryParameterError,
     Counts,
@@ -38,6 +39,7 @@ from .core import (
     RootSet,
     coefficients,
     horner_with_derivative,
+    side,
 )
 from .special import Geometry
 
@@ -494,17 +496,30 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     return p, dp
 
 
-def _contiguous_steps(n: int, b, c) -> Tuple[Tuple, ...]:
+def _contiguous_steps(n: int, b, c) -> Tuple[Tuple[float, float, float], ...]:
     """The n steps of Gauss's contiguous relation in a, for _contiguous_pair.
 
     With F_k = F(-k, b; c; z), DLMF 15.5.E11 at a = -k reads
 
         (c + k) F_{k+1} = (2k + c - (b + k) z) F_k + k (z - 1) F_{k-1},
 
-    so step k holds (u, v, w) = (2k + c, b + k, k) / (c + k), in the number
-    type of b and c.  F(-n, b; c) is defined, so no c + k with k < n is 0.
+    so step k holds (u, v, w) = (2k + c, b + k, k) / (c + k) for exact b
+    and c.  With b = p_b/q_b and c = p_c/q_c each is one quotient of
+    integers, (2k q_c + p_c, (p_b + k q_b) q_c / q_b, k q_c) / (p_c + k q_c),
+    and an int/int quotient is correctly rounded, so each step is its exact
+    value rounded to a float.  The divisor is taken positive, so a zero step
+    is 0.0, never -0.0.  F(-n, b; c) is defined, so no c + k with k < n
+    is 0.
     """
-    return tuple(((2 * k + c) / (c + k), (b + k) / (c + k), k / (c + k)) for k in range(n))
+    pb, qb, pc, qc = b.numerator, b.denominator, c.numerator, c.denominator
+    steps = []
+    for k in range(n):
+        d = pc + k * qc
+        s = -1 if d < 0 else 1
+        d *= s
+        steps.append((s * (2 * k * qc + pc) / d, s * (pb + k * qb) * qc / (d * qb),
+                      s * k * qc / d))
+    return tuple(steps)
 
 
 def _contiguous_pair(steps: Tuple[Tuple, ...], z):
@@ -745,8 +760,7 @@ def _solve(q: Poly, b, c, max_sweeps: int) -> RootSet:
             # may round to 0.  A point it settles still needs its exact
             # certificate.
             if not all(sound) and len(int_fac) == len(q.coeffs):
-                steps = [tuple(map(float, step)) for step in _contiguous_steps(deg, b, c)]
-                contiguous = functools.partial(_contiguous_pair, steps)
+                contiguous = functools.partial(_contiguous_pair, _contiguous_steps(deg, b, c))
                 try:
                     staged, sweeps = _aberth(fac, RECURRENCE_SWEEPS,
                                              _settle_on_step(contiguous, 1e-13),
@@ -928,14 +942,15 @@ def verify(p: Params) -> VerificationReport:
     except BoundaryParameterError as exc:
         notes.append(f"unclassifiable: boundary ({exc})")
 
+    # the geometry template is the first of c = 2b, c = 1/2 and c = -2n that
+    # (n, b, c) lies on, by the one boundary rule
     geometry_pred = None
-    tags = transforms.quadratic_class_match(p)
     try:
-        if "c=2b" in tags:
+        if side(p.c - 2 * p.b) == 0:
             geometry_pred = special.predict_2b(p.n, p.b)
-        elif "c=1/2" in tags:
+        elif side(p.c, Fraction(1, 2)) == 0:
             geometry_pred = special.predict_half(p.n, p.b)
-        elif "c=-2n" in tags:
+        elif side(p.c, -2 * p.n) == 0:
             geometry_pred = special.predict_minus2n(p.n, p.b)
     except BoundaryParameterError as exc:
         notes.append(f"geometry unclassifiable: boundary ({exc})")

@@ -11,9 +11,11 @@ interpreter, in process through ``hyperzero.cli.main``:
 - ``roots`` and ``verify --format json`` at RANDOM seeded exact points with
   c - b in {0, ..., 1 - n}, n = 2..45, where F(1) = 0 for most of them,
   some with an integer b in -n..-1 (a degenerate F), and at b = 0;
-- every operation of the verify-exact and verify-high rounds that
-  ``perfbench/run.py --seed SEED --seconds SECONDS`` holds, each also as
-  ``roots``.  ``perfbench/workloads.py`` is imported, never changed.
+- every operation of the verify-exact, verify-high and verify-float
+  rounds that ``perfbench/run.py --seed SEED --seconds SECONDS`` holds,
+  each also as ``roots``; the float ones cover verify's choice of a
+  geometry template by the float band of ``core.side``.
+  ``perfbench/workloads.py`` is imported, never changed.
 
 Each pair of answers is compared by field: the exit code, stderr, and for
 ``roots`` the root values (with multiplicities and residuals), the
@@ -64,12 +66,12 @@ def _random_points(count: int) -> List[Tuple[int, Fraction, Fraction]]:
 
 
 def _workload_ops(seed: int, seconds: float) -> List[Tuple[str, ...]]:
-    """The verify argv of every op of a verify-exact and a verify-high run."""
+    """The verify argv of every op of a verify-exact, a verify-high and a verify-float run."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
     argvs = []
-    for name in ("verify-exact", "verify-high"):
+    for name in ("verify-exact", "verify-high", "verify-float"):
         stream = workloads.rounds(name, seed)
         for _ in range(workloads.rounds_in(name, seconds)):
             argvs += [op.argv for op in next(stream)]

@@ -570,6 +570,7 @@ def test_python_dash_m_runs_the_cli(capsys):
     ("identity", "pfaff", "-n", "0", "-b", "1", "-c", "2"),
     ("identity", "euler", "--samples", "3", "--tol=-1e-9"),
     ("identity", "gegenbauer", "-n", "3", "-b", "1/3", "-c", "7"),
+    ("identity", "gegenbauer", "-n", "3", "-b", "3.6666666666", "-c", "0.8333333333333334"),
     # identity proves a fixed point once; --samples counts random points
     ("identity", "euler", "-n", "3", "-b", "1", "-c", "2", "--samples", "3"),
 ])

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hyperzero
 from hyperzero import (
@@ -21,7 +21,7 @@ from hyperzero import (
     poly,
 )
 from hyperzero.cli import _proved
-from hyperzero.core import InvalidParameterError, gegenbauer_point
+from hyperzero.core import InvalidParameterError, gegenbauer_point, in_excluded_set
 
 from conftest import assert_float_band, random_params
 
@@ -126,6 +126,35 @@ def test_degenerate_b_truncates_exactly():
 def test_degeneration_property():
     assert Params(5, -3, Fraction(7, 3)).degeneration == 2
     assert Params(5, Fraction(5, 2), 1).degeneration == 0
+
+
+def _ratio_recurrence(p):
+    """The coefficients by the ratio (k-n)(b+k) / ((c+k)(k+1)), in Fraction steps."""
+    out = [Fraction(1)]
+    for k in range(p.n):
+        out.append(out[-1] * (k - p.n) * (p.b + k) / ((p.c + k) * (k + 1)))
+    return tuple(out)
+
+
+_coefficient_values = st.fractions(-120, 120, max_denominator=50)
+
+
+@st.composite
+def _exact_points(draw):
+    n = draw(st.integers(1, 15) | st.sampled_from([35, 60, 100]))
+    # b = -m with m < n: the coefficients vanish exactly from k = m + 1 on
+    b = draw(_coefficient_values | st.integers(1 - n, 0).map(Fraction))
+    c = draw(_coefficient_values)
+    assume(not in_excluded_set(c, n))
+    return Params(n, b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_points())
+def test_exact_coefficients_are_the_fraction_ratio_recurrence(p):
+    q = coefficients(p)
+    assert q.coeffs == _ratio_recurrence(p)
+    assert all(type(a) is Fraction for a in q.coeffs)
 
 
 # ---------------------------------------------------------------------------

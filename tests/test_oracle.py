@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperzero import (
     Params,
@@ -17,6 +17,8 @@ from hyperzero import (
     interval_counts,
     oracle,
     poly,
+    quadratic_class_match,
+    special,
     sturm_counts,
     verify,
 )
@@ -26,6 +28,7 @@ from hyperzero.core import (
     Root,
     RootSet,
     horner_with_derivative,
+    in_excluded_set,
 )
 from hyperzero.oracle import (
     _big_to_float,
@@ -398,6 +401,42 @@ def test_newton_polygon_starts_keep_sweeps_low():
     assert rs.iterations <= 50
 
 
+def _exact_contiguous_steps(n, b, c):
+    """The steps (u, v, w) = (2k + c, b + k, k) / (c + k) of DLMF 15.5.E11 in
+    Fractions: the exact values that oracle._contiguous_steps rounds to floats."""
+    return tuple(((2 * k + c) / (c + k), (b + k) / (c + k), k / (c + k)) for k in range(n))
+
+
+def _hex_steps(steps):
+    return [tuple(x.hex() for x in step) for step in steps]
+
+
+_step_values = st.fractions(-120, 120, max_denominator=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 100), _step_values | st.integers(-100, 0).map(Fraction), _step_values)
+@example(5, Fraction(3, 7), Fraction(-6))                     # u = 0 at k = 3, c < 0
+@example(6, Fraction(-3), Fraction(-7, 2))                    # v = 0 at k = 3
+@example(8, Fraction(-8), Fraction(-23, 2))                   # b = -n
+@example(10, Fraction(406, 5), Fraction(-2) + Fraction(1, 10**17))  # float c + 2 is 0
+@example(3, Fraction(10**300 + 1, 3), Fraction(7, 3))         # huge b
+@example(3, Fraction(1, 3), Fraction(-1, 10**300))            # tiny c
+def test_float_steps_are_the_exact_steps_rounded(n, b, c):
+    # bit for bit, so a zero step is 0.0 as float(Fraction(0)) is, never -0.0
+    assume(not in_excluded_set(c, n))
+    rounded = [tuple(map(float, step)) for step in _exact_contiguous_steps(n, b, c)]
+    assert _hex_steps(_contiguous_steps(n, b, c)) == _hex_steps(rounded)
+
+
+def test_float_steps_overflow_as_the_exact_steps_do():
+    n, b, c = 3, Fraction(10**400), Fraction(5, 2)
+    with pytest.raises(OverflowError):
+        [tuple(map(float, step)) for step in _exact_contiguous_steps(n, b, c)]
+    with pytest.raises(OverflowError):
+        _contiguous_steps(n, b, c)
+
+
 @pytest.mark.parametrize("n,b,c", [
     (7, Fraction(-5, 3), Fraction(-11, 4)),     # negative b and c
     (9, Fraction(13, 5), Fraction(1, 2)),       # c = 1/2
@@ -412,7 +451,7 @@ def test_contiguous_pair_is_horner_exactly(n, b, c):
     # the recurrence in Fractions is F and F' themselves, not approximations:
     # F' = n (F_n - F_{n-1}) / z off 0, and -n b / c at z = 0
     q = coefficients(Params(n, b, c))
-    steps = _contiguous_steps(n, b, c)
+    steps = _exact_contiguous_steps(n, b, c)
     for z in map(Fraction, [*range(2, n + 3), 0, -3, Fraction(-5, 7), Fraction(13, 9)]):
         assert _contiguous_pair(steps, z) == horner_with_derivative(q.coeffs, z)
     assert _contiguous_pair(steps, Fraction(0)) == (1, -n * b / c)
@@ -425,7 +464,7 @@ def test_contiguous_pair_is_horner_exactly(n, b, c):
 ], ids=str)
 def test_contiguous_pair_in_floats_at_zero(n, b, c):
     # the float stage divides by z only off 0; at 0 it reads F'(0) = -n b / c
-    steps = [tuple(map(float, step)) for step in _contiguous_steps(n, b, c)]
+    steps = _contiguous_steps(n, b, c)
     for z in (0.0, 0j):
         _, dp = _contiguous_pair(steps, z)
         assert cmath.isfinite(dp)
@@ -651,6 +690,68 @@ def test_verify_float_mode_is_numeric_confidence():
     assert rep.confidence == "numeric"
     assert rep.sturm is None
     assert any("numeric-confidence" in note for note in rep.notes)
+
+
+# verify's geometry templates, in its order, and the prediction each reads
+GEOMETRY_TEMPLATES = {"c=2b": "predict_2b", "c=1/2": "predict_half", "c=-2n": "predict_minus2n"}
+
+
+class _Chosen(Exception):
+    pass
+
+
+def _verify_template(p):
+    """The template whose prediction verify asks for at p, or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        for tag, name in GEOMETRY_TEMPLATES.items():
+            def chosen(*args, tag=tag):
+                raise _Chosen(tag)
+            mp.setattr(special, name, chosen)
+        try:
+            verify(p)
+        except _Chosen as exc:
+            return exc.args[0]
+    return None
+
+
+def _first_geometry_match(p):
+    return next((t for t in quadratic_class_match(p) if t in GEOMETRY_TEMPLATES), None)
+
+
+@st.composite
+def _template_points(draw):
+    n = draw(st.integers(1, 8))
+    b = draw(st.fractions(-10, 10, max_denominator=12))
+    c = draw(st.sampled_from([2 * b, Fraction(1, 2), Fraction(-2 * n)])
+             | st.fractions(-10, 10, max_denominator=12))
+    if draw(st.booleans()):
+        b, c = float(b), float(c) + draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-10, -1e-10]))
+    try:
+        return Params(n, b, c)
+    except InvalidParameterError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_template_points())
+def test_verify_reads_the_first_geometry_template_that_matches(p):
+    assert _verify_template(p) == _first_geometry_match(p)
+
+
+@pytest.mark.parametrize("p,tag", [
+    (Params(3, 2, 4), "c=2b"),
+    (Params(3, Fraction(1, 4), Fraction(1, 2)), "c=2b"),   # also on c = 1/2
+    (Params(3, Fraction(13, 8), Fraction(1, 2)), "c=1/2"),
+    (Params(3, -3, -6), "c=2b"),                           # also on c = -2n
+    (Params(3, Fraction(-3, 2), -6), "c=-2n"),
+    (Params(3, 2.0, 4.0 + 1e-13), "c=2b"),                 # inside the float band
+    (Params(3, 2.0, 4.0 + 1e-10), None),                   # outside it
+    (Params(3, 1.0, 0.5 - 1e-13), "c=1/2"),
+    (Params(3, 1.0, -6.0 + 1e-13), "c=-2n"),
+    (Params(3, Fraction(13, 8), Fraction(1, 2) + Fraction(1, 10**15)), None),
+], ids=str)
+def test_verify_geometry_template_examples(p, tag):
+    assert _verify_template(p) == _first_geometry_match(p) == tag
 
 
 def _count_remainders(monkeypatch):
