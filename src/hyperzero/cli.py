@@ -2,9 +2,11 @@
 
 Parameters written as fractions ("7/3") or integers are parsed exactly and
 routed through the exact arithmetic path; decimals route to float mode.
-Exit codes: 0 success, 1 usage or invalid parameter, 2 theorem boundary,
-3 oracle mismatch, an identity whose exact proof failed, or solver did not
-converge (then stdout is empty and stderr reads "solver did not converge").
+Exit codes: 0 success, 1 usage or invalid parameter, or a stdout whose
+reader closed it early (a broken pipe, as under `| head`), 2 theorem
+boundary, 3 oracle mismatch, an identity whose exact proof failed, or solver
+did not converge (then stdout is empty and stderr reads "solver did not
+converge").
 """
 
 from __future__ import annotations
@@ -652,7 +654,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """main() on the process's own streams, as the `hyperzero` script.
+
+    Where the reader of stdout has closed it (`| head`), a write raises
+    BrokenPipeError.  As the Python docs' note on SIGPIPE advises, stdout is
+    then pointed at os.devnull, so the flush at exit cannot raise again, and
+    the exit code is 1.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

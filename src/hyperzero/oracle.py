@@ -3,9 +3,9 @@
 Neither sturm_counts nor all_roots consults the count formulas.  Real
 roots per interval are counted by sign variations of an exact integer Sturm
 chain; all complex roots are computed by simultaneous (Aberth-style)
-iteration in up to three stages: a pass with Horner evaluation on the float
-coefficients, a stage that evaluates F by Gauss's contiguous relation in a
-and reads F' from its last two values, and a rescue with exact evaluation.
+iteration, in the stages of one table, _STAGES, that one loop walks: a pass
+with Horner evaluation on the float coefficients, a stage that evaluates F
+by Gauss's contiguous relation in a, and a rescue with exact evaluation.
 Only exact Newton steps certify a root; the float stages merely steer the
 search.  verify() runs both sides against the predictions and reports
 field-by-field agreement.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,8 +51,7 @@ Evaluator = Callable[[complex], Tuple[complex, complex, float]]
 ROOT_BAND = 1e-9
 
 # Sweep budget of the recurrence stage of all_roots.  Where the stage finds
-# every root it takes at most 52 sweeps on the verify families; where it
-# runs out, the points it did settle are kept.
+# every root it takes at most 52 sweeps on the verify families.
 RECURRENCE_SWEEPS = 60
 
 # ---------------------------------------------------------------------------
@@ -320,20 +318,15 @@ def _aberth(
     with whether it settled.
 
     `evaluate` maps z to p(z), p'(z) and the bound |p| must meet for z to
-    settle.  all_roots runs three stages with three evaluators.  The Horner
-    pass uses the default, Horner on `coeffs` in floats, where "converged"
+    settle.  The default is Horner on `coeffs` in floats, where "converged"
     can only mean small backward error: |p| at most 1e-14 of
-    sum |a_k| |z|**k, which the same Horner pass computes.  The recurrence
-    stage (_contiguous_pair) and the exact rescue (_exact_eval_pair) pass
-    `_settle_on_step` evaluators, which settle on a Newton distance
-    instead.  Settling certifies nothing: for an exact input, all_roots
-    certifies every point by exact Newton steps afterwards.  Points marked
-    `frozen` are
-    already validated: they take part in the repulsion sums of the others
-    but are neither evaluated nor moved.  A point that settles is treated
-    like a frozen one from then on: evaluation is deterministic and a
-    settled point is never moved, so evaluating it again could only settle
-    it again.
+    sum |a_k| |z|**k, which the same Horner pass computes; the later stages
+    of all_roots settle on a Newton distance (_settle_on_step).  Settling
+    certifies nothing.  Points marked `frozen` are already validated: they
+    take part in the repulsion sums of the others but are neither evaluated
+    nor moved.  A point that settles is treated like a frozen one from then
+    on: evaluation is deterministic and a settled point is never moved, so
+    evaluating it again could only settle it again.
     """
     d = len(coeffs) - 1
     if d == 1:
@@ -406,11 +399,12 @@ def _aberth(
     )
 
 
-def _newton_polish(coeffs: List[float], z: complex) -> Tuple[complex, float]:
-    """Newton steps accepted while they shrink the residual.
+def _newton_polish(coeffs: List[float], z, shrink: float = 1.0) -> Tuple[complex, float]:
+    """The point and its residual after Newton steps, each accepted while it
+    takes the residual below `shrink` times the one before.
 
-    At exit one further step cannot improve (let alone halve) the residual,
-    which is the termination contract callers rely on.
+    At exit one further step cannot do that, which is the termination
+    contract callers rely on.  A real z stays real.
     """
     p, dp = horner_with_derivative(coeffs, z)
     res = abs(p)
@@ -419,7 +413,7 @@ def _newton_polish(coeffs: List[float], z: complex) -> Tuple[complex, float]:
             break
         z_next = z - p / dp
         p_next, dp_next = horner_with_derivative(coeffs, z_next)
-        if abs(p_next) < res:
+        if abs(p_next) < shrink * res:
             z, p, dp, res = z_next, p_next, dp_next, abs(p_next)
         else:
             break
@@ -593,22 +587,9 @@ def _real_snap(coeffs: List[float], z: complex, res: float) -> Tuple[complex, fl
     arithmetic pins them.  A genuinely non-real root fails the residual
     test and is left alone.
     """
-    if z.imag == 0.0:
+    if z.imag == 0.0 or abs(z.imag) > 1e-6 * (1.0 + abs(z.real)):
         return z, res
-    if abs(z.imag) > 1e-6 * (1.0 + abs(z.real)):
-        return z, res
-    x = z.real
-    px, dpx = horner_with_derivative(coeffs, x)
-    rx = abs(px)
-    for _ in range(40):
-        if rx == 0.0 or dpx == 0:
-            break
-        x_next = x - px / dpx
-        p_next, dp_next = horner_with_derivative(coeffs, x_next)
-        if abs(p_next) < 0.5 * rx:
-            x, px, dpx, rx = x_next, p_next, dp_next, abs(p_next)
-        else:
-            break
+    x, rx = _newton_polish(coeffs, z.real, 0.5)
     allowance = max(2.0 * res, 1e-13 * _residual_scale(coeffs, complex(x)))
     if rx <= allowance:
         return complex(x), rx
@@ -634,6 +615,92 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
     return out
 
 
+@dataclass(frozen=True)
+class _Stage:
+    """One Aberth stage of all_roots, a record of _STAGES."""
+
+    # builds the _aberth evaluator from the integer factor, b and c; None is
+    # _aberth's own Horner on the float factor
+    evaluator: Optional[Callable[[List[int], object, object], Evaluator]]
+    budget: Callable[[int], int]  # the sweep budget, from all_roots' max_sweeps
+    needs_whole_f: bool  # runs only where F is its own factor at full degree
+    polish: bool  # float-polish and real-snap each point before its certificate
+    keeps: bool  # a run-out keeps the settled points (else it raises)
+
+
+# The stages of all_roots, in order.  The first to run starts cold; each
+# later one runs on an exact factor while some points are unsound, restarting
+# those from the first stage's positions with the sound ones frozen.  Names
+# are looked up when a stage runs.
+_STAGES = (
+    _Stage(None, lambda max_sweeps: max_sweeps,  # the Horner pass
+           needs_whole_f=False, polish=True, keeps=False),
+    # the recurrence stage: where the float landscape of the monomial
+    # coefficients is flat, F by Gauss's contiguous relation is on its own
+    # scale; its steps are rounded from exact values, as float c + k may be 0
+    _Stage(lambda int_fac, b, c: _settle_on_step(functools.partial(
+               _contiguous_pair, _contiguous_steps(len(int_fac) - 1, b, c)), 1e-13),
+           lambda max_sweeps: RECURRENCE_SWEEPS,
+           needs_whole_f=True, polish=False, keeps=True),
+    # the exact rescue, unpolished: a float polish would wander in the flat
+    # landscape that made it necessary
+    _Stage(lambda int_fac, b, c: _settle_on_step(
+               functools.partial(_exact_eval_pair, int_fac), 1e-14),
+           lambda max_sweeps: max_sweeps,
+           needs_whole_f=False, polish=False, keeps=False),
+)
+
+
+def _refine(fac: List[float], int_fac: Optional[List[int]], z: complex,
+            polish: bool) -> Tuple[complex, float]:
+    """The point, float-polished if asked, and for an exact factor its
+    certificate: a bound on its distance to a root of the factor (nan for a
+    float one)."""
+    if polish:
+        z, res = _newton_polish(fac, z)
+        z, _ = _real_snap(fac, z, res)
+    if int_fac is None:
+        return z, math.nan
+    # Float evaluation noise caps the attainable accuracy at roughly
+    # res/|p'|; exact steps lift that cap and certify the point.  A point
+    # close to the axis may be a real root whose imaginary part is float
+    # noise above the placement band; the exact steps decide, and real
+    # iterates stay exactly real through them.
+    z, dist = _exact_newton(int_fac, z)
+    if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
+        dist += abs(z.imag)  # the snap moves the point that much
+        z = complex(z.real, 0.0)
+    return z, dist
+
+
+def _sound_mask(points: List[Tuple[complex, float]]) -> List[bool]:
+    """Which (point, certificate) pairs of a squarefree factor are sound.
+
+    Polishing can carry a point onto a neighbour's root, so of points i < j
+    within ROOT_BAND (1 + |z_i|) the one farther from a root (j on a tie) is
+    unsound.  Their real parts lie within ROOT_BAND (1 + max |z|), so only
+    such pairs are tested; a test only clears a flag, so order is free.
+    """
+    sound = [dist <= ROOT_BAND * (1 + abs(z)) for z, dist in points]
+    order = sorted(range(len(points)), key=lambda k: points[k][0].real)
+    reach = ROOT_BAND * (1 + max(abs(z) for z, _ in points))
+    for a, k in enumerate(order):
+        for m in order[a + 1:]:
+            if points[m][0].real - points[k][0].real > reach:
+                break
+            i, j = min(k, m), max(k, m)
+            (zi, di), (zj, dj) = points[i], points[j]
+            if abs(zi - zj) <= ROOT_BAND * (1 + abs(zi)):
+                sound[j if dj >= di else i] = False
+    return sound
+
+
+def _restart(polished, solved, sound) -> List[complex]:
+    """The sound points, and the others at their first-stage positions: a
+    polished duplicate sits on a root already taken and would settle there."""
+    return [zp if ok else z0 for (zp, _), z0, ok in zip(polished, solved, sound)]
+
+
 def all_roots(q: Poly, b, c, max_sweeps: int = 1000) -> RootSet:
     """All complex roots of q = coefficients(Params(n, b, c)) with
     multiplicities and polished residuals.
@@ -650,20 +717,16 @@ def all_roots(q: Poly, b, c, max_sweeps: int = 1000) -> RootSet:
     1 per root.  Residuals are reported against F.  An F of degree 0 (b = 0,
     F = 1) has no roots.
 
-    Each factor is solved in up to three stages.  The first is Aberth with
-    Horner on its float coefficients, then Newton polish.  An exact factor
-    certifies each point by exact Newton steps (_exact_newton) against
-    ROOT_BAND; only those certify.  The steps hand a point off as soon as
-    it is not converging (a step above ROOT_BAND (1 + |z|) that does not
-    halve the one before), so a pseudo-root of the float pass costs two
-    exact evaluations before it goes unsound to the next stage.  When
-    points stay unsound and F is its own factor at full degree n, a
-    recurrence stage reruns Aberth on the unsound points with F evaluated
-    by Gauss's contiguous relation and F' read from its last two values
-    (_contiguous_pair), for at most RECURRENCE_SWEEPS sweeps, and
-    certifies the points it settled.  The points still unsound go to the
-    exact rescue: Aberth with exact evaluation, restarted from their
-    first-pass positions, the certified points frozen.
+    One loop walks the stage table _STAGES for each factor: the Horner pass
+    on the float coefficients, then, on an exact factor, the recurrence
+    stage (F by Gauss's contiguous relation, _contiguous_pair, where F is
+    its own factor at full degree) and the exact rescue (_exact_eval_pair).
+    Only exact Newton steps certify a point (_exact_newton, _sound_mask);
+    they give up on a point that is not converging after two exact
+    evaluations, and each later stage restarts the points still unsound.  A
+    point the rescue leaves uncertified ends the solve in a
+    NonConvergenceError.  The iterations of the RootSet count the sweeps of
+    every stage that ran.
 
     A value beyond the float range (a huge exact coefficient, a leading
     coefficient that underflows beside the others, or an exact evaluation
@@ -676,21 +739,17 @@ def all_roots(q: Poly, b, c, max_sweeps: int = 1000) -> RootSet:
 
 
 def _solve(q: Poly, b, c, max_sweeps: int) -> RootSet:
-    """all_roots, which turns its OverflowError into a NonConvergenceError.
-
-    The exact factors are F's split at z = 1, by the argument in all_roots.
-    """
+    """all_roots, which turns its OverflowError into a NonConvergenceError;
+    the exact factors are F's split at z = 1, by the argument there."""
     deg = q.effective_degree
     if deg == 0:
         return RootSet((), 0)
     if deg > 100:
-        raise InvalidParameterError(
-            f"degree {deg} exceeds the numeric solver cap of 100"
-        )
+        raise InvalidParameterError(f"degree {deg} exceeds the numeric solver cap of 100")
     full = tuple(float(a) for a in q.coeffs[: deg + 1])
-    scale_norm = max(abs(a) for a in full)
 
-    tasks: List[Tuple[List[float], Optional[List[int]], int]] = []
+    # (integer factor, multiplicity); a float F is solved as its own factor
+    factors: List[Tuple[Optional[List[int]], int]] = [(None, 1)]
     if q.is_exact:
         int_cs = _to_int_coeffs(q)
         cofactor, mult_at_1 = _deflate_at_one(int_cs)
@@ -700,112 +759,51 @@ def _solve(q: Poly, b, c, max_sweeps: int) -> RootSet:
             # a constant cofactor (degenerate b) is no factor
             factors = [(_primitive(cofactor), 1)] if len(cofactor) > 1 else []
             factors.append(([-1, 1], mult_at_1))
-        for factor, mult in factors:
-            m = max(abs(a) for a in factor)
-            tasks.append(([a / m for a in factor], factor, mult))
-    else:
-        tasks.append(([a / scale_norm for a in full], None, 1))
-
-    def refine(fac: List[float], int_fac: Optional[List[int]], z: complex,
-               float_polish: bool = True) -> Tuple[complex, float]:
-        """The polished point and, for an exact factor, its certificate: a
-        bound on its distance to a root of the factor (nan for a float one)."""
-        if float_polish:
-            z, res = _newton_polish(fac, z)
-            z, _ = _real_snap(fac, z, res)
-        if int_fac is None:
-            return z, math.nan
-        # Float evaluation noise caps the attainable accuracy at roughly
-        # res/|p'|; exact steps lift that cap and certify the point.  A point
-        # close to the axis may be a real root whose imaginary part is float
-        # noise above the placement band; the exact steps decide, and real
-        # iterates stay exactly real through them.
-        z, dist = _exact_newton(int_fac, z)
-        if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
-            dist += abs(z.imag)  # the snap moves the point that much
-            z = complex(z.real, 0.0)
-        return z, dist
-
-    def sound_mask(points: List[Tuple[complex, float]]) -> List[bool]:
-        sound = [dist <= ROOT_BAND * (1 + abs(z)) for z, dist in points]
-        # Polishing can carry a point onto a neighbour's root and leave
-        # another root unfound; a squarefree factor has no double roots, so
-        # of two coincident points the one farther from a root is unsound.
-        for i, j in itertools.combinations(range(len(points)), 2):
-            (zi, di), (zj, dj) = points[i], points[j]
-            if abs(zi - zj) <= ROOT_BAND * (1 + abs(zi)):
-                sound[j if dj >= di else i] = False
-        return sound
-
-    def restart(polished, solved, sound) -> List[complex]:
-        # The sound points stay where they are; the others restart from
-        # their Aberth positions before polishing: a polished duplicate sits
-        # on a root already taken and would settle there at once.
-        return [zp if ok else z0 for (zp, _), z0, ok in zip(polished, solved, sound)]
 
     total_sweeps = 0
     found: List[Tuple[complex, int, float]] = []
-    for fac, int_fac, mult in tasks:
+    for int_fac, mult in factors:
+        cs = full if int_fac is None else int_fac
+        scale = max(abs(a) for a in cs)
+        fac = [a / scale for a in cs]
         if fac[-1] == 0.0:
             raise NonConvergenceError("a leading coefficient underflowed the float range")
-        solved, sweeps = _aberth(fac, max_sweeps)
-        total_sweeps += sweeps
-        polished = [refine(fac, int_fac, z) for z in solved]
-        if int_fac is not None:
-            sound = sound_mask(polished)
-            # Backward-stable pseudo-roots: the float landscape is flat at
-            # the evaluation scale of the monomial coefficients.  Where F is
-            # this one factor, the recurrence evaluates it on its own scale;
-            # its steps are rounded from exact values, since a float c + k
-            # may round to 0.  A point it settles still needs its exact
-            # certificate.
-            if not all(sound) and len(int_fac) == len(q.coeffs):
-                contiguous = functools.partial(_contiguous_pair, _contiguous_steps(deg, b, c))
-                try:
-                    staged, sweeps = _aberth(fac, RECURRENCE_SWEEPS,
-                                             _settle_on_step(contiguous, 1e-13),
-                                             restart(polished, solved, sound), sound)
-                    settled = [True] * deg
-                except NonConvergenceError as exc:
-                    staged, settled = zip(*exc.best)
-                    sweeps = RECURRENCE_SWEEPS
-                total_sweeps += sweeps
-                polished = [
-                    refine(fac, int_fac, z, float_polish=False) if done and not ok else old
-                    for old, ok, done, z in zip(polished, sound, settled, staged)
-                ]
-                sound = sound_mask(polished)
-            if not all(sound):
-                # The points still unsound: rerun the iteration with exact
-                # evaluation, keeping the validated points frozen in place.
-                rescued, sweeps = _aberth(
-                    fac, max_sweeps,
-                    _settle_on_step(functools.partial(_exact_eval_pair, int_fac), 1e-14),
-                    restart(polished, solved, sound), sound,
-                )
-                total_sweeps += sweeps
-                # float polishing would wander in the flat landscape that
-                # made the rescue necessary; go straight to exact steps
-                polished = [
-                    old if ok else refine(fac, int_fac, z, float_polish=False)
-                    for old, ok, z in zip(polished, sound, rescued)
-                ]
-                if not all(sound_mask(polished)):
-                    raise NonConvergenceError(
-                        "exact-evaluation rescue left unverified roots",
-                        best=polished,
-                    )
+        solved: Optional[List[complex]] = None  # the first stage's Aberth positions
+        polished: List = [None] * (len(fac) - 1)
+        sound = [False] * len(polished)
+        for stage in _STAGES:
+            if (stage.needs_whole_f and len(fac) < len(q.coeffs)
+                    or solved is not None and (int_fac is None or all(sound))):
+                continue
+            budget = stage.budget(max_sweeps)
+            try:
+                zs, sweeps = _aberth(
+                    fac, budget, stage.evaluator and stage.evaluator(int_fac, b, c),
+                    solved and _restart(polished, solved, sound), sound)
+                settled = [True] * len(zs)
+            except NonConvergenceError as exc:
+                if not stage.keeps:
+                    raise
+                zs, settled = zip(*exc.best)
+                sweeps = budget
+            total_sweeps += sweeps
+            solved = solved or zs
+            polished = [_refine(fac, int_fac, z, stage.polish) if done and not ok else old
+                        for old, ok, done, z in zip(polished, sound, settled, zs)]
+            if int_fac is not None:
+                sound = _sound_mask(polished)
+        if int_fac is not None and not all(sound):
+            raise NonConvergenceError("exact-evaluation rescue left unverified roots",
+                                      best=polished)
         for z in _pair_conjugates([z for z, _ in polished]):
             found.append((z, mult, abs(horner_with_derivative(full, z)[0])))
 
-    if sum(m for _, m, _ in found) != deg:
-        raise NonConvergenceError(
-            f"solver accounted for {sum(m for _, m, _ in found)} of {deg} roots",
-            best=found,
-        )
+    accounted = sum(m for _, m, _ in found)
+    if accounted != deg:
+        raise NonConvergenceError(f"solver accounted for {accounted} of {deg} roots",
+                                  best=found)
     found.sort(key=lambda t: (t[0].real, t[0].imag))
-    roots = tuple(Root(z, m, r) for z, m, r in found)
-    return RootSet(roots, total_sweeps)
+    return RootSet(tuple(Root(*t) for t in found), total_sweeps)
 
 
 # ---------------------------------------------------------------------------

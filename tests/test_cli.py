@@ -22,13 +22,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _run_fresh(argv):
-    """(exit code, stdout) of `python -m hyperzero ARGV` in a new interpreter."""
+def _fresh(argv, **streams):
+    """The finished `python -m hyperzero ARGV` of a new interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "hyperzero", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "hyperzero", *argv], env=env,
+                          text=True, timeout=60, **streams)
+
+
+def _run_fresh(argv):
+    """(exit code, stdout) of `python -m hyperzero ARGV` in a new interpreter."""
+    proc = _fresh(argv, capture_output=True)
     return proc.returncode, proc.stdout
 
 
@@ -534,6 +539,25 @@ def test_python_dash_m_runs_the_cli(capsys):
     argv = ["classify", "-n", "3", "-b", "7/3", "-c", "11/5"]
     _, want, _ = run(capsys, *argv)
     assert _run_fresh(argv) == (0, want)
+
+
+@pytest.mark.parametrize("argv", [
+    # the roots print at once, past the stream's buffer
+    ["roots", "-n", "40", "-b", "7/3", "-c", "-11/5", "--format", "json"],
+    # the few bytes of a classification wait for the flush at exit
+    ["classify", "-n", "3", "-b", "7/3", "-c", "11/5"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_ends_in_exit_1_without_a_traceback(argv):
+    # the reader of stdout is gone before the first write, as it may be
+    # under `| head -c 20`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh(argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -540,6 +540,67 @@ def test_float_roots_do_not_take_the_recurrence_stage(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n,b,c", [
+    # z = 1 has multiplicity 20, so the cofactor is solved alone
+    (51, Fraction(-557, 6), Fraction(-743, 6)),
+    # F has degree 36 < n
+    (41, Fraction(-36), Fraction(-949, 12)),
+], ids=str)
+def test_recurrence_stage_runs_only_on_f_whole_at_full_degree(n, b, c, monkeypatch):
+    # the Horner pass leaves unsound points here and the exact rescue runs,
+    # but the recurrence computes F at degree n, which is no factor solved
+    later_stages, recurrence = [], []
+    aberth, contiguous = oracle._aberth, oracle._contiguous_pair
+
+    def spy(coeffs, max_sweeps, evaluate=None, *rest):
+        later_stages.append(evaluate is not None)
+        return aberth(coeffs, max_sweeps, evaluate, *rest)
+
+    monkeypatch.setattr(oracle, "_aberth", spy)
+    monkeypatch.setattr(oracle, "_contiguous_pair",
+                        lambda *args: recurrence.append(1) or contiguous(*args))
+    q = coefficients(Params(n, b, c))
+    assert all_roots(q, b, c).total_multiplicity == q.effective_degree
+    assert any(later_stages)
+    assert recurrence == []
+
+
+def _sound_mask_of_all_pairs(points):
+    """The rule of oracle._sound_mask, tested on all d(d - 1)/2 pairs."""
+    band = oracle.ROOT_BAND
+    sound = [dist <= band * (1 + abs(z)) for z, dist in points]
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            (zi, di), (zj, dj) = points[i], points[j]
+            if abs(zi - zj) <= band * (1 + abs(zi)):
+                sound[j if dj >= di else i] = False
+    return sound
+
+
+@st.composite
+def _clustered_points(draw):
+    """Up to 100 (point, certificate) pairs, in clusters inside the root band
+    of their centre and in a shuffled order, with shared real parts (within
+    a cluster and across clusters) and tied certificates."""
+    band = oracle.ROOT_BAND
+    dists = st.sampled_from([0.0, 1e-13, band / 2, band, 2 * band]) | st.floats(0, 1e-6)
+    reals = st.sampled_from([0.0, 1.0, -2.5, 700.0]) | st.floats(-1e3, 1e3)
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        centre = complex(draw(reals), draw(st.floats(-1e3, 1e3)))
+        width = band * (1 + abs(centre))
+        for _ in range(draw(st.integers(1, 12))):
+            offset = complex(draw(st.just(0.0) | st.floats(-2, 2)), draw(st.floats(-2, 2)))
+            points.append((centre + offset * width, draw(dists)))
+    return draw(st.permutations(points[:100]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clustered_points())
+def test_sound_mask_equals_the_all_pairs_rule(points):
+    assert oracle._sound_mask(points) == _sound_mask_of_all_pairs(points)
+
+
 def _counting_exact_evaluations(monkeypatch):
     calls = []
     exact = oracle._exact_eval_pair
