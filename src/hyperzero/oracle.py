@@ -2,13 +2,15 @@
 
 Neither sturm_counts nor all_roots consults the count formulas.  Real
 roots per interval are counted by sign variations of an exact integer Sturm
-chain; all complex roots are computed by simultaneous (Aberth-style)
-iteration, in the stages of one table, _STAGES, that one loop walks: a pass
-with Horner evaluation on the float coefficients, a stage that evaluates F
-by Gauss's contiguous relation in a, and a rescue with exact evaluation.
-Only exact Newton steps certify a root; the float stages merely steer the
-search.  verify() runs both sides against the predictions and reports
-field-by-field agreement.
+chain.  all_roots reads z = 1, the one possible multiple zero of F, with
+its multiplicity m from an exact split, and computes the other complex
+roots, of F or of F/(z - 1)^m, by simultaneous (Aberth-style) iteration, in
+the stages of one table, _STAGES, that one loop walks: a pass with Horner
+evaluation on the float coefficients, a stage that evaluates F by Gauss's
+contiguous relation in a, and a rescue with exact evaluation.  Only exact
+Newton steps certify a root; the float stages merely steer the search.
+verify() runs both sides against the predictions and reports field-by-field
+agreement.
 
 Sturm chains are kept as integer polynomials: every element may be scaled
 by a positive constant without changing sign variations, so remainders are
@@ -24,6 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
 from . import klein, special
@@ -49,6 +52,9 @@ Evaluator = Callable[[complex], Tuple[complex, complex, float]]
 # Newton step bounds its distance to a true root by ROOT_BAND (1 + |z|), and
 # interval_counts and geometry_report place roots with the same band.
 ROOT_BAND = 1e-9
+
+# Sweep budget of the Horner pass and of the exact rescue of all_roots.
+MAX_SWEEPS = 1000
 
 # Sweep budget of the recurrence stage of all_roots.  Where the stage finds
 # every root it takes at most 52 sweeps on the verify families.
@@ -101,15 +107,18 @@ def _prem(f: List[int], g: List[int]) -> Tuple[List[int], int]:
     return _trim(r), steps
 
 
-def _remainders(f: List[int], g: List[int]) -> List[List[int]]:
-    """f, g, then sign-corrected fraction-free remainders, all primitive.
+def _sturm_sequence(f: List[int]) -> List[List[int]]:
+    """The Sturm chain of f: f, f', then the sign-corrected fraction-free
+    remainders, as primitive integer polynomials.
 
     Each remainder is a positive multiple of the classical -rem(prev, cur),
-    so with g = f' this is the Sturm chain of f.  The last element is
-    gcd(f, g) up to sign.
+    so sign variations are unchanged, degrees strictly decrease, and the
+    last element is gcd(f, f') up to sign.  Only sturm_counts reads it:
+    all_roots builds no remainder sequence, since the one multiple zero F
+    can have is at z = 1 (_deflate_at_one).
     """
     out = [_primitive(_trim(list(f)))]
-    g = _trim(list(g))
+    g = _trim(_derive(f))
     if g:
         out.append(_primitive(g))
     while len(out) >= 2 and len(out[-1]) > 1:
@@ -124,42 +133,16 @@ def _remainders(f: List[int], g: List[int]) -> List[List[int]]:
     return out
 
 
-def _sturm_sequence(f: List[int]) -> List[List[int]]:
-    """The Sturm chain of f: f, f', then the sign-corrected fraction-free
-    remainders, as integer polynomials.
-
-    Each element is a positive multiple of the classical chain element, so
-    sign variations are unchanged, and degrees strictly decrease.  Only
-    sturm_counts reads it: all_roots builds no remainder sequence, since
-    the one multiple zero F can have is at z = 1 (_deflate_at_one).
-    """
-    return _remainders(f, _derive(f))
-
-
-def _exact_div(f: List[int], g: List[int]) -> List[int]:
-    """Quotient f / g when g divides f over the integers; exactness is asserted."""
-    rem = list(f)
-    dg = len(g) - 1
-    out = [0] * (len(f) - dg)
-    for i in range(len(out) - 1, -1, -1):
-        out[i], r = divmod(rem[i + dg], g[-1])
-        if r:
-            raise ValueError("quotient not integral")
-        for k, a in enumerate(g):
-            rem[i + k] -= out[i] * a
-    if any(rem):
-        raise ValueError("division was not exact")
-    return out
-
-
 def _deflate_at_one(cs: List[int]) -> Tuple[List[int], int]:
     """cs with its (z - 1) factors divided out, and their number m.
 
-    sum(cs) is cs(1), so the division by z - 1 is exact while it is 0.
+    sum(cs) is cs(1), so the division by z - 1 is exact while it is 0.  It
+    is synthetic division: each quotient coefficient is the sum of the
+    coefficients above it.
     """
     m = 0
     while len(cs) > 1 and sum(cs) == 0:
-        cs = _exact_div(cs, [-1, 1])
+        cs = list(accumulate(reversed(cs[1:])))[::-1]
         m += 1
     return cs, m
 
@@ -619,42 +602,42 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
 class _Stage:
     """One Aberth stage of all_roots, a record of _STAGES."""
 
-    # builds the _aberth evaluator from the integer factor, b and c; None is
-    # _aberth's own Horner on the float factor
+    # builds the _aberth evaluator from the integer polynomial, b and c; None
+    # is _aberth's own Horner on the float coefficients
     evaluator: Optional[Callable[[List[int], object, object], Evaluator]]
-    budget: Callable[[int], int]  # the sweep budget, from all_roots' max_sweeps
-    needs_whole_f: bool  # runs only where F is its own factor at full degree
+    budget: Callable[[], int]  # the sweep budget, read when the stage runs
+    needs_whole_f: bool  # runs only where F is solved whole at full degree
     polish: bool  # float-polish and real-snap each point before its certificate
     keeps: bool  # a run-out keeps the settled points (else it raises)
 
 
 # The stages of all_roots, in order.  The first to run starts cold; each
-# later one runs on an exact factor while some points are unsound, restarting
+# later one runs on an exact polynomial while points are unsound, restarting
 # those from the first stage's positions with the sound ones frozen.  Names
 # are looked up when a stage runs.
 _STAGES = (
-    _Stage(None, lambda max_sweeps: max_sweeps,  # the Horner pass
+    _Stage(None, lambda: MAX_SWEEPS,  # the Horner pass
            needs_whole_f=False, polish=True, keeps=False),
     # the recurrence stage: where the float landscape of the monomial
     # coefficients is flat, F by Gauss's contiguous relation is on its own
     # scale; its steps are rounded from exact values, as float c + k may be 0
     _Stage(lambda int_fac, b, c: _settle_on_step(functools.partial(
                _contiguous_pair, _contiguous_steps(len(int_fac) - 1, b, c)), 1e-13),
-           lambda max_sweeps: RECURRENCE_SWEEPS,
+           lambda: RECURRENCE_SWEEPS,
            needs_whole_f=True, polish=False, keeps=True),
     # the exact rescue, unpolished: a float polish would wander in the flat
     # landscape that made it necessary
     _Stage(lambda int_fac, b, c: _settle_on_step(
                functools.partial(_exact_eval_pair, int_fac), 1e-14),
-           lambda max_sweeps: max_sweeps,
+           lambda: MAX_SWEEPS,
            needs_whole_f=False, polish=False, keeps=False),
 )
 
 
 def _refine(fac: List[float], int_fac: Optional[List[int]], z: complex,
             polish: bool) -> Tuple[complex, float]:
-    """The point, float-polished if asked, and for an exact factor its
-    certificate: a bound on its distance to a root of the factor (nan for a
+    """The point, float-polished if asked, and for an exact polynomial its
+    certificate: a bound on its distance to a root of int_fac (nan for a
     float one)."""
     if polish:
         z, res = _newton_polish(fac, z)
@@ -674,7 +657,7 @@ def _refine(fac: List[float], int_fac: Optional[List[int]], z: complex,
 
 
 def _sound_mask(points: List[Tuple[complex, float]]) -> List[bool]:
-    """Which (point, certificate) pairs of a squarefree factor are sound.
+    """Which (point, certificate) pairs of a squarefree polynomial are sound.
 
     Polishing can carry a point onto a neighbour's root, so of points i < j
     within ROOT_BAND (1 + |z_i|) the one farther from a root (j on a tie) is
@@ -701,31 +684,31 @@ def _restart(polished, solved, sound) -> List[complex]:
     return [zp if ok else z0 for (zp, _), z0, ok in zip(polished, solved, sound)]
 
 
-def all_roots(q: Poly, b, c, max_sweeps: int = 1000) -> RootSet:
+def all_roots(q: Poly, b, c) -> RootSet:
     """All complex roots of q = coefficients(Params(n, b, c)) with
     multiplicities and polished residuals.
 
     F solves z(1 - z)w'' + [c - (b - n + 1)z]w' + nb w = 0 (DLMF 15.10.1),
     whose only finite singular points are 0 and 1.  A double zero anywhere
     else would force F = 0, and F(0) = 1, so the one multiple zero F can
-    have is at z = 1, and F/(z - 1)^m is squarefree.  An exact F is split
-    once there: where z = 1 is at most a simple zero (m <= 1), the
-    primitive integer F is its own one factor; otherwise the factors are
-    that cofactor, with multiplicity 1, and z - 1, with multiplicity m.
-    Multiple roots are solved as simple roots of their factor and tagged
-    with its multiplicity.  A float F is solved directly with multiplicity
-    1 per root.  Residuals are reported against F.  An F of degree 0 (b = 0,
-    F = 1) has no roots.
+    have is at z = 1, and F/(z - 1)^m is squarefree.  So one polynomial is
+    solved, all of whose roots are simple: a float F as it is; an exact F
+    as the primitive integer F where z = 1 is at most a simple zero
+    (m <= 1), else as F/(z - 1)^m, with z = 1 read from that split
+    (_deflate_at_one) as a root of multiplicity m.  Where F = (1 - z)^m, as
+    at c = b, nothing is solved.  Residuals are reported against F.  An F
+    of degree 0 (b = 0, F = 1) has no roots.
 
-    One loop walks the stage table _STAGES for each factor: the Horner pass
-    on the float coefficients, then, on an exact factor, the recurrence
-    stage (F by Gauss's contiguous relation, _contiguous_pair, where F is
-    its own factor at full degree) and the exact rescue (_exact_eval_pair).
-    Only exact Newton steps certify a point (_exact_newton, _sound_mask);
-    they give up on a point that is not converging after two exact
-    evaluations, and each later stage restarts the points still unsound.  A
-    point the rescue leaves uncertified ends the solve in a
-    NonConvergenceError.  The iterations of the RootSet count the sweeps of
+    One loop walks the stage table _STAGES: the Horner pass on the float
+    coefficients, then, on an exact polynomial, the recurrence stage (F by
+    Gauss's contiguous relation, _contiguous_pair, where F is solved whole
+    at full degree) and the exact rescue (_exact_eval_pair).  Only exact
+    Newton steps certify a point (_exact_newton, _sound_mask); they give up
+    on a point that is not converging after two exact evaluations, and each
+    later stage restarts the points still unsound.  A point the rescue
+    leaves uncertified ends the solve in a NonConvergenceError.  The
+    Horner pass and the rescue have MAX_SWEEPS sweeps each, the recurrence
+    RECURRENCE_SWEEPS; the iterations of the RootSet count the sweeps of
     every stage that ran.
 
     A value beyond the float range (a huge exact coefficient, a leading
@@ -733,14 +716,14 @@ def all_roots(q: Poly, b, c, max_sweeps: int = 1000) -> RootSet:
     at high degree) ends the solve in a NonConvergenceError that names it.
     """
     try:
-        return _solve(q, b, c, max_sweeps)
+        return _solve(q, b, c)
     except OverflowError as exc:
         raise NonConvergenceError(f"a value overflowed the float range ({exc})") from None
 
 
-def _solve(q: Poly, b, c, max_sweeps: int) -> RootSet:
+def _solve(q: Poly, b, c) -> RootSet:
     """all_roots, which turns its OverflowError into a NonConvergenceError;
-    the exact factors are F's split at z = 1, by the argument there."""
+    it solves the one polynomial named there."""
     deg = q.effective_degree
     if deg == 0:
         return RootSet((), 0)
@@ -748,62 +731,57 @@ def _solve(q: Poly, b, c, max_sweeps: int) -> RootSet:
         raise InvalidParameterError(f"degree {deg} exceeds the numeric solver cap of 100")
     full = tuple(float(a) for a in q.coeffs[: deg + 1])
 
-    # (integer factor, multiplicity); a float F is solved as its own factor
-    factors: List[Tuple[Optional[List[int]], int]] = [(None, 1)]
+    # the integer polynomial solved (None for a float F), and the
+    # multiplicity m of z = 1 divided out of it (0 where m <= 1)
+    int_fac, m = None, 0
     if q.is_exact:
         int_cs = _to_int_coeffs(q)
-        cofactor, mult_at_1 = _deflate_at_one(int_cs)
-        if mult_at_1 <= 1:
-            factors = [(_primitive(int_cs), 1)]
-        else:
-            # a constant cofactor (degenerate b) is no factor
-            factors = [(_primitive(cofactor), 1)] if len(cofactor) > 1 else []
-            factors.append(([-1, 1], mult_at_1))
+        int_fac, m = _deflate_at_one(int_cs)
+        if m <= 1:
+            int_fac, m = int_cs, 0
+        int_fac = _primitive(int_fac)
+    cs = full if int_fac is None else int_fac
+    scale = max(abs(a) for a in cs)
+    fac = [a / scale for a in cs]
+    if fac[-1] == 0.0:
+        raise NonConvergenceError("a leading coefficient underflowed the float range")
 
     total_sweeps = 0
-    found: List[Tuple[complex, int, float]] = []
-    for int_fac, mult in factors:
-        cs = full if int_fac is None else int_fac
-        scale = max(abs(a) for a in cs)
-        fac = [a / scale for a in cs]
-        if fac[-1] == 0.0:
-            raise NonConvergenceError("a leading coefficient underflowed the float range")
-        solved: Optional[List[complex]] = None  # the first stage's Aberth positions
-        polished: List = [None] * (len(fac) - 1)
-        sound = [False] * len(polished)
-        for stage in _STAGES:
-            if (stage.needs_whole_f and len(fac) < len(q.coeffs)
-                    or solved is not None and (int_fac is None or all(sound))):
-                continue
-            budget = stage.budget(max_sweeps)
-            try:
-                zs, sweeps = _aberth(
-                    fac, budget, stage.evaluator and stage.evaluator(int_fac, b, c),
-                    solved and _restart(polished, solved, sound), sound)
-                settled = [True] * len(zs)
-            except NonConvergenceError as exc:
-                if not stage.keeps:
-                    raise
-                zs, settled = zip(*exc.best)
-                sweeps = budget
-            total_sweeps += sweeps
-            solved = solved or zs
-            polished = [_refine(fac, int_fac, z, stage.polish) if done and not ok else old
-                        for old, ok, done, z in zip(polished, sound, settled, zs)]
-            if int_fac is not None:
-                sound = _sound_mask(polished)
-        if int_fac is not None and not all(sound):
-            raise NonConvergenceError("exact-evaluation rescue left unverified roots",
-                                      best=polished)
-        for z in _pair_conjugates([z for z, _ in polished]):
-            found.append((z, mult, abs(horner_with_derivative(full, z)[0])))
+    solved: Optional[List[complex]] = None  # the first stage's Aberth positions
+    polished: List = [None] * (len(fac) - 1)
+    sound = [False] * len(polished)
+    for stage in _STAGES:
+        if (not polished  # a constant: F = (1 - z)^m
+                or stage.needs_whole_f and len(fac) < len(q.coeffs)
+                or solved is not None and (int_fac is None or all(sound))):
+            continue
+        budget = stage.budget()
+        try:
+            zs, sweeps = _aberth(
+                fac, budget, stage.evaluator and stage.evaluator(int_fac, b, c),
+                solved and _restart(polished, solved, sound), sound)
+            settled = [True] * len(zs)
+        except NonConvergenceError as exc:
+            if not stage.keeps:
+                raise
+            zs, settled = zip(*exc.best)
+            sweeps = budget
+        total_sweeps += sweeps
+        solved = solved or zs
+        polished = [_refine(fac, int_fac, z, stage.polish) if done and not ok else old
+                    for old, ok, done, z in zip(polished, sound, settled, zs)]
+        if int_fac is not None:
+            sound = _sound_mask(polished)
+    if int_fac is not None and not all(sound):
+        raise NonConvergenceError("exact-evaluation rescue left unverified roots",
+                                  best=polished)
 
-    accounted = sum(m for _, m, _ in found)
-    if accounted != deg:
-        raise NonConvergenceError(f"solver accounted for {accounted} of {deg} roots",
-                                  best=found)
+    found = [(z, 1) for z in _pair_conjugates([z for z, _ in polished])]
+    if m:
+        found.append((1 + 0j, m))
     found.sort(key=lambda t: (t[0].real, t[0].imag))
-    return RootSet(tuple(Root(*t) for t in found), total_sweeps)
+    return RootSet(tuple(Root(z, k, abs(horner_with_derivative(full, z)[0]))
+                         for z, k in found), total_sweeps)
 
 
 # ---------------------------------------------------------------------------

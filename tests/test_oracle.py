@@ -254,11 +254,12 @@ def test_roots_degree_cap():
         all_roots(coefficients(p), p.b, p.c)
 
 
-def test_roots_nonconvergence_reports_best_iterate():
+def test_roots_nonconvergence_reports_best_iterate(monkeypatch):
     # F(-2, 6; 1; z) = 1 - 12z + 21z^2
     p = Params(2, 6, 1)
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
     with pytest.raises(NonConvergenceError) as excinfo:
-        all_roots(coefficients(p), p.b, p.c, max_sweeps=0)
+        all_roots(coefficients(p), p.b, p.c)
     assert excinfo.value.best is not None
 
 
@@ -816,10 +817,10 @@ def test_verify_geometry_template_examples(p, tag):
 
 
 def _count_remainders(monkeypatch):
-    """The list that each later oracle._remainders call appends to."""
+    """The list that each later oracle._sturm_sequence call appends to."""
     calls = []
-    remainders = oracle._remainders
-    monkeypatch.setattr(oracle, "_remainders", lambda f, g: calls.append(1) or remainders(f, g))
+    sequence = oracle._sturm_sequence
+    monkeypatch.setattr(oracle, "_sturm_sequence", lambda f: calls.append(1) or sequence(f))
     return calls
 
 
@@ -852,6 +853,43 @@ def test_all_roots_splits_only_where_f_of_one_is_zero(monkeypatch):
     assert [r.multiplicity for r in rs.roots if r.value == 1] == [3]
     assert sum(r.multiplicity for r in rs.roots) == 5
     assert calls == []
+
+
+@pytest.mark.parametrize("n,b,c,degrees,m,sweeps", [
+    (5, Fraction(7, 3), Fraction(7, 3), [], 5, 0),  # F = (1 - z)^5
+    (5, Fraction(-2), Fraction(-5), [], 2, 0),  # F = (1 - z)^2
+    (5, Fraction(7, 3), Fraction(1, 3), [2], 3, 4),
+], ids=str)
+def test_all_roots_reads_z_equal_one_from_the_split(n, b, c, degrees, m, sweeps, monkeypatch):
+    # z = 1 and its multiplicity come from _deflate_at_one: Aberth solves
+    # only the cofactor, and nothing where it is a constant
+    solved = []
+    aberth = oracle._aberth
+    monkeypatch.setattr(oracle, "_aberth",
+                        lambda coeffs, *args: solved.append(len(coeffs) - 1) or aberth(coeffs, *args))
+    rs = all_roots(coefficients(Params(n, b, c)), b, c)
+    assert solved == degrees
+    assert [r.multiplicity for r in rs.roots if r.value == 1] == [m]
+    assert rs.iterations == sweeps
+
+
+_int_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(
+    lambda g: g[-1] != 0 and sum(g) != 0)
+
+
+def _times_z_minus_one(cs, k):
+    for _ in range(k):
+        cs = [lo - hi for lo, hi in zip([0] + cs, cs + [0])]
+    return cs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_polys, st.integers(0, 8))
+def test_deflate_at_one_undoes_powers_of_z_minus_one(g, k):
+    cs = _times_z_minus_one(g, k)
+    cofactor, m = _deflate_at_one(cs)
+    assert (cofactor, m) == (g, k)
+    assert _times_z_minus_one(cofactor, m) == cs
 
 
 _quarters = st.fractions(-14, 14, max_denominator=4)
