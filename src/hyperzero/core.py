@@ -99,12 +99,16 @@ def half_code(value: Scalar) -> int:
     return ratio_code(2 * value.numerator - value.denominator, 2 * value.denominator)
 
 
+def excluded_code(code: int, n: int) -> bool:
+    """True when code is the cell code of one of 0, -1, ..., 1-n: the excluded set of n."""
+    return code % 2 == 0 and 2 * (1 - n) <= code <= 0
+
+
 def in_excluded_set(value: Scalar, n: int) -> bool:
     """True when value is on one of 0, -1, ..., -(n-1); never for a float that is not finite."""
     if isinstance(value, float) and not math.isfinite(value):
         return False
-    code = cell_code(value)
-    return code % 2 == 0 and 2 * (1 - n) <= code <= 0
+    return excluded_code(cell_code(value), n)
 
 
 @dataclass(frozen=True)

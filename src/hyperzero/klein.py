@@ -21,6 +21,7 @@ from .core import (
     Counts,
     Params,
     cell_code,
+    excluded_code,
     in_excluded_set,
     side,
 )
@@ -120,17 +121,21 @@ def _index(code: int) -> int:
     return code // 2 + 1
 
 
-def _cell_c_positive(n: int, B: int, C: int, D: int) -> Counts:
-    """The five b-windows for c > 0; b - c has code -D.
+def _above_edge(code: int, n: int) -> int:
+    """code, read as the cell just above it where it is -2n.
 
-    The window edges b - c = n and b = -n (code -2n) are not count jumps:
-    each reads as the cell just above it, whose counts the next window
-    shares.
+    The window edges b = -n and b - c = n (code -2n of b or of c - b) are
+    not count jumps: the counts on each are those of the cell above it,
+    which the next window shares.
     """
-    if B == -2 * n:
-        B += 1
-    if D == -2 * n:
-        D += 1
+    return code + 1 if code == -2 * n else code
+
+
+def _cell_c_positive(n: int, B: int, C: int, D: int) -> Counts:
+    """The five b-windows for c > 0; b - c has code -D, and the window
+    edges b = -n and b - c = n read as the cell above them (_above_edge).
+    """
+    B, D = _above_edge(B, n), _above_edge(D, n)
     if B > 0:
         if D < -2 * n:
             return _prediction(n, 0, n, 0, "thm3.2.i")
@@ -211,11 +216,11 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
     window edges b - c = n and b = -n are not among them, and read as the
     cell above them; after that, the window indices read only odd codes.
     """
-    lo = 2 * (1 - n)
-    if B % 2 == 0 and lo <= B <= 0:
+    if excluded_code(B, n):
         raise BoundaryParameterError("b")
-    if D % 2 == 0 and lo <= D <= 0:
+    if excluded_code(D, n):
         raise BoundaryParameterError("c-b")
+    lo = 2 * (1 - n)
     codes = (B, C, D)
     if C > 0:
         return _cell_c_positive(n, *codes)

@@ -196,7 +196,7 @@ def sturm_counts(q: Poly) -> Counts:
         cs = cs[1:]
     if len(cs) <= 1:
         return Counts(0, 0, 0, mult_at_1)
-    chain = _sturm_sequence(_primitive(cs))
+    chain = _sturm_sequence(cs)
     # at +inf each element has the sign of its leading coefficient, at -inf
     # that sign flipped for odd degree; p(0) is the constant term and p(1)
     # the coefficient sum
@@ -721,14 +721,24 @@ def all_roots(q: Poly, b, c) -> RootSet:
         raise NonConvergenceError(f"a value overflowed the float range ({exc})") from None
 
 
+def check_degree(deg: int) -> None:
+    """Raise InvalidParameterError for a degree above the numeric solver's cap of 100.
+
+    _solve checks its polynomial.  verify and roots check an exact point's
+    degree, n - Params.degeneration, before they build F, which costs about
+    n^3 in big-integer work.
+    """
+    if deg > 100:
+        raise InvalidParameterError(f"degree {deg} exceeds the numeric solver cap of 100")
+
+
 def _solve(q: Poly, b, c) -> RootSet:
     """all_roots, which turns its OverflowError into a NonConvergenceError;
     it solves the one polynomial named there."""
     deg = q.effective_degree
     if deg == 0:
         return RootSet((), 0)
-    if deg > 100:
-        raise InvalidParameterError(f"degree {deg} exceeds the numeric solver cap of 100")
+    check_degree(deg)
     full = tuple(float(a) for a in q.coeffs[: deg + 1])
 
     # the integer polynomial solved (None for a float F), and the
@@ -931,6 +941,8 @@ def verify(p: Params) -> VerificationReport:
     except BoundaryParameterError as exc:
         notes.append(f"geometry unclassifiable: boundary ({exc})")
 
+    if p.is_exact:
+        check_degree(p.n - p.degeneration)
     q = coefficients(p)
     rootset = all_roots(q, p.b, p.c)
     sturm = sturm_counts(q) if p.is_exact else None

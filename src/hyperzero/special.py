@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import klein
-from .core import BoundaryParameterError, Params, as_scalar, cell_code, half_code
+from .core import BoundaryParameterError, Params, as_scalar, cell_code, excluded_code, half_code
 
 # The four regions cut out by the circle |z-1| = 1 and the real axis.
 REGIONS = ("inside_upper", "inside_lower", "outside_upper", "outside_lower")
@@ -89,7 +89,7 @@ def predict_2b(n: int, b) -> Geometry:
     else:
         C = half_code(b) + 2  # the code of b + 1/2
         try:
-            if C % 2 == 0 and 2 * (1 - m) <= C <= 0:  # G is undefined
+            if excluded_code(C, m):  # G is undefined
                 raise BoundaryParameterError("c")
             g = klein.classify_cell(m, 1 - 2 * m - 2 * odd, C, cell_code(b) + 2 * m + 2 * odd)
         except BoundaryParameterError:
@@ -135,16 +135,13 @@ def predict_minus2n(n: int, b) -> Geometry:
 
     c = -2n lies below the excluded range {0, ..., 1-n}, so the polynomial
     is defined for every n; only the integer b boundaries are special, and
-    the windows are read from the cell code B of b.  The edge b = -n (code
-    -2n) is not a count jump: it reads as the cell just above it, as in
-    klein._cell_c_positive, and thm2.3.ii(k=n) and thm2.3.iii(k=0) agree
-    there.
+    the windows are read from the cell code B of b.  The edge b = -n is not
+    a count jump: it reads as the cell just above it (klein._above_edge),
+    and thm2.3.ii(k=n) and thm2.3.iii(k=0) agree there.
     """
     b = as_scalar(b)
     Params(n, b, -2 * n)
-    B = cell_code(b)
-    if B == -2 * n:
-        B += 1
+    B = klein._above_edge(cell_code(b), n)
     if B > 0:
         return _geometry(n, 0, 0, 0, n % 2, n // 2, provenance="thm2.3.i")
     if B < -4 * n:

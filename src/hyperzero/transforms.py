@@ -11,7 +11,7 @@ codes once, so interval zero counts can be carried between parameter regions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .core import InvalidParameterError, Params, in_excluded_set, side
 
@@ -101,40 +101,25 @@ def pfaff(p: Params) -> Params:
     return Params(p.n, p.c - p.b, p.c)
 
 
-# The twelve parameter constraints admitting a quadratic transformation.
-# Tags are the constraints themselves, spelled in terms of n, b, c.
-QUADRATIC_TEMPLATES: Tuple[str, ...] = (
-    "c=2b",
-    "c=-n-b+1",
-    "c=(-n+b+1)/2",
-    "c=1/2",
-    "b=-n+1/2",
-    "c=-n+b+1/2",
-    "c=3/2",
-    "b=-n-1/2",
-    "c=-n+b-1/2",
-    "c=-2n",
-    "c=b+n+1",
-    "b=n+1",
-)
-
-
-def _template_residuals(n: int, b, c):
-    half = Fraction(1, 2)
-    return {
-        "c=2b": c - 2 * b,
-        "c=-n-b+1": c + n + b - 1,
-        "c=(-n+b+1)/2": 2 * c - (-n + b + 1),
-        "c=1/2": c - half,
-        "b=-n+1/2": b + n - half,
-        "c=-n+b+1/2": c + n - b - half,
-        "c=3/2": c - 3 * half,
-        "b=-n-1/2": b + n + half,
-        "c=-n+b-1/2": c + n - b + half,
-        "c=-2n": c + 2 * n,
-        "c=b+n+1": c - b - n - 1,
-        "b=n+1": b - n - 1,
-    }
+# The twelve parameter constraints admitting a quadratic transformation,
+# each tag (the constraint itself, spelled in terms of n, b, c) with its
+# residual, which is zero on the constraint.
+_HALF = Fraction(1, 2)
+_QUADRATIC_RESIDUALS: Dict[str, Callable] = {
+    "c=2b": lambda n, b, c: c - 2 * b,
+    "c=-n-b+1": lambda n, b, c: c + n + b - 1,
+    "c=(-n+b+1)/2": lambda n, b, c: 2 * c - (-n + b + 1),
+    "c=1/2": lambda n, b, c: c - _HALF,
+    "b=-n+1/2": lambda n, b, c: b + n - _HALF,
+    "c=-n+b+1/2": lambda n, b, c: c + n - b - _HALF,
+    "c=3/2": lambda n, b, c: c - 3 * _HALF,
+    "b=-n-1/2": lambda n, b, c: b + n + _HALF,
+    "c=-n+b-1/2": lambda n, b, c: c + n - b + _HALF,
+    "c=-2n": lambda n, b, c: c + 2 * n,
+    "c=b+n+1": lambda n, b, c: c - b - n - 1,
+    "b=n+1": lambda n, b, c: b - n - 1,
+}
+QUADRATIC_TEMPLATES: Tuple[str, ...] = tuple(_QUADRATIC_RESIDUALS)
 
 
 def quadratic_class_match(p: Params) -> List[str]:
@@ -145,5 +130,5 @@ def quadratic_class_match(p: Params) -> List[str]:
     residual is on the edge 0 by the one boundary rule, core.side: exactly
     zero in exact mode, within INTEGRALITY_TOL in float mode.
     """
-    residuals = _template_residuals(p.n, p.b, p.c)
-    return [tag for tag in QUADRATIC_TEMPLATES if side(residuals[tag]) == 0]
+    return [tag for tag, residual in _QUADRATIC_RESIDUALS.items()
+            if side(residual(p.n, p.b, p.c)) == 0]

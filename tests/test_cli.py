@@ -13,7 +13,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperzero import Params, cli, core, transforms
+from hyperzero import Params, cli, core, oracle, transforms
 
 
 def run(capsys, *argv):
@@ -230,6 +230,35 @@ def test_verify_range_goes_on_past_a_point_that_does_not_converge(capsys, fmt):
         assert lines[0]["status"] == "pass"
     else:
         assert out.splitlines()[-1] == f"verify n=3 b={big} c=1/3 -> NONCONVERGENCE"
+
+
+CAP_MESSAGE = "invalid parameters: degree 101 exceeds the numeric solver cap of 100\n"
+
+
+@pytest.mark.parametrize("argv, expected, builds", [
+    (("verify", "-n", "101", "-b", "1/3", "-c", "1/7"), (1, "", CAP_MESSAGE), 0),
+    (("roots", "-n", "101", "-b", "1/3", "-c", "1/7"), (1, "", CAP_MESSAGE), 0),
+    (("verify", "-n", "101", "--b-range", "1/3:2/3:2", "-c", "1/7"),
+     (0, "verify n=101 b=1/3 c=1/7 -> UNDEFINED\nverify n=101 b=2/3 c=1/7 -> UNDEFINED\n", ""),
+     0),
+    # a degenerate F has degree 3, so it is solved
+    (("roots", "-n", "1000", "-b", "-3", "-c", "1/2", "--format", "json"), None, 1),
+])
+def test_an_exact_point_above_the_solver_cap_is_refused_before_f_is_built(
+        capsys, monkeypatch, argv, expected, builds):
+    # F costs about n^3 to build; its degree n - degeneration is known first
+    calls = []
+    coefficients = core.coefficients
+    for module in (cli, core, oracle):
+        monkeypatch.setattr(module, "coefficients",
+                            lambda p: calls.append(1) or coefficients(p))
+    code, out, err = run(capsys, *argv)
+    if expected is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["effective_degree"] == 3
+    else:
+        assert (code, out, err) == expected
+    assert len(calls) == builds
 
 
 # ---------------------------------------------------------------------------

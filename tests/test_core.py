@@ -21,7 +21,13 @@ from hyperzero import (
     poly,
 )
 from hyperzero.cli import _proved
-from hyperzero.core import InvalidParameterError, gegenbauer_point, in_excluded_set
+from hyperzero.core import (
+    InvalidParameterError,
+    cell_code,
+    excluded_code,
+    gegenbauer_point,
+    in_excluded_set,
+)
 
 from conftest import assert_float_band, random_params
 
@@ -82,6 +88,29 @@ def test_excluded_c_float_proximity():
     with pytest.raises(InvalidParameterError):
         Params(3, 1.0, -1.0 + 1e-14)
     Params(3, 1.0, -2.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12),
+       v=st.one_of(st.integers(-14, 2).map(Fraction),
+                   st.fractions(-14, 2, max_denominator=12)))
+def test_excluded_code_is_membership_in_the_excluded_set(n, v):
+    assert excluded_code(cell_code(v), n) == any(v == -k for k in range(n))
+
+
+def _refuse_excluded(v, n):
+    if excluded_code(cell_code(v), n):
+        raise ValueError(f"{v} is in the excluded set of {n}")
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_excluded_code_reads_a_float_by_side(nk):
+    n, k = nk
+    assert_float_band(lambda v: _refuse_excluded(v, n), -k, ValueError)
+    # the integers just outside the set stay outside, however close
+    for edge in (1, -n):
+        for offset in (-1e-13, 1e-13):
+            _refuse_excluded(edge + offset, n)
 
 
 def test_n_must_be_positive_integer():
