@@ -556,6 +556,8 @@ def cmd_identity(args) -> int:
         raise UsageError(f"identity {args.which} reads -n only with -b and -c")
     if args.b is not None and args.n is None:
         raise UsageError(f"identity {args.which} reads -b and -c only with -n")
+    if args.n is not None:
+        oracle.check_degree(args.n)  # n itself: a map's target and the classical sums keep it
     if args.b is not None:
         # a proof proves nothing more when it is repeated
         if args.samples is not None:

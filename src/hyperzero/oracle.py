@@ -607,47 +607,39 @@ class _Stage:
     evaluator: Optional[Callable[[List[int], object, object], Evaluator]]
     budget: Callable[[], int]  # the sweep budget, read when the stage runs
     needs_whole_f: bool  # runs only where F is solved whole at full degree
-    polish: bool  # float-polish and real-snap each point before its certificate
-    keeps: bool  # a run-out keeps the settled points (else it raises)
 
 
-# The stages of all_roots, in order.  The first to run starts cold; each
-# later one runs on an exact polynomial while points are unsound, restarting
-# those from the first stage's positions with the sound ones frozen.  Names
-# are looked up when a stage runs.
+# The stages of all_roots, in order.  The first starts cold.  A float F has
+# that Horner pass alone, and its run-out raises.  On an exact polynomial
+# every stage keeps what it settled when it runs out, and each later stage
+# runs while points are unsound, restarting those from the first stage's
+# positions with the sound ones frozen.  Names are looked up when a stage
+# runs.
 _STAGES = (
-    _Stage(None, lambda: MAX_SWEEPS,  # the Horner pass
-           needs_whole_f=False, polish=True, keeps=False),
+    _Stage(None, lambda: MAX_SWEEPS, needs_whole_f=False),  # the Horner pass
     # the recurrence stage: where the float landscape of the monomial
     # coefficients is flat, F by Gauss's contiguous relation is on its own
     # scale; its steps are rounded from exact values, as float c + k may be 0
     _Stage(lambda int_fac, b, c: _settle_on_step(functools.partial(
                _contiguous_pair, _contiguous_steps(len(int_fac) - 1, b, c)), 1e-13),
-           lambda: RECURRENCE_SWEEPS,
-           needs_whole_f=True, polish=False, keeps=True),
-    # the exact rescue, unpolished: a float polish would wander in the flat
-    # landscape that made it necessary
+           lambda: RECURRENCE_SWEEPS, needs_whole_f=True),
+    # the exact rescue
     _Stage(lambda int_fac, b, c: _settle_on_step(
                functools.partial(_exact_eval_pair, int_fac), 1e-14),
-           lambda: MAX_SWEEPS,
-           needs_whole_f=False, polish=False, keeps=False),
+           lambda: MAX_SWEEPS, needs_whole_f=False),
 )
 
 
-def _refine(fac: List[float], int_fac: Optional[List[int]], z: complex,
-            polish: bool) -> Tuple[complex, float]:
-    """The point, float-polished if asked, and for an exact polynomial its
-    certificate: a bound on its distance to a root of int_fac (nan for a
-    float one)."""
-    if polish:
-        z, res = _newton_polish(fac, z)
-        z, _ = _real_snap(fac, z, res)
+def _refine(fac: List[float], int_fac: Optional[List[int]], z: complex) -> Tuple[complex, float]:
+    """A settled point and its certificate.  A float polynomial's point is
+    float-polished and real-snapped, with certificate nan.  An exact one's is
+    moved only by exact Newton steps (_exact_newton), and its certificate
+    bounds its distance to a root of int_fac."""
     if int_fac is None:
-        return z, math.nan
-    # Float evaluation noise caps the attainable accuracy at roughly
-    # res/|p'|; exact steps lift that cap and certify the point.  A point
-    # close to the axis may be a real root whose imaginary part is float
-    # noise above the placement band; the exact steps decide, and real
+        z, res = _newton_polish(fac, z)
+        return _real_snap(fac, z, res)[0], math.nan
+    # A point close to the axis may be a real root whose imaginary part is
+    # float noise above the placement band; the exact steps decide, and real
     # iterates stay exactly real through them.
     z, dist = _exact_newton(int_fac, z)
     if z.imag != 0.0 and abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
@@ -659,10 +651,11 @@ def _refine(fac: List[float], int_fac: Optional[List[int]], z: complex,
 def _sound_mask(points: List[Tuple[complex, float]]) -> List[bool]:
     """Which (point, certificate) pairs of a squarefree polynomial are sound.
 
-    Polishing can carry a point onto a neighbour's root, so of points i < j
-    within ROOT_BAND (1 + |z_i|) the one farther from a root (j on a tie) is
-    unsound.  Their real parts lie within ROOT_BAND (1 + max |z|), so only
-    such pairs are tested; a test only clears a flag, so order is free.
+    Exact Newton steps can carry a point onto a neighbour's root, so of
+    points i < j within ROOT_BAND (1 + |z_i|) the one farther from a root (j
+    on a tie) is unsound; a point that never settled carries certificate inf.
+    Their real parts lie within ROOT_BAND (1 + max |z|), so only such pairs
+    are tested; a test only clears a flag, so order is free.
     """
     sound = [dist <= ROOT_BAND * (1 + abs(z)) for z, dist in points]
     order = sorted(range(len(points)), key=lambda k: points[k][0].real)
@@ -678,15 +671,15 @@ def _sound_mask(points: List[Tuple[complex, float]]) -> List[bool]:
     return sound
 
 
-def _restart(polished, solved, sound) -> List[complex]:
+def _restart(refined, solved, sound) -> List[complex]:
     """The sound points, and the others at their first-stage positions: a
-    polished duplicate sits on a root already taken and would settle there."""
-    return [zp if ok else z0 for (zp, _), z0, ok in zip(polished, solved, sound)]
+    refined duplicate sits on a root already taken and would settle there."""
+    return [zr if ok else z0 for (zr, _), z0, ok in zip(refined, solved, sound)]
 
 
 def all_roots(q: Poly, b, c) -> RootSet:
     """All complex roots of q = coefficients(Params(n, b, c)) with
-    multiplicities and polished residuals.
+    multiplicities and residuals.
 
     F solves z(1 - z)w'' + [c - (b - n + 1)z]w' + nb w = 0 (DLMF 15.10.1),
     whose only finite singular points are 0 and 1.  A double zero anywhere
@@ -702,14 +695,17 @@ def all_roots(q: Poly, b, c) -> RootSet:
     One loop walks the stage table _STAGES: the Horner pass on the float
     coefficients, then, on an exact polynomial, the recurrence stage (F by
     Gauss's contiguous relation, _contiguous_pair, where F is solved whole
-    at full degree) and the exact rescue (_exact_eval_pair).  Only exact
-    Newton steps certify a point (_exact_newton, _sound_mask); they give up
-    on a point that is not converging after two exact evaluations, and each
-    later stage restarts the points still unsound.  A point the rescue
-    leaves uncertified ends the solve in a NonConvergenceError.  The
-    Horner pass and the rescue have MAX_SWEEPS sweeps each, the recurrence
-    RECURRENCE_SWEEPS; the iterations of the RootSet count the sweeps of
-    every stage that ran.
+    at full degree) and the exact rescue (_exact_eval_pair).  A float F's
+    points are float-polished; its Horner pass is its only stage, and a
+    run-out of its sweeps is a NonConvergenceError.  Only exact Newton
+    steps move and certify the points of an exact polynomial (_exact_newton,
+    _sound_mask); they give up on a point that is not converging after two
+    exact evaluations.  Each stage keeps the points it settled, also when
+    its sweeps run out, and each later stage restarts the points still
+    unsound, so a failed exact solve ends in one place: a point the rescue
+    leaves uncertified is a NonConvergenceError.  The Horner pass and the
+    rescue have MAX_SWEEPS sweeps each, the recurrence RECURRENCE_SWEEPS;
+    the iterations of the RootSet count the sweeps of every stage that ran.
 
     A value beyond the float range (a huge exact coefficient, a leading
     coefficient that underflows beside the others, or an exact evaluation
@@ -722,14 +718,14 @@ def all_roots(q: Poly, b, c) -> RootSet:
 
 
 def check_degree(deg: int) -> None:
-    """Raise InvalidParameterError for a degree above the numeric solver's cap of 100.
+    """Raise InvalidParameterError for a degree above the cap of 100.
 
     _solve checks its polynomial.  verify and roots check an exact point's
-    degree, n - Params.degeneration, before they build F, which costs about
-    n^3 in big-integer work.
+    degree, n - Params.degeneration, and identity its n, before they build
+    F, which costs about n^3 in big-integer work.
     """
     if deg > 100:
-        raise InvalidParameterError(f"degree {deg} exceeds the numeric solver cap of 100")
+        raise InvalidParameterError(f"degree {deg} exceeds the cap of 100")
 
 
 def _solve(q: Poly, b, c) -> RootSet:
@@ -758,10 +754,10 @@ def _solve(q: Poly, b, c) -> RootSet:
 
     total_sweeps = 0
     solved: Optional[List[complex]] = None  # the first stage's Aberth positions
-    polished: List = [None] * (len(fac) - 1)
-    sound = [False] * len(polished)
+    refined: List[Tuple[complex, float]] = []  # each point and its certificate
+    sound = [False] * (len(fac) - 1)
     for stage in _STAGES:
-        if (not polished  # a constant: F = (1 - z)^m
+        if (not sound  # a constant: F = (1 - z)^m
                 or stage.needs_whole_f and len(fac) < len(q.coeffs)
                 or solved is not None and (int_fac is None or all(sound))):
             continue
@@ -769,24 +765,25 @@ def _solve(q: Poly, b, c) -> RootSet:
         try:
             zs, sweeps = _aberth(
                 fac, budget, stage.evaluator and stage.evaluator(int_fac, b, c),
-                solved and _restart(polished, solved, sound), sound)
+                solved and _restart(refined, solved, sound), sound)
             settled = [True] * len(zs)
         except NonConvergenceError as exc:
-            if not stage.keeps:
+            if int_fac is None:
                 raise
             zs, settled = zip(*exc.best)
             sweeps = budget
         total_sweeps += sweeps
-        solved = solved or zs
-        polished = [_refine(fac, int_fac, z, stage.polish) if done and not ok else old
-                    for old, ok, done, z in zip(polished, sound, settled, zs)]
+        if solved is None:  # a point that did not settle starts unsound where it is
+            solved, refined = zs, [(z, math.inf) for z in zs]
+        refined = [_refine(fac, int_fac, z) if done and not ok else old
+                   for old, ok, done, z in zip(refined, sound, settled, zs)]
         if int_fac is not None:
-            sound = _sound_mask(polished)
+            sound = _sound_mask(refined)
     if int_fac is not None and not all(sound):
         raise NonConvergenceError("exact-evaluation rescue left unverified roots",
-                                  best=polished)
+                                  best=refined)
 
-    found = [(z, 1) for z in _pair_conjugates([z for z, _ in polished])]
+    found = [(z, 1) for z in _pair_conjugates([z for z, _ in refined])]
     if m:
         found.append((1 + 0j, m))
     found.sort(key=lambda t: (t[0].real, t[0].imag))

@@ -232,7 +232,7 @@ def test_verify_range_goes_on_past_a_point_that_does_not_converge(capsys, fmt):
         assert out.splitlines()[-1] == f"verify n=3 b={big} c=1/3 -> NONCONVERGENCE"
 
 
-CAP_MESSAGE = "invalid parameters: degree 101 exceeds the numeric solver cap of 100\n"
+CAP_MESSAGE = "invalid parameters: degree 101 exceeds the cap of 100\n"
 
 
 @pytest.mark.parametrize("argv, expected, builds", [
@@ -243,10 +243,17 @@ CAP_MESSAGE = "invalid parameters: degree 101 exceeds the numeric solver cap of 
      0),
     # a degenerate F has degree 3, so it is solved
     (("roots", "-n", "1000", "-b", "-3", "-c", "1/2", "--format", "json"), None, 1),
+    # identity caps n itself: b = -3 leaves F of degree 3, not its target
+    (("identity", "pfaff", "-n", "101", "-b", "-3", "-c", "1/7"), (1, "", CAP_MESSAGE), 0),
+    (("identity", "pfaff", "-n", "100", "-b", "1/3", "-c", "1/7"),
+     (0, "pfaff: 1/1 points proved: PASS\n", ""), 2),
+    (("identity", "jacobi", "-n", "101"), (1, "", CAP_MESSAGE), 0),
+    (("identity", "gegenbauer", "-n", "101"), (1, "", CAP_MESSAGE), 0),
 ])
 def test_an_exact_point_above_the_solver_cap_is_refused_before_f_is_built(
         capsys, monkeypatch, argv, expected, builds):
-    # F costs about n^3 to build; its degree n - degeneration is known first
+    # F costs about n^3 to build; its degree n - degeneration (for identity,
+    # n) is known first
     calls = []
     coefficients = core.coefficients
     for module in (cli, core, oracle):

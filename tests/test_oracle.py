@@ -255,12 +255,25 @@ def test_roots_degree_cap():
 
 
 def test_roots_nonconvergence_reports_best_iterate(monkeypatch):
-    # F(-2, 6; 1; z) = 1 - 12z + 21z^2
+    # F(-2, 6; 1; z) = 1 - 12z + 21z^2; with no sweeps in any stage the
+    # exact solve ends where every failed exact solve ends
     p = Params(2, 6, 1)
     monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
-    with pytest.raises(NonConvergenceError) as excinfo:
+    monkeypatch.setattr(oracle, "RECURRENCE_SWEEPS", 0)
+    with pytest.raises(NonConvergenceError, match="rescue left unverified roots") as excinfo:
         all_roots(coefficients(p), p.b, p.c)
     assert excinfo.value.best is not None
+
+
+def test_a_horner_run_out_on_an_exact_f_hands_its_points_on(monkeypatch):
+    # the Horner pass runs out of its 3 sweeps here; on an exact F it keeps
+    # what it settled and the later stages find the rest
+    p = Params(8, Fraction(7, 3), Fraction(11, 5))
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 3)
+    q = coefficients(p)
+    rs = all_roots(q, p.b, p.c)
+    assert rs.total_multiplicity == 8
+    assert interval_counts(rs).counts == sturm_counts(q).counts
 
 
 def test_exact_evaluation_at_integral_points():
@@ -484,7 +497,7 @@ STAGED_POINTS = HARD_POINTS + [
     (50, Fraction(-3, 7), Fraction(-50, 3)),    # forward recursion unstable
     # c + 2 = 1e-17 is not 0, but float(c) + 2 is: the steps are rounded
     # from exact values, where steps formed in floats would divide by zero
-    (10, Fraction(406, 5), Fraction(-2) + Fraction(1, 10**17)),
+    (11, Fraction(3), Fraction(-2) + Fraction(1, 10**17)),
 ]
 
 
@@ -620,10 +633,10 @@ def test_recurrence_stage_cuts_the_exact_evaluations(monkeypatch):
 
 
 def test_exact_newton_hands_off_a_point_it_does_not_converge_on(monkeypatch):
-    # the first pass leaves 42 of these 60 points unsound, pseudo-roots
-    # whose exact Newton steps crawl: the second step, which does not halve
-    # the first, ends them above the root band, while the points at true
-    # roots still converge to 1e-12
+    # exact Newton hands off 47 of the 60 points where the Horner pass
+    # settled, pseudo-roots whose exact steps crawl: the second step, which
+    # does not halve the first, ends them above the root band, while the
+    # points at true roots still converge to 1e-12
     from hyperzero.oracle import ROOT_BAND, _exact_newton
 
     p = Params(60, Fraction(30569, 500), Fraction(-7, 3))
@@ -641,7 +654,7 @@ def test_exact_newton_hands_off_a_point_it_does_not_converge_on(monkeypatch):
         if step > 1e-12 * (1 + abs(w)):
             assert step > ROOT_BAND * (1 + abs(w)) and len(calls) <= 2, z
             handed_off += 1
-    assert handed_off == 42
+    assert handed_off == 47
     for z in roots:
         w, step = _exact_newton(factor, z)
         assert step <= 1e-12 * (1 + abs(w)), z
