@@ -439,8 +439,11 @@ def cmd_sweep(args) -> int:
             lines.append(head + mid + tail)
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK

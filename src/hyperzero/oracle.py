@@ -4,11 +4,12 @@ Neither sturm_counts nor all_roots consults the count formulas.  Real
 roots per interval are counted by sign variations of an exact integer Sturm
 chain.  all_roots reads z = 1, the one possible multiple zero of F, with
 its multiplicity m from an exact split, and computes the other complex
-roots, of F or of F/(z - 1)^m, by simultaneous (Aberth-style) iteration, in
-the stages of one table, _STAGES, that one loop walks: a pass with Horner
-evaluation on the float coefficients, a stage that evaluates F by Gauss's
-contiguous relation in a, and a rescue with exact evaluation.  Only exact
-Newton steps certify a root; the float stages merely steer the search.
+roots, of F or of F/(z - 1)^m, by simultaneous (Aberth-style) iteration.  A
+float F takes one pass with Horner evaluation (_solve_float).  An exact F
+takes the stages of one table, _STAGES, that one loop walks (_solve_exact):
+that pass, a stage that evaluates F by Gauss's contiguous relation in a,
+and a rescue with exact evaluation.  Only exact Newton steps certify its
+roots; the float stages merely steer the search.
 verify() runs both sides against the predictions and reports field-by-field
 agreement.
 
@@ -289,7 +290,7 @@ def _aberth(
     evaluate: Optional[Evaluator] = None,
     warm: Optional[List[complex]] = None,
     frozen: Optional[List[bool]] = None,
-) -> Tuple[List[complex], int]:
+) -> Tuple[List[complex], List[bool], int]:
     """Simultaneous Aberth iteration, started on the Newton polygon circles.
 
     A cold start takes its points from `_newton_polygon_starts`; `warm`
@@ -297,8 +298,8 @@ def _aberth(
     but leftover residual means the configuration stalled (typically two
     points shadowing one root), and the unconverged points are reseeded at
     fresh angles on the `_root_bound` circle instead of being accepted.
-    When the sweeps run out, the NonConvergenceError carries each point
-    with whether it settled.
+    It returns each point, whether it settled, and its sweeps: max_sweeps,
+    with some point unsettled, when they run out; it never raises on that.
 
     `evaluate` maps z to p(z), p'(z) and the bound |p| must meet for z to
     settle.  The default is Horner on `coeffs` in floats, where "converged"
@@ -313,7 +314,7 @@ def _aberth(
     """
     d = len(coeffs) - 1
     if d == 1:
-        return [complex(-coeffs[0] / coeffs[1])], 0
+        return [complex(-coeffs[0] / coeffs[1])], [True], 0
     if evaluate is None:
         terms = [(a, abs(a)) for a in reversed(coeffs)]
 
@@ -373,13 +374,10 @@ def _aberth(
         if not moved:
             stuck = [k for k in range(d) if not settled[k]]
             if not stuck:
-                return zs, sweeps
+                return zs, settled, sweeps
             for k in stuck:
                 zs[k] = reseed(k, sweeps)
-    raise NonConvergenceError(
-        f"root iteration did not settle within {max_sweeps} sweeps",
-        best=list(zip(zs, settled)),
-    )
+    return zs, settled, max_sweeps
 
 
 def _newton_polish(coeffs: List[float], z, shrink: float = 1.0) -> Tuple[complex, float]:
@@ -600,7 +598,7 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
 
 @dataclass(frozen=True)
 class _Stage:
-    """One Aberth stage of all_roots, a record of _STAGES."""
+    """One Aberth stage of the exact solve, a record of _STAGES."""
 
     # builds the _aberth evaluator from the integer polynomial, b and c; None
     # is _aberth's own Horner on the float coefficients
@@ -609,12 +607,11 @@ class _Stage:
     needs_whole_f: bool  # runs only where F is solved whole at full degree
 
 
-# The stages of all_roots, in order.  The first starts cold.  A float F has
-# that Horner pass alone, and its run-out raises.  On an exact polynomial
-# every stage keeps what it settled when it runs out, and each later stage
+# The stages of the exact solve of all_roots, in order; a float F is
+# _solve_float, one Horner pass of its own.  The first stage starts cold.
+# Every stage keeps what it settled when it runs out, and each later stage
 # runs while points are unsound, restarting those from the first stage's
-# positions with the sound ones frozen.  Names are looked up when a stage
-# runs.
+# positions with the sound ones frozen.  Names are looked up when a stage runs.
 _STAGES = (
     _Stage(None, lambda: MAX_SWEEPS, needs_whole_f=False),  # the Horner pass
     # the recurrence stage: where the float landscape of the monomial
@@ -630,14 +627,10 @@ _STAGES = (
 )
 
 
-def _refine(fac: List[float], int_fac: Optional[List[int]], z: complex) -> Tuple[complex, float]:
-    """A settled point and its certificate.  A float polynomial's point is
-    float-polished and real-snapped, with certificate nan.  An exact one's is
+def _refine(int_fac: List[int], z: complex) -> Tuple[complex, float]:
+    """A settled point of the exact solve and its certificate: the point is
     moved only by exact Newton steps (_exact_newton), and its certificate
     bounds its distance to a root of int_fac."""
-    if int_fac is None:
-        z, res = _newton_polish(fac, z)
-        return _real_snap(fac, z, res)[0], math.nan
     # A point close to the axis may be a real root whose imaginary part is
     # float noise above the placement band; the exact steps decide, and real
     # iterates stay exactly real through them.
@@ -692,13 +685,13 @@ def all_roots(q: Poly, b, c) -> RootSet:
     at c = b, nothing is solved.  Residuals are reported against F.  An F
     of degree 0 (b = 0, F = 1) has no roots.
 
-    One loop walks the stage table _STAGES: the Horner pass on the float
-    coefficients, then, on an exact polynomial, the recurrence stage (F by
-    Gauss's contiguous relation, _contiguous_pair, where F is solved whole
-    at full degree) and the exact rescue (_exact_eval_pair).  A float F's
-    points are float-polished; its Horner pass is its only stage, and a
-    run-out of its sweeps is a NonConvergenceError.  Only exact Newton
-    steps move and certify the points of an exact polynomial (_exact_newton,
+    A float F is _solve_float: one Horner pass on its coefficients, whose
+    points are float-polished and real-snapped; a run-out of its MAX_SWEEPS
+    sweeps is a NonConvergenceError.  An exact F is _solve_exact, one loop
+    over the stage table _STAGES: the Horner pass, the recurrence stage (F
+    by Gauss's contiguous relation, _contiguous_pair, where F is solved
+    whole at full degree) and the exact rescue (_exact_eval_pair).  Only
+    exact Newton steps move and certify its points (_exact_newton,
     _sound_mask); they give up on a point that is not converging after two
     exact evaluations.  Each stage keeps the points it settled, also when
     its sweeps run out, and each later stage restarts the points still
@@ -736,22 +729,45 @@ def _solve(q: Poly, b, c) -> RootSet:
         return RootSet((), 0)
     check_degree(deg)
     full = tuple(float(a) for a in q.coeffs[: deg + 1])
+    # the simple roots solved, their sweeps, and the multiplicity m of z = 1
+    zs, sweeps, m = _solve_exact(q, b, c) if q.is_exact else (*_solve_float(full), 0)
+    found = [(z, 1) for z in _pair_conjugates(zs)]
+    if m:
+        found.append((1 + 0j, m))
+    found.sort(key=lambda t: (t[0].real, t[0].imag))
+    return RootSet(tuple(Root(z, k, abs(horner_with_derivative(full, z)[0]))
+                         for z, k in found), sweeps)
 
-    # the integer polynomial solved (None for a float F), and the
-    # multiplicity m of z = 1 divided out of it (0 where m <= 1)
-    int_fac, m = None, 0
-    if q.is_exact:
-        int_cs = _to_int_coeffs(q)
-        int_fac, m = _deflate_at_one(int_cs)
-        if m <= 1:
-            int_fac, m = int_cs, 0
-        int_fac = _primitive(int_fac)
-    cs = full if int_fac is None else int_fac
+
+def _normalised(cs) -> List[float]:
+    """cs over its largest magnitude, in floats, with a nonzero leading one."""
     scale = max(abs(a) for a in cs)
     fac = [a / scale for a in cs]
     if fac[-1] == 0.0:
         raise NonConvergenceError("a leading coefficient underflowed the float range")
+    return fac
 
+
+def _solve_float(full: Tuple[float, ...]) -> Tuple[List[complex], int]:
+    """The roots of a float F, float-polished and real-snapped, and the
+    sweeps of its one Horner pass, whose run-out raises."""
+    fac = _normalised(full)
+    zs, settled, sweeps = _aberth(fac, MAX_SWEEPS)
+    if not all(settled):
+        raise NonConvergenceError(f"root iteration did not settle within {MAX_SWEEPS} sweeps",
+                                  best=list(zip(zs, settled)))
+    return [_real_snap(fac, *_newton_polish(fac, z))[0] for z in zs], sweeps
+
+
+def _solve_exact(q: Poly, b, c) -> Tuple[List[complex], int, int]:
+    """The simple roots of an exact F, the sweeps of every stage that ran,
+    and the multiplicity m of z = 1 divided out of F (0 where m <= 1)."""
+    int_cs = _to_int_coeffs(q)
+    int_fac, m = _deflate_at_one(int_cs)
+    if m <= 1:
+        int_fac, m = int_cs, 0
+    int_fac = _primitive(int_fac)
+    fac = _normalised(int_fac)
     total_sweeps = 0
     solved: Optional[List[complex]] = None  # the first stage's Aberth positions
     refined: List[Tuple[complex, float]] = []  # each point and its certificate
@@ -759,36 +775,20 @@ def _solve(q: Poly, b, c) -> RootSet:
     for stage in _STAGES:
         if (not sound  # a constant: F = (1 - z)^m
                 or stage.needs_whole_f and len(fac) < len(q.coeffs)
-                or solved is not None and (int_fac is None or all(sound))):
+                or solved is not None and all(sound)):
             continue
-        budget = stage.budget()
-        try:
-            zs, sweeps = _aberth(
-                fac, budget, stage.evaluator and stage.evaluator(int_fac, b, c),
-                solved and _restart(refined, solved, sound), sound)
-            settled = [True] * len(zs)
-        except NonConvergenceError as exc:
-            if int_fac is None:
-                raise
-            zs, settled = zip(*exc.best)
-            sweeps = budget
+        zs, settled, sweeps = _aberth(
+            fac, stage.budget(), stage.evaluator and stage.evaluator(int_fac, b, c),
+            solved and _restart(refined, solved, sound), sound)
         total_sweeps += sweeps
         if solved is None:  # a point that did not settle starts unsound where it is
             solved, refined = zs, [(z, math.inf) for z in zs]
-        refined = [_refine(fac, int_fac, z) if done and not ok else old
+        refined = [_refine(int_fac, z) if done and not ok else old
                    for old, ok, done, z in zip(refined, sound, settled, zs)]
-        if int_fac is not None:
-            sound = _sound_mask(refined)
-    if int_fac is not None and not all(sound):
-        raise NonConvergenceError("exact-evaluation rescue left unverified roots",
-                                  best=refined)
-
-    found = [(z, 1) for z in _pair_conjugates([z for z, _ in refined])]
-    if m:
-        found.append((1 + 0j, m))
-    found.sort(key=lambda t: (t[0].real, t[0].imag))
-    return RootSet(tuple(Root(z, k, abs(horner_with_derivative(full, z)[0]))
-                         for z, k in found), total_sweeps)
+        sound = _sound_mask(refined)
+    if not all(sound):
+        raise NonConvergenceError("exact-evaluation rescue left unverified roots", best=refined)
+    return [z for z, _ in refined], total_sweeps, m
 
 
 # ---------------------------------------------------------------------------

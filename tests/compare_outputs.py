@@ -14,16 +14,17 @@ interpreter, in process through ``hyperzero.cli.main``:
 - every operation of the verify-exact, verify-high and verify-float
   rounds that ``perfbench/run.py --seed SEED --seconds SECONDS`` holds,
   each also as ``roots``; the float ones cover verify's choice of a
-  geometry template by the float band of ``core.side``.
-  ``perfbench/workloads.py`` is imported, never changed.
+  geometry template by the float band of ``core.side``;
+- every ``sweep`` of the sweep-grid rounds of the same run.
+``perfbench/workloads.py`` is imported, never changed.
 
 Each pair of answers is compared by field: the exit code, stderr, and for
 ``roots`` the root values (with multiplicities and residuals), the
-``iterations`` count and the other fields of its JSON, for ``verify`` its
-stdout bytes.  The report counts the differing command lines per field and
-shows the first 20 of each.  The exit code is 0 when no field differs
-but those named by ``--allow``, 1 otherwise.  pytest does not collect this
-file.
+``iterations`` count and the other fields of its JSON, for ``verify`` and
+``sweep`` their stdout bytes.  The report counts the differing command
+lines per field and shows the first 20 of each.  The exit code is 0 when
+no field differs but those named by ``--allow``, 1 otherwise.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SEED = "20240817"  # HYPERZERO_SEED of every call, as in test_golden
 
-FIELDS = ("exit", "stderr", "roots", "iterations", "roots other", "verify bytes")
+FIELDS = ("exit", "stderr", "roots", "iterations", "roots other", "verify bytes",
+          "sweep bytes")
 
 
 def _random_points(count: int) -> List[Tuple[int, Fraction, Fraction]]:
@@ -65,13 +67,13 @@ def _random_points(count: int) -> List[Tuple[int, Fraction, Fraction]]:
     return points
 
 
-def _workload_ops(seed: int, seconds: float) -> List[Tuple[str, ...]]:
-    """The verify argv of every op of a verify-exact, a verify-high and a verify-float run."""
+def _workload_ops(names: Tuple[str, ...], seed: int, seconds: float) -> List[Tuple[str, ...]]:
+    """The argv of every op of a run of each named workload."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
 
     argvs = []
-    for name in ("verify-exact", "verify-high", "verify-float"):
+    for name in names:
         stream = workloads.rounds(name, seed)
         for _ in range(workloads.rounds_in(name, seconds)):
             argvs += [op.argv for op in next(stream)]
@@ -85,8 +87,9 @@ def command_lines(seed: int, seconds: float, count: int) -> List[Tuple[str, ...]
     ]
     verifies += [("verify", "-n", str(n), "-b", b, "-c", c, "--format", "json")
                  for n in (1, 3, 7) for b, c in (("0", "1"), ("0.0", "1.0"))]
-    verifies += _workload_ops(seed, seconds)
-    return [argv for v in verifies for argv in (v, ("roots",) + tuple(v[1:]))]
+    verifies += _workload_ops(("verify-exact", "verify-high", "verify-float"), seed, seconds)
+    return ([argv for v in verifies for argv in (v, ("roots",) + tuple(v[1:]))]
+            + _workload_ops(("sweep-grid",), seed, seconds))
 
 
 def _worker(src: str) -> None:
@@ -134,7 +137,7 @@ def differing_fields(argv: Tuple[str, ...], mine: list, theirs: list) -> List[st
     elif argv[0] == "roots":
         fields.append("roots other")
     else:
-        fields.append("verify bytes")
+        fields.append(f"{argv[0]} bytes")
     return fields
 
 

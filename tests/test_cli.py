@@ -197,6 +197,14 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_roots_float_run_out_is_nonconvergence(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 3)
+    code, out, err = run(capsys, "roots", "-n", "20", "-b", "17.518", "-c", "7.02")
+    assert code == 3
+    assert out == ""
+    assert err == "solver did not converge: root iteration did not settle within 3 sweeps\n"
+
+
 def test_verify_range_stream(capsys):
     code, out, _ = run(capsys, "verify", "-n", "3", "--b-range", "1/2:5/2:3",
                        "-c", "2", "--format", "json")
@@ -353,6 +361,16 @@ def test_sweep_range_whose_span_overflows_is_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert "usage error" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing directory", "directory"])
+def test_sweep_out_that_cannot_be_written_is_usage_error(capsys, tmp_path, where):
+    code, out, err = run(capsys, "sweep", "-n", "3", "-b", "1/2", "-c", "2",
+                         "--out", str(tmp_path / where))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: cannot write --out: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_nonpositive_margin(capsys):

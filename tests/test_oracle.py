@@ -265,6 +265,38 @@ def test_roots_nonconvergence_reports_best_iterate(monkeypatch):
     assert excinfo.value.best is not None
 
 
+def test_a_float_run_out_raises_with_every_point(monkeypatch):
+    # a float F has one Horner pass, and its run-out is the error
+    p = Params(20, 17.518, 7.02)
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 3)
+    with pytest.raises(NonConvergenceError) as excinfo:
+        all_roots(coefficients(p), p.b, p.c)
+    assert str(excinfo.value) == "root iteration did not settle within 3 sweeps"
+    best = excinfo.value.best
+    assert len(best) == 20
+    assert all(isinstance(z, complex) and isinstance(done, bool) for z, done in best)
+    assert not all(done for _, done in best)
+
+
+@pytest.mark.parametrize("budget", [0, 3])
+def test_aberth_returns_a_run_out(budget):
+    # a run-out is returned, not raised: each point, whether it settled, and
+    # the whole budget as its sweeps
+    q = coefficients(Params(20, 17.518, 7.02))
+    fac = [float(a) for a in q.coeffs]
+    zs, settled, sweeps = oracle._aberth(fac, budget)
+    assert len(zs) == len(settled) == 20
+    assert sweeps == budget
+    assert not all(settled)
+    if budget == 0:
+        assert settled == [False] * 20
+        assert zs == oracle._newton_polygon_starts(fac)
+
+
+def test_aberth_settles_a_degree_one_polynomial_at_once():
+    assert oracle._aberth([-3.0, 2.0], 0) == ([1.5 + 0j], [True], 0)
+
+
 def test_a_horner_run_out_on_an_exact_f_hands_its_points_on(monkeypatch):
     # the Horner pass runs out of its 3 sweeps here; on an exact F it keeps
     # what it settled and the later stages find the rest
@@ -528,13 +560,9 @@ def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeyp
 
     def spy(coeffs, max_sweeps, *args):
         frozen = args[-1] if args else None
-        try:
-            out = aberth(coeffs, max_sweeps, *args)
-        except NonConvergenceError as exc:
-            calls.append((max_sweeps, frozen, [done for _, done in exc.best]))
-            raise
-        calls.append((max_sweeps, frozen, None))
-        return out
+        zs, settled, sweeps = aberth(coeffs, max_sweeps, *args)
+        calls.append((max_sweeps, frozen, None if all(settled) else settled))
+        return zs, settled, sweeps
 
     monkeypatch.setattr(oracle, "_aberth", spy)
     all_roots(coefficients(p), p.b, p.c)
