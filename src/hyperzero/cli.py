@@ -94,12 +94,12 @@ def format_scalar(v: Scalar) -> str:
     return repr(v)
 
 
-def format_complex(z: complex, digits: int = 10) -> str:
-    head = f"{z.real:.{digits}g}"
+def format_complex(z: complex) -> str:
+    head = f"{z.real:.10g}"
     if z.imag == 0:
         return head
     sign = "+" if z.imag >= 0 else "-"
-    return f"{head}{sign}{abs(z.imag):.{digits}g}i"
+    return f"{head}{sign}{abs(z.imag):.10g}i"
 
 
 def _params_from(args) -> Params:
@@ -463,8 +463,8 @@ _MAPS = {"pfaff": transforms.pfaff, "euler": transforms.euler_reflect,
          "invert": transforms.invert}
 
 
-def _random_rational(rng: random.Random, lo: float, hi: float, den: int = 8) -> Fraction:
-    return Fraction(rng.randint(int(lo * den), int(hi * den)), den)
+def _random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
+    return Fraction(rng.randint(lo * 8, hi * 8), 8)
 
 
 def _random_point(which: str, rng: random.Random, n: Optional[int]) -> Params:

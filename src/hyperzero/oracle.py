@@ -284,50 +284,49 @@ def _settle_on_step(pair: Callable[[complex], Tuple[complex, complex]],
     return evaluate
 
 
+def _settle_on_residual(coeffs: List[float]) -> Evaluator:
+    """An _aberth evaluator by Horner on coeffs in floats, where z settles on
+    a small backward error: |p(z)| at most 1e-14 of sum |a_k| |z|**k."""
+    terms = [(a, abs(a)) for a in reversed(coeffs)]
+    def evaluate(z: complex) -> Tuple[complex, complex, float]:
+        p = dp = 0j
+        scale = 0.0
+        az = abs(z)
+        for a, size in terms:
+            dp = dp * z + p
+            p = p * z + a
+            scale = scale * az + size
+        return p, dp, 1e-14 * scale
+    return evaluate
+
+
 def _aberth(
     coeffs: List[float],
     max_sweeps: int,
-    evaluate: Optional[Evaluator] = None,
-    warm: Optional[List[complex]] = None,
-    frozen: Optional[List[bool]] = None,
+    evaluate: Evaluator,
+    start: List[complex],
+    frozen: List[bool],
 ) -> Tuple[List[complex], List[bool], int]:
-    """Simultaneous Aberth iteration, started on the Newton polygon circles.
+    """Simultaneous Aberth iteration from the points `start`.
 
-    A cold start takes its points from `_newton_polygon_starts`; `warm`
-    replaces them.  Termination is residual-driven: a sweep with no movement
-    but leftover residual means the configuration stalled (typically two
-    points shadowing one root), and the unconverged points are reseeded at
-    fresh angles on the `_root_bound` circle instead of being accepted.
-    It returns each point, whether it settled, and its sweeps: max_sweeps,
+    Termination is residual-driven: a sweep with no movement but leftover
+    residual means the configuration stalled (typically two points
+    shadowing one root), and the unconverged points are reseeded at fresh
+    angles on the `_root_bound` circle instead of being accepted.  It
+    returns each point, whether it settled, and its sweeps: max_sweeps,
     with some point unsettled, when they run out; it never raises on that.
 
     `evaluate` maps z to p(z), p'(z) and the bound |p| must meet for z to
-    settle.  The default is Horner on `coeffs` in floats, where "converged"
-    can only mean small backward error: |p| at most 1e-14 of
-    sum |a_k| |z|**k, which the same Horner pass computes; the later stages
-    of all_roots settle on a Newton distance (_settle_on_step).  Settling
-    certifies nothing.  Points marked `frozen` are already validated: they
-    take part in the repulsion sums of the others but are neither evaluated
-    nor moved.  A point that settles is treated like a frozen one from then
-    on: evaluation is deterministic and a settled point is never moved, so
+    settle (_settle_on_residual, _settle_on_step); settling certifies
+    nothing.  Points marked `frozen` are already validated: they take part
+    in the repulsion sums of the others but are neither evaluated nor
+    moved.  A point that settles is treated like a frozen one from then on:
+    evaluation is deterministic and a settled point is never moved, so
     evaluating it again could only settle it again.
     """
     d = len(coeffs) - 1
     if d == 1:
         return [complex(-coeffs[0] / coeffs[1])], [True], 0
-    if evaluate is None:
-        terms = [(a, abs(a)) for a in reversed(coeffs)]
-
-        def evaluate(z: complex) -> Tuple[complex, complex, float]:
-            p = dp = 0j
-            scale = 0.0
-            az = abs(z)
-            for a, size in terms:
-                dp = dp * z + p
-                p = p * z + a
-                scale = scale * az + size
-            return p, dp, 1e-14 * scale
-
     center = complex(-coeffs[-2] / (d * coeffs[-1]))
     if not cmath.isfinite(center) or abs(center) > 1e12:
         center = 0j
@@ -337,8 +336,8 @@ def _aberth(
         angle = 2 * math.pi * (k + 0.5) / d + 0.4 + 0.77 * salt
         return center + radius * cmath.exp(1j * angle)
 
-    zs = list(warm) if warm is not None else _newton_polygon_starts(coeffs)
-    settled = list(frozen) if frozen is not None else [False] * d
+    zs = list(start)
+    settled = list(frozen)
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         moved = False
@@ -600,20 +599,21 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
 class _Stage:
     """One Aberth stage of the exact solve, a record of _STAGES."""
 
-    # builds the _aberth evaluator from the integer polynomial, b and c; None
-    # is _aberth's own Horner on the float coefficients
-    evaluator: Optional[Callable[[List[int], object, object], Evaluator]]
+    # builds the _aberth evaluator from the primitive integer polynomial, b and c
+    evaluator: Callable[[List[int], object, object], Evaluator]
     budget: Callable[[], int]  # the sweep budget, read when the stage runs
     needs_whole_f: bool  # runs only where F is solved whole at full degree
 
 
 # The stages of the exact solve of all_roots, in order; a float F is
-# _solve_float, one Horner pass of its own.  The first stage starts cold.
-# Every stage keeps what it settled when it runs out, and each later stage
-# runs while points are unsound, restarting those from the first stage's
-# positions with the sound ones frozen.  Names are looked up when a stage runs.
+# _solve_float, one Horner pass of its own.  A stage runs while points are
+# unsound, starts each of them where the stage before left it (the first on
+# the Newton polygon circles), freezes the sound ones at their certified
+# positions, and keeps what it settled when it runs out.  Names are looked
+# up when a stage runs.
 _STAGES = (
-    _Stage(None, lambda: MAX_SWEEPS, needs_whole_f=False),  # the Horner pass
+    _Stage(lambda int_fac, b, c: _settle_on_residual(_normalised(int_fac)),  # the Horner pass
+           lambda: MAX_SWEEPS, needs_whole_f=False),
     # the recurrence stage: where the float landscape of the monomial
     # coefficients is flat, F by Gauss's contiguous relation is on its own
     # scale; its steps are rounded from exact values, as float c + k may be 0
@@ -664,10 +664,11 @@ def _sound_mask(points: List[Tuple[complex, float]]) -> List[bool]:
     return sound
 
 
-def _restart(refined, solved, sound) -> List[complex]:
-    """The sound points, and the others at their first-stage positions: a
-    refined duplicate sits on a root already taken and would settle there."""
-    return [zr if ok else z0 for (zr, _), z0, ok in zip(refined, solved, sound)]
+def _restart(refined, zs, sound) -> List[complex]:
+    """The sound points at their certified positions, and the others where
+    the last stage left them: a refined duplicate sits on a root already
+    taken and would settle there."""
+    return [zr if ok else z for (zr, _), z, ok in zip(refined, zs, sound)]
 
 
 def all_roots(q: Poly, b, c) -> RootSet:
@@ -693,12 +694,13 @@ def all_roots(q: Poly, b, c) -> RootSet:
     whole at full degree) and the exact rescue (_exact_eval_pair).  Only
     exact Newton steps move and certify its points (_exact_newton,
     _sound_mask); they give up on a point that is not converging after two
-    exact evaluations.  Each stage keeps the points it settled, also when
-    its sweeps run out, and each later stage restarts the points still
-    unsound, so a failed exact solve ends in one place: a point the rescue
-    leaves uncertified is a NonConvergenceError.  The Horner pass and the
-    rescue have MAX_SWEEPS sweeps each, the recurrence RECURRENCE_SWEEPS;
-    the iterations of the RootSet count the sweeps of every stage that ran.
+    exact evaluations.  Each stage starts where the one before stopped: it
+    keeps what it settled, also when its sweeps run out, and the next one
+    starts each point still unsound where it was left.  So a failed exact
+    solve ends in one place: a point the rescue leaves uncertified is a
+    NonConvergenceError.  The Horner pass and the rescue have MAX_SWEEPS
+    sweeps each, the recurrence RECURRENCE_SWEEPS; the iterations of the
+    RootSet count the sweeps of every stage that ran.
 
     A value beyond the float range (a huge exact coefficient, a leading
     coefficient that underflows beside the others, or an exact evaluation
@@ -752,7 +754,8 @@ def _solve_float(full: Tuple[float, ...]) -> Tuple[List[complex], int]:
     """The roots of a float F, float-polished and real-snapped, and the
     sweeps of its one Horner pass, whose run-out raises."""
     fac = _normalised(full)
-    zs, settled, sweeps = _aberth(fac, MAX_SWEEPS)
+    zs, settled, sweeps = _aberth(fac, MAX_SWEEPS, _settle_on_residual(fac),
+                                  _newton_polygon_starts(fac), [False] * (len(fac) - 1))
     if not all(settled):
         raise NonConvergenceError(f"root iteration did not settle within {MAX_SWEEPS} sweeps",
                                   best=list(zip(zs, settled)))
@@ -769,20 +772,17 @@ def _solve_exact(q: Poly, b, c) -> Tuple[List[complex], int, int]:
     int_fac = _primitive(int_fac)
     fac = _normalised(int_fac)
     total_sweeps = 0
-    solved: Optional[List[complex]] = None  # the first stage's Aberth positions
-    refined: List[Tuple[complex, float]] = []  # each point and its certificate
-    sound = [False] * (len(fac) - 1)
+    zs = _newton_polygon_starts(fac)  # each point where the last stage left it
+    refined = [(z, math.inf) for z in zs]  # each point and its certificate
+    sound = [False] * len(zs)
     for stage in _STAGES:
-        if (not sound  # a constant: F = (1 - z)^m
-                or stage.needs_whole_f and len(fac) < len(q.coeffs)
-                or solved is not None and all(sound)):
+        if all(sound):  # also where F = (1 - z)^m leaves nothing to solve
+            break
+        if stage.needs_whole_f and len(fac) < len(q.coeffs):
             continue
-        zs, settled, sweeps = _aberth(
-            fac, stage.budget(), stage.evaluator and stage.evaluator(int_fac, b, c),
-            solved and _restart(refined, solved, sound), sound)
+        zs, settled, sweeps = _aberth(fac, stage.budget(), stage.evaluator(int_fac, b, c),
+                                      _restart(refined, zs, sound), sound)
         total_sweeps += sweeps
-        if solved is None:  # a point that did not settle starts unsound where it is
-            solved, refined = zs, [(z, math.inf) for z in zs]
         refined = [_refine(int_fac, z) if done and not ok else old
                    for old, ok, done, z in zip(refined, sound, settled, zs)]
         sound = _sound_mask(refined)

@@ -22,7 +22,9 @@ Each pair of answers is compared by field: the exit code, stderr, and for
 ``roots`` the root values (with multiplicities and residuals), the
 ``iterations`` count and the other fields of its JSON, for ``verify`` and
 ``sweep`` their stdout bytes.  The report counts the differing command
-lines per field and shows the first 20 of each.  The exit code is 0 when
+lines per field and shows the first 20 of each; for ``iterations`` it also
+counts the lines where this tree's count rose and where it fell, and sums
+each tree's counts over the differing lines.  The exit code is 0 when
 no field differs but those named by ``--allow``, 1 otherwise.  pytest does
 not collect this file.
 """
@@ -156,13 +158,20 @@ def main(argv=None) -> int:
     mine = answers(os.path.join(ROOT, "src"), argvs)
     theirs = answers(args.other_src, argvs)
     diffs: Dict[str, List[Tuple[str, ...]]] = defaultdict(list)
+    moved = []  # (this tree's iterations, the other's) where they differ
     for line, a, b in zip(argvs, mine, theirs):
         for field in differing_fields(line, a, b):
             diffs[field].append(line)
+            if field == "iterations":
+                moved.append((json.loads(a[1])["iterations"], json.loads(b[1])["iterations"]))
 
     print(f"{len(argvs)} command lines, {sum(a != b for a, b in zip(mine, theirs))} differ")
     for field in FIELDS:
         print(f"  {field}: {len(diffs[field])}")
+        if field == "iterations" and moved:
+            print(f"    rose on {sum(x > y for x, y in moved)}, fell on "
+                  f"{sum(x < y for x, y in moved)}; summed {sum(y for _, y in moved)} "
+                  f"in the other tree, {sum(x for x, _ in moved)} in this one")
         for line in diffs[field][:20]:
             print("    " + " ".join(line))
     return 1 if {f for f in FIELDS if diffs[f]} - set(args.allow) else 0

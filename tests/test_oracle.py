@@ -284,7 +284,8 @@ def test_aberth_returns_a_run_out(budget):
     # the whole budget as its sweeps
     q = coefficients(Params(20, 17.518, 7.02))
     fac = [float(a) for a in q.coeffs]
-    zs, settled, sweeps = oracle._aberth(fac, budget)
+    zs, settled, sweeps = oracle._aberth(fac, budget, oracle._settle_on_residual(fac),
+                                         oracle._newton_polygon_starts(fac), [False] * 20)
     assert len(zs) == len(settled) == 20
     assert sweeps == budget
     assert not all(settled)
@@ -294,7 +295,9 @@ def test_aberth_returns_a_run_out(budget):
 
 
 def test_aberth_settles_a_degree_one_polynomial_at_once():
-    assert oracle._aberth([-3.0, 2.0], 0) == ([1.5 + 0j], [True], 0)
+    fac = [-3.0, 2.0]
+    assert oracle._aberth(fac, 0, oracle._settle_on_residual(fac), [0j], [False]) == (
+        [1.5 + 0j], [True], 0)
 
 
 def test_a_horner_run_out_on_an_exact_f_hands_its_points_on(monkeypatch):
@@ -553,24 +556,29 @@ def test_recurrence_stage_leaves_every_root_bit_identical(n, b, c, monkeypatch):
 def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeypatch):
     # here the recurrence settles some unsound points within its budget and
     # not the others; the settled ones are certified and frozen, so the
-    # exact rescue restarts only the others
+    # exact rescue restarts only the others, each where the recurrence left it
     p = Params(35, Fraction(113, 12), Fraction(-19, 3))
-    calls = []  # (sweep budget, frozen mask, settled mask if it ran out)
+    calls = []  # (sweep budget, start, frozen mask, positions, settled mask if it ran out)
     aberth = oracle._aberth
 
-    def spy(coeffs, max_sweeps, *args):
-        frozen = args[-1] if args else None
-        zs, settled, sweeps = aberth(coeffs, max_sweeps, *args)
-        calls.append((max_sweeps, frozen, None if all(settled) else settled))
+    def spy(coeffs, max_sweeps, evaluate, start, frozen):
+        zs, settled, sweeps = aberth(coeffs, max_sweeps, evaluate, start, frozen)
+        calls.append((max_sweeps, start, frozen, zs, None if all(settled) else settled))
         return zs, settled, sweeps
 
     monkeypatch.setattr(oracle, "_aberth", spy)
-    all_roots(coefficients(p), p.b, p.c)
-    _, (budget, sound, settled), (_, rescue, _) = calls
+    q = coefficients(p)
+    all_roots(q, p.b, p.c)
+    _, (budget, _, sound, left, settled), (_, start, rescue, _, _) = calls
     assert budget == oracle.RECURRENCE_SWEEPS and settled is not None
     newly_settled = sum(done and not ok for ok, done in zip(sound, settled))
     assert 0 < newly_settled < sound.count(False)
     assert rescue.count(False) == sound.count(False) - newly_settled
+    # a point frozen in the recurrence comes back at the certified position
+    # it was given; a point it settled is certified by exact Newton
+    int_fac = oracle._primitive(oracle._to_int_coeffs(q))
+    certified = [z if ok else oracle._refine(int_fac, z)[0] for z, ok in zip(left, sound)]
+    assert start == [zc if ok else z for z, zc, ok in zip(left, certified, rescue)]
     assert verify(p).status == "pass"
 
 
@@ -594,9 +602,9 @@ def test_recurrence_stage_runs_only_on_f_whole_at_full_degree(n, b, c, monkeypat
     later_stages, recurrence = [], []
     aberth, contiguous = oracle._aberth, oracle._contiguous_pair
 
-    def spy(coeffs, max_sweeps, evaluate=None, *rest):
-        later_stages.append(evaluate is not None)
-        return aberth(coeffs, max_sweeps, evaluate, *rest)
+    def spy(coeffs, max_sweeps, evaluate, start, frozen):
+        later_stages.append(len(later_stages) > 0)  # every call after the first
+        return aberth(coeffs, max_sweeps, evaluate, start, frozen)
 
     monkeypatch.setattr(oracle, "_aberth", spy)
     monkeypatch.setattr(oracle, "_contiguous_pair",
