@@ -179,8 +179,7 @@ def cmd_classify(args) -> int:
 
 def cmd_roots(args) -> int:
     p = _params_from(args)
-    if p.is_exact:
-        oracle.check_degree(p.n - p.degeneration)
+    oracle.check_degree(p.n - p.degeneration)
     q = coefficients(p)
     rs = oracle.all_roots(q, p.b, p.c)
     if args.format == "json":

@@ -6,10 +6,11 @@ chain.  all_roots reads z = 1, the one possible multiple zero of F, with
 its multiplicity m from an exact split, and computes the other complex
 roots, of F or of F/(z - 1)^m, by simultaneous (Aberth-style) iteration.  A
 float F takes one pass with Horner evaluation (_solve_float).  An exact F
-takes the stages of one table, _STAGES, that one loop walks (_solve_exact):
-that pass, a stage that evaluates F by Gauss's contiguous relation in a,
-and a rescue with exact evaluation.  Only exact Newton steps certify its
-roots; the float stages merely steer the search.
+takes its stages in turn (_solve_exact, _stages): that pass, a stage that
+evaluates F by Gauss's contiguous relation in a, and a rescue with exact
+evaluation, each built only when the one before leaves a root unsound.
+Only exact Newton steps certify its roots; the float stages merely steer
+the search.
 verify() runs both sides against the predictions and reports field-by-field
 agreement.
 
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import klein, special
 from .core import (
@@ -431,8 +432,10 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
         p'(z) * 2**(s*(d-1)) = (B_1 - 2*mi**2*C_1) + i*2*mi*(C_0 - mr*C_1),
 
     four big-integer products per coefficient instead of the eight of a
-    complex Horner, and two (a real Horner) when mi = 0.  Each integer is
-    the exact value times its scale, so it does not depend on how it was
+    complex Horner.  A real z (mi = 0) takes the same loop: the quadratic is
+    (x - z)**2, whose remainder B_1 (x - z) + (B_0 - mr*B_1) gives p(z) and
+    p'(z) = B_1 at once, with zero imaginary parts.  Each integer is the
+    exact value times its scale, so it does not depend on how it was
     computed, and neither do the floats _big_to_float makes of it nor the
     OverflowError it raises.
     """
@@ -444,25 +447,17 @@ def _exact_eval_pair(int_cs: List[int], z: complex) -> Tuple[complex, complex]:
     mr = nr << (s - sr)
     mi = ni << (s - si)
 
+    t = 2 * mr
+    m = mr * mr + mi * mi
     shift = 0
-    if mi == 0:
-        pr = dr = 0
-        for a in reversed(int_cs):
-            dr = dr * mr + pr
-            pr = pr * mr + (a << shift)
-            shift += s
-        pi = di = 0
-    else:
-        t = 2 * mr
-        m = mr * mr + mi * mi
-        b1 = b2 = c1 = c2 = 0
-        for a in reversed(int_cs):
-            c1, c2 = b2 + t * c1 - m * c2, c1
-            b1, b2 = (a << shift) + t * b1 - m * b2, b1
-            shift += s
-        # b1, b2 = B_0, B_1 and c1, c2 = C_0, C_1
-        pr, pi = b1 - mr * b2, mi * b2
-        dr, di = b2 - 2 * mi * mi * c2, 2 * mi * (c1 - mr * c2)
+    b1 = b2 = c1 = c2 = 0
+    for a in reversed(int_cs):
+        c1, c2 = b2 + t * c1 - m * c2, c1
+        b1, b2 = (a << shift) + t * b1 - m * b2, b1
+        shift += s
+    # b1, b2 = B_0, B_1 and c1, c2 = C_0, C_1
+    pr, pi = b1 - mr * b2, mi * b2
+    dr, di = b2 - 2 * mi * mi * c2, 2 * mi * (c1 - mr * c2)
     pbits = shift - s
     dbits = pbits - s
     p = complex(_big_to_float(pr, pbits), _big_to_float(pi, pbits))
@@ -595,36 +590,23 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
     return out
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """One Aberth stage of the exact solve, a record of _STAGES."""
-
-    # builds the _aberth evaluator from the primitive integer polynomial, b and c
-    evaluator: Callable[[List[int], object, object], Evaluator]
-    budget: Callable[[], int]  # the sweep budget, read when the stage runs
-    needs_whole_f: bool  # runs only where F is solved whole at full degree
-
-
-# The stages of the exact solve of all_roots, in order; a float F is
-# _solve_float, one Horner pass of its own.  A stage runs while points are
-# unsound, starts each of them where the stage before left it (the first on
-# the Newton polygon circles), freezes the sound ones at their certified
-# positions, and keeps what it settled when it runs out.  Names are looked
-# up when a stage runs.
-_STAGES = (
-    _Stage(lambda int_fac, b, c: _settle_on_residual(_normalised(int_fac)),  # the Horner pass
-           lambda: MAX_SWEEPS, needs_whole_f=False),
-    # the recurrence stage: where the float landscape of the monomial
-    # coefficients is flat, F by Gauss's contiguous relation is on its own
-    # scale; its steps are rounded from exact values, as float c + k may be 0
-    _Stage(lambda int_fac, b, c: _settle_on_step(functools.partial(
-               _contiguous_pair, _contiguous_steps(len(int_fac) - 1, b, c)), 1e-13),
-           lambda: RECURRENCE_SWEEPS, needs_whole_f=True),
+def _stages(int_fac: List[int], b, c, whole: bool) -> Iterator[Tuple[Evaluator, int]]:
+    """The stages of the exact solve, in order: the _aberth evaluator of the
+    primitive integer polynomial int_fac and the sweep budget of each (a
+    float F is _solve_float, one Horner pass of its own).  A stage is built,
+    and its budget read, only when the solve reaches it; the recurrence
+    stage only where F is solved whole at full degree (`whole`).
+    """
+    yield _settle_on_residual(_normalised(int_fac)), MAX_SWEEPS  # the Horner pass
+    if whole:
+        # the recurrence stage: where the float landscape of the monomial
+        # coefficients is flat, F by Gauss's contiguous relation is on its
+        # own scale; its steps are rounded from exact values, as float c + k
+        # may be 0
+        steps = _contiguous_steps(len(int_fac) - 1, b, c)
+        yield _settle_on_step(functools.partial(_contiguous_pair, steps), 1e-13), RECURRENCE_SWEEPS
     # the exact rescue
-    _Stage(lambda int_fac, b, c: _settle_on_step(
-               functools.partial(_exact_eval_pair, int_fac), 1e-14),
-           lambda: MAX_SWEEPS, needs_whole_f=False),
-)
+    yield _settle_on_step(functools.partial(_exact_eval_pair, int_fac), 1e-14), MAX_SWEEPS
 
 
 def _refine(int_fac: List[int], z: complex) -> Tuple[complex, float]:
@@ -689,25 +671,41 @@ def all_roots(q: Poly, b, c) -> RootSet:
     A float F is _solve_float: one Horner pass on its coefficients, whose
     points are float-polished and real-snapped; a run-out of its MAX_SWEEPS
     sweeps is a NonConvergenceError.  An exact F is _solve_exact, one loop
-    over the stage table _STAGES: the Horner pass, the recurrence stage (F
-    by Gauss's contiguous relation, _contiguous_pair, where F is solved
-    whole at full degree) and the exact rescue (_exact_eval_pair).  Only
-    exact Newton steps move and certify its points (_exact_newton,
-    _sound_mask); they give up on a point that is not converging after two
-    exact evaluations.  Each stage starts where the one before stopped: it
-    keeps what it settled, also when its sweeps run out, and the next one
-    starts each point still unsound where it was left.  So a failed exact
-    solve ends in one place: a point the rescue leaves uncertified is a
-    NonConvergenceError.  The Horner pass and the rescue have MAX_SWEEPS
-    sweeps each, the recurrence RECURRENCE_SWEEPS; the iterations of the
-    RootSet count the sweeps of every stage that ran.
+    over the stages of _stages: the Horner pass, the recurrence stage (F by
+    Gauss's contiguous relation, _contiguous_pair, where F is solved whole
+    at full degree) and the exact rescue (_exact_eval_pair).  Only exact
+    Newton steps move and certify its points (_exact_newton, _sound_mask);
+    they give up on a point that is not converging after two exact
+    evaluations.  Each stage starts where the one before stopped: it keeps
+    what it settled, also when its sweeps run out, and the next one starts
+    each point still unsound where it was left; no stage is built once
+    every point is sound.  So a failed exact solve ends in one place: a
+    point the rescue leaves uncertified is a NonConvergenceError.  The
+    Horner pass and the rescue have MAX_SWEEPS sweeps each, the recurrence
+    RECURRENCE_SWEEPS; the iterations of the RootSet count the sweeps of
+    every stage that ran.
 
-    A value beyond the float range (a huge exact coefficient, a leading
-    coefficient that underflows beside the others, or an exact evaluation
-    at high degree) ends the solve in a NonConvergenceError that names it.
+    A degree above the cap of 100 is an InvalidParameterError
+    (check_degree).  A value beyond the float range (a huge exact
+    coefficient, a leading coefficient that underflows beside the others,
+    an exact evaluation at high degree, or a residual) ends the solve in a
+    NonConvergenceError that names it.
     """
+    deg = q.effective_degree
+    if deg == 0:
+        return RootSet((), 0)
+    check_degree(deg)
     try:
-        return _solve(q, b, c)
+        full = tuple(float(a) for a in q.coeffs[: deg + 1])
+        # the simple roots solved, their sweeps, and the multiplicity m of z = 1
+        zs, sweeps, m = _solve_exact(q, b, c) if q.is_exact else (*_solve_float(full), 0)
+        found = [(z, 1) for z in _pair_conjugates(zs)]
+        if m:
+            found.append((1 + 0j, m))
+        found.sort(key=lambda t: (t[0].real, t[0].imag))
+        # abs of a complex residual can overflow too
+        return RootSet(tuple(Root(z, k, abs(horner_with_derivative(full, z)[0]))
+                             for z, k in found), sweeps)
     except OverflowError as exc:
         raise NonConvergenceError(f"a value overflowed the float range ({exc})") from None
 
@@ -715,30 +713,13 @@ def all_roots(q: Poly, b, c) -> RootSet:
 def check_degree(deg: int) -> None:
     """Raise InvalidParameterError for a degree above the cap of 100.
 
-    _solve checks its polynomial.  verify and roots check an exact point's
-    degree, n - Params.degeneration, and identity its n, before they build
-    F, which costs about n^3 in big-integer work.
+    all_roots checks its polynomial.  verify and roots check every point's
+    degree, n - Params.degeneration, exact or float, and identity its n,
+    before they build F: an exact F costs about n^3 in big-integer work, and
+    a float F has n coefficients, which may overflow.
     """
     if deg > 100:
         raise InvalidParameterError(f"degree {deg} exceeds the cap of 100")
-
-
-def _solve(q: Poly, b, c) -> RootSet:
-    """all_roots, which turns its OverflowError into a NonConvergenceError;
-    it solves the one polynomial named there."""
-    deg = q.effective_degree
-    if deg == 0:
-        return RootSet((), 0)
-    check_degree(deg)
-    full = tuple(float(a) for a in q.coeffs[: deg + 1])
-    # the simple roots solved, their sweeps, and the multiplicity m of z = 1
-    zs, sweeps, m = _solve_exact(q, b, c) if q.is_exact else (*_solve_float(full), 0)
-    found = [(z, 1) for z in _pair_conjugates(zs)]
-    if m:
-        found.append((1 + 0j, m))
-    found.sort(key=lambda t: (t[0].real, t[0].imag))
-    return RootSet(tuple(Root(z, k, abs(horner_with_derivative(full, z)[0]))
-                         for z, k in found), sweeps)
 
 
 def _normalised(cs) -> List[float]:
@@ -769,24 +750,26 @@ def _solve_exact(q: Poly, b, c) -> Tuple[List[complex], int, int]:
     int_fac, m = _deflate_at_one(int_cs)
     if m <= 1:
         int_fac, m = int_cs, 0
+    if len(int_fac) == 1:  # F = (1 - z)^m leaves nothing to solve
+        return [], 0, m
     int_fac = _primitive(int_fac)
     fac = _normalised(int_fac)
     total_sweeps = 0
     zs = _newton_polygon_starts(fac)  # each point where the last stage left it
     refined = [(z, math.inf) for z in zs]  # each point and its certificate
     sound = [False] * len(zs)
-    for stage in _STAGES:
-        if all(sound):  # also where F = (1 - z)^m leaves nothing to solve
-            break
-        if stage.needs_whole_f and len(fac) < len(q.coeffs):
-            continue
-        zs, settled, sweeps = _aberth(fac, stage.budget(), stage.evaluator(int_fac, b, c),
-                                      _restart(refined, zs, sound), sound)
+    # a stage starts each unsound point where the stage before left it,
+    # freezes the sound ones at their certified positions, and keeps what it
+    # settled when it runs out
+    for evaluate, budget in _stages(int_fac, b, c, len(int_fac) == len(q.coeffs)):
+        zs, settled, sweeps = _aberth(fac, budget, evaluate, _restart(refined, zs, sound), sound)
         total_sweeps += sweeps
         refined = [_refine(int_fac, z) if done and not ok else old
                    for old, ok, done, z in zip(refined, sound, settled, zs)]
         sound = _sound_mask(refined)
-    if not all(sound):
+        if all(sound):
+            break
+    else:
         raise NonConvergenceError("exact-evaluation rescue left unverified roots", best=refined)
     return [z for z, _ in refined], total_sweeps, m
 
@@ -938,8 +921,7 @@ def verify(p: Params) -> VerificationReport:
     except BoundaryParameterError as exc:
         notes.append(f"geometry unclassifiable: boundary ({exc})")
 
-    if p.is_exact:
-        check_degree(p.n - p.degeneration)
+    check_degree(p.n - p.degeneration)
     q = coefficients(p)
     rootset = all_roots(q, p.b, p.c)
     sturm = sturm_counts(q) if p.is_exact else None

@@ -257,10 +257,18 @@ CAP_MESSAGE = "invalid parameters: degree 101 exceeds the cap of 100\n"
      (0, "pfaff: 1/1 points proved: PASS\n", ""), 2),
     (("identity", "jacobi", "-n", "101"), (1, "", CAP_MESSAGE), 0),
     (("identity", "gegenbauer", "-n", "101"), (1, "", CAP_MESSAGE), 0),
+    # a float point is capped the same way, before its coefficients overflow
+    (("roots", "-n", "101", "-b", "2.5", "-c", "3.5"), (1, "", CAP_MESSAGE), 0),
+    (("verify", "-n", "101", "-b", "0.5", "-c", "0.25"), (1, "", CAP_MESSAGE), 0),
+    (("verify", "-n", "101", "--b-range", "0.5:1.5:2", "-c", "0.25"),
+     (0, "verify n=101 b=0.5 c=0.25 -> UNDEFINED\nverify n=101 b=1.5 c=0.25 -> UNDEFINED\n", ""),
+     0),
+    (("roots", "-n", "1000", "-b", "-3.0", "-c", "0.5", "--format", "json"), None, 1),
 ])
 def test_an_exact_point_above_the_solver_cap_is_refused_before_f_is_built(
         capsys, monkeypatch, argv, expected, builds):
-    # F costs about n^3 to build; its degree n - degeneration (for identity,
+    # every point, exact or float: an exact F costs about n^3 to build and a
+    # float F has n coefficients; its degree n - degeneration (for identity,
     # n) is known first
     calls = []
     coefficients = core.coefficients

@@ -366,6 +366,12 @@ _tiny = st.floats(1e-300, 1e-12) | st.floats(-1e-12, -1e-300)
 
 
 @settings(max_examples=300, deadline=None)
+# a real z on every run: either zero sign of its imaginary part, at
+# coefficients near 2**600, and where p overflows
+@example([2 ** 600 - 1, -(2 ** 600) + 3, 2 ** 599 + 5], 1.5, 0.0)
+@example([-(2 ** 600), 2 ** 600 - 7, -(2 ** 600) + 1, 2 ** 600], -2.75, -0.0)
+@example([2 ** 600 - 3, 2 ** 600, -(2 ** 600) + 9], 3.0, -0.0)
+@example([2 ** 600, -(2 ** 600) + 1, 2 ** 600 - 1], 1e300, 0.0)
 @given(
     st.lists(st.integers(-2 ** 600, 2 ** 600), min_size=2, max_size=41),
     st.one_of(_signed_zero, st.integers(-40, 40).map(float), st.floats(-4, 4),
@@ -613,6 +619,22 @@ def test_recurrence_stage_runs_only_on_f_whole_at_full_degree(n, b, c, monkeypat
     assert all_roots(q, b, c).total_multiplicity == q.effective_degree
     assert any(later_stages)
     assert recurrence == []
+
+
+@pytest.mark.parametrize("n,b,c,built", [
+    # the Horner pass certifies every root
+    (8, Fraction(7, 3), Fraction(-11, 5), []),
+    # it leaves unsound points, so the recurrence stage is built, once
+    (35, Fraction(113, 12), Fraction(-19, 3), [35]),
+], ids=str)
+def test_no_stage_is_built_once_every_point_is_sound(n, b, c, built, monkeypatch):
+    calls = []
+    steps = oracle._contiguous_steps
+    monkeypatch.setattr(oracle, "_contiguous_steps",
+                        lambda n, b, c: calls.append(n) or steps(n, b, c))
+    q = coefficients(Params(n, b, c))
+    assert all_roots(q, b, c).total_multiplicity == n
+    assert calls == built
 
 
 def _sound_mask_of_all_pairs(points):
