@@ -384,9 +384,12 @@ def _float_or_none(v: Scalar) -> Optional[float]:
 
 
 def cmd_sweep(args) -> int:
-    """The grid's rows, one classification per distinct cell code triple.
+    """The grid's rows, one classification per distinct window cell.
 
-    klein.classify_cell reads nothing but the cell codes of (b, c, c - b).
+    klein.classify_cell reads nothing but the cell codes of (b, c, c - b),
+    and tells apart only the codes of klein.code_window, so each code is
+    clamped into that window and the memo is keyed on the clamped triple:
+    an axis code once per axis value, the code of c - b once per point.
     Exact grids put every value over one common denominator, so each code
     comes from integer // and %.  Float grids read the floats and the float
     c - b that Params would hold; a point where either is missing or not
@@ -413,10 +416,12 @@ def cmd_sweep(args) -> int:
             d = math.inf if yb is None else yc - yb
             return cell_code(d) if math.isfinite(d) else None
 
+    lo, hi = klein.code_window(n)
+    codes = [code if code is None else min(max(code, lo), hi) for code in codes]
     columns = list(zip([f"{n},{format_scalar(b)}," for b in bs], ys, codes))
     undefined = _sweep_tail(mode, None, "undefined")
     probe = Fraction(0) if exact else 0.0
-    memo = {}  # cell code triple -> row tail
+    memo = {}  # clamped cell code triple -> row tail
     lines = [SWEEP_COLUMNS]
     for c, yc, code_c in zip(cs, ys[len(bs):], codes[len(bs):]):
         mid = f"{format_scalar(c)},"
@@ -427,8 +432,12 @@ def cmd_sweep(args) -> int:
             continue
         for head, yb, code_b in columns:
             code_cb = diff_code(yb, yc)
-            key = (code_b, code_c, code_cb)
-            tail = undefined if code_cb is None else memo.get(key)
+            if code_cb is None:
+                lines.append(head + mid + undefined)
+                continue
+            # clamped inline: min(max(...)) costs twice the code of c - b itself
+            key = (code_b, code_c, lo if code_cb < lo else hi if code_cb > hi else code_cb)
+            tail = memo.get(key)
             if tail is None:
                 try:
                     tail = _sweep_tail(mode, klein.classify_cell(n, *key), "ok")

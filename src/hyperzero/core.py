@@ -161,9 +161,13 @@ class Params:
         """Degree lost when b is a nonpositive integer above 1-n.
 
         For b = -m with 0 <= m < n the series coefficients vanish beyond
-        index m, so the polynomial's effective degree drops to m.
+        index m, so the polynomial's effective degree drops to m.  This is
+        the degree that coefficients builds, so a float b is read at its
+        exact value, not by side: one within INTEGRALITY_TOL of -m but
+        not on it leaves every coefficient nonzero and F of degree n.
         """
-        return self.n + cell_code(self.b) // 2 if in_excluded_set(self.b, self.n) else 0
+        code = ratio_code(*self.b.as_integer_ratio())
+        return self.n + code // 2 if excluded_code(code, self.n) else 0
 
 
 @dataclass(frozen=True)

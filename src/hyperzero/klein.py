@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from . import transforms
 from .core import (
@@ -215,6 +216,17 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
     the values there; D. Hilbert, J. reine angew. Math. 103, 1888).  The
     window edges b - c = n and b = -n are not among them, and read as the
     cell above them; after that, the window indices read only odd codes.
+
+    Why a code beyond code_window(n) reads as the window's edge.  Every
+    test above compares a code with 0, 2(1-n) or -2n, or tests the
+    excluded set, and every window index reads a code inside [-2n, 0].  A
+    code above 1 falls on the same side of each test as 1 does, and a code
+    below -2n-1 on the same side as -2n-1.  The reduction maps
+    X -> 2(1-n) - X reflect only codes of at most 0 (those of c < 0,
+    b < 1-n and c-b < 1-n), so a reflected code was changed by the clamp,
+    if at all, from below -2n-1 to -2n-1; both land at 3 or above, which
+    every later test reads as positive and no window index reads.  So a
+    code above 1 classifies as 1, and one below -2n-1 as -2n-1.
     """
     if excluded_code(B, n):
         raise BoundaryParameterError("b")
@@ -241,6 +253,17 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
     # (new c' lands in (1-n, 0) with c'-b > 0), then Pfaff into the
     # directly analyzed region.
     return _reduced(n, codes, _cell_c_negative_b_positive, "euler_reflect", "pfaff")
+
+
+def code_window(n: int) -> Tuple[int, int]:
+    """The least and greatest cell codes that classify_cell tells apart: -2n-1 and 1.
+
+    classify_cell answers a code above 1 as it answers 1, and a code below
+    -2n-1 as it answers -2n-1 (its docstring says why), for each of the
+    codes of b, c and c - b; a caller may clamp every code into this window
+    before it classifies.
+    """
+    return -2 * n - 1, 1
 
 
 def _boundary_message(edge: str, p: Params) -> str:

@@ -264,6 +264,10 @@ CAP_MESSAGE = "invalid parameters: degree 101 exceeds the cap of 100\n"
      (0, "verify n=101 b=0.5 c=0.25 -> UNDEFINED\nverify n=101 b=1.5 c=0.25 -> UNDEFINED\n", ""),
      0),
     (("roots", "-n", "1000", "-b", "-3.0", "-c", "0.5", "--format", "json"), None, 1),
+    # a float b 1e-13 off -3 is on it for the classifier, but F keeps degree n
+    (("roots", "-n", "1000000", "-b", "-3.0000000000001", "-c", "0.5"),
+     (1, "", "invalid parameters: degree 1000000 exceeds the cap of 100\n"), 0),
+    (("verify", "-n", "101", "-b", "-3.0000000000001", "-c", "0.5"), (1, "", CAP_MESSAGE), 0),
 ])
 def test_an_exact_point_above_the_solver_cap_is_refused_before_f_is_built(
         capsys, monkeypatch, argv, expected, builds):

@@ -1,4 +1,4 @@
-"""The lattice-cell claim behind sweep: one classification per cell code triple.
+"""The lattice-cell claim behind sweep: one classification per window cell.
 
 The counts and provenance of classify_region are constant on each open
 cell of the lines {b in Z}, {c in Z} and {c - b in Z}
@@ -6,8 +6,10 @@ cell of the lines {b in Z}, {c in Z} and {c - b in Z}
 lines that one triple of cell codes names.  These tests check the claim
 on every cell of a box and on points of the lines, check one point of
 every cell against the exact Sturm count, check that float points away
-from the lines agree with the exact cell, and check sweep's output against
-a plain per-point loop and its classifier calls against the code triples.
+from the lines agree with the exact cell, check that a code beyond
+klein.code_window classifies as the window's edge, and check sweep's
+output against a plain per-point loop and its classifier calls against
+the code triples clamped into that window.
 """
 
 import contextlib
@@ -19,7 +21,12 @@ from fractions import Fraction
 import pytest
 
 from hyperzero import Params, classify_region, cli, coefficients, klein, sturm_counts
-from hyperzero.core import BoundaryParameterError, InvalidParameterError, cell_code
+from hyperzero.core import (
+    BoundaryParameterError,
+    InvalidParameterError,
+    cell_code,
+    excluded_code,
+)
 
 
 def _cells(n):
@@ -200,6 +207,10 @@ FIXED_GRIDS = [
     # the sweep-grid benchmark's dense and decimal shapes, smaller
     ["sweep", "-n", "8", "--b-range=-8:8:47", "--c-range=-8:8:45", "--margin", "2/13"],
     ["sweep", "-n", "8", "--b-range=-8.0:8.0:51", "--c-range=-8.0:8.0:47", "--margin", "0.437"],
+    # boxes far past the code window on both sides, for b, c and c - b
+    ["sweep", "-n", "3", "--b-range=-40:40:81", "--c-range=-40:40:79", "--margin", "1/7"],
+    ["sweep", "-n", "3", "--b-range=-40.0:40.0:81", "--c-range=-40.0:40.0:79",
+     "--margin", "0.143"],
 ]
 
 
@@ -215,9 +226,17 @@ def test_sweep_equals_the_per_point_loop_on_random_grids():
         assert _sweep(argv) == _reference_sweep(argv), argv
 
 
-@pytest.mark.parametrize("argv", [FIXED_GRIDS[3], FIXED_GRIDS[1], FIXED_GRIDS[4]], ids=" ".join)
+def _clamped(n, codes):
+    lo, hi = klein.code_window(n)
+    return tuple(min(max(code, lo), hi) for code in codes)
+
+
+@pytest.mark.parametrize("argv", [FIXED_GRIDS[3], FIXED_GRIDS[1], FIXED_GRIDS[4], FIXED_GRIDS[8]],
+                         ids=" ".join)
 def test_sweep_classifies_once_per_code_triple_and_builds_no_params_per_point(
         monkeypatch, argv):
+    # once per triple of codes clamped into klein.code_window: a grid wider
+    # than the window has fewer of those than of raw code triples
     args = cli.build_parser().parse_args(argv)
     bs, cs = cli._axes(args)
     triples = set()
@@ -240,5 +259,46 @@ def test_sweep_classifies_once_per_code_triple_and_builds_no_params_per_point(
     monkeypatch.setattr(klein, "classify_cell", counted_classify)
     monkeypatch.setattr(cli, "Params", counted_params)
     _sweep(argv)
-    assert sorted(classified) == sorted(triples)
+    assert sorted(classified) == sorted({_clamped(args.n, t) for t in triples})
+    assert len(classified) < len(triples)
     assert len(built) == len(cs)  # one per row, for the checks of n and c
+
+
+def _realizable_triples(n):
+    """The code triples of every b, c in thirds of [-2n-3, 2n+3] with c valid.
+
+    Thirds put points on the lines of b, c and c - b and in both triangles
+    of every unit square; the box reaches past code_window on both sides
+    for b, c and c - b, by more than its width for each.
+    """
+    r = 3 * (2 * n + 3)
+    codes = [cell_code(Fraction(k, 3)) for k in range(-r, r + 1)]
+    triples = set()
+    for kc, code_c in zip(range(-r, r + 1), codes):
+        if excluded_code(code_c, n):
+            continue
+        for kb, code_b in zip(range(-r, r + 1), codes):
+            triples.add((code_b, code_c, cell_code(Fraction(kc - kb, 3))))
+    return triples
+
+
+def _cell_answer(n, codes):
+    try:
+        return klein.classify_cell(n, *codes)
+    except BoundaryParameterError as exc:
+        return exc.args
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_code_beyond_the_window_classifies_as_the_windows_edge(n):
+    lo, hi = klein.code_window(n)
+    triples = _realizable_triples(n)
+    width = hi - lo
+    assert min(map(min, triples)) < lo - width and max(map(max, triples)) > hi + width
+    moved = 0
+    for codes in triples:
+        clamped = _clamped(n, codes)
+        if clamped != codes:
+            moved += 1
+            assert _cell_answer(n, codes) == _cell_answer(n, clamped), (n, codes)
+    assert moved > len(triples) // 2
