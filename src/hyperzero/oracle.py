@@ -47,8 +47,9 @@ from .core import (
 )
 from .special import Geometry
 
-# z -> (p(z), p'(z), the bound |p(z)| must meet for z to settle)
-Evaluator = Callable[[complex], Tuple[complex, complex, float]]
+# z -> (p(z), p'(z), the bound |p(z)| must meet for z to settle, and the one
+# it must meet for z to settle where its Newton step stalls)
+Evaluator = Callable[[complex], Tuple[complex, complex, float, float]]
 
 # The one root rule: all_roots accepts a computed root z when an exact
 # Newton step bounds its distance to a true root by ROOT_BAND (1 + |z|), and
@@ -59,7 +60,7 @@ ROOT_BAND = 1e-9
 MAX_SWEEPS = 1000
 
 # Sweep budget of the recurrence stage of all_roots.  Where the stage finds
-# every root it takes at most 52 sweeps on the verify families.
+# every root it takes at most 46 sweeps on the verify families.
 RECURRENCE_SWEEPS = 60
 
 # ---------------------------------------------------------------------------
@@ -278,18 +279,25 @@ def _newton_polygon_starts(coeffs: List[float]) -> List[complex]:
 def _settle_on_step(pair: Callable[[complex], Tuple[complex, complex]],
                     tol: float) -> Evaluator:
     """An _aberth evaluator from z -> (p(z), p'(z)): z settles once its
-    Newton step |p/p'| is at most tol (1 + |z|), and never where p' = 0."""
-    def evaluate(z: complex) -> Tuple[complex, complex, float]:
+    Newton step |p/p'| is at most tol (1 + |z|), and never where p' = 0.
+    It also settles once that step is within ROOT_BAND (1 + |z|) and is not
+    at most half its step of the sweep before: the test on which
+    _exact_newton hands a point off.  Where forward recursion is unstable,
+    the float steps of _contiguous_pair stall there at their noise floor,
+    short of tol, and the exact Newton steps of _refine finish the point."""
+    def evaluate(z: complex) -> Tuple[complex, complex, float, float]:
         p, dp = pair(z)
-        return p, dp, (tol * abs(dp) * (1 + abs(z)) if dp != 0 else -1.0)
+        scale = abs(dp) * (1 + abs(z))
+        return p, dp, (tol * scale if dp != 0 else -1.0), ROOT_BAND * scale
     return evaluate
 
 
 def _settle_on_residual(coeffs: List[float]) -> Evaluator:
     """An _aberth evaluator by Horner on coeffs in floats, where z settles on
-    a small backward error: |p(z)| at most 1e-14 of sum |a_k| |z|**k."""
+    a small backward error: |p(z)| at most 1e-14 of sum |a_k| |z|**k, and
+    never on a stalled step (its stall bound is 0.0)."""
     terms = [(a, abs(a)) for a in reversed(coeffs)]
-    def evaluate(z: complex) -> Tuple[complex, complex, float]:
+    def evaluate(z: complex) -> Tuple[complex, complex, float, float]:
         p = dp = 0j
         scale = 0.0
         az = abs(z)
@@ -297,7 +305,7 @@ def _settle_on_residual(coeffs: List[float]) -> Evaluator:
             dp = dp * z + p
             p = p * z + a
             scale = scale * az + size
-        return p, dp, 1e-14 * scale
+        return p, dp, 1e-14 * scale, 0.0
     return evaluate
 
 
@@ -317,11 +325,13 @@ def _aberth(
     returns each point, whether it settled, and its sweeps: max_sweeps,
     with some point unsettled, when they run out; it never raises on that.
 
-    `evaluate` maps z to p(z), p'(z) and the bound |p| must meet for z to
-    settle (_settle_on_residual, _settle_on_step); settling certifies
-    nothing.  Points marked `frozen` are already validated: they take part
-    in the repulsion sums of the others but are neither evaluated nor
-    moved.  A point that settles is treated like a frozen one from then on:
+    `evaluate` maps z to p(z), p'(z), the bound |p| must meet for z to
+    settle, and the bound it must meet for z to settle where its Newton step
+    |p/p'| stalls, that is, is not at most half its step of the sweep before
+    (_settle_on_residual, _settle_on_step); settling certifies nothing.
+    Points marked `frozen` are already validated: they take part in the
+    repulsion sums of the others but are neither evaluated nor moved.  A
+    point that settles is treated like a frozen one from then on:
     evaluation is deterministic and a settled point is never moved, so
     evaluating it again could only settle it again.
     """
@@ -339,6 +349,7 @@ def _aberth(
 
     zs = list(start)
     settled = list(frozen)
+    last = [math.inf] * d  # each point's Newton step of the sweep before
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         moved = False
@@ -346,7 +357,7 @@ def _aberth(
             if settled[k]:
                 continue
             z = zs[k]
-            p, dp, settle = evaluate(z)
+            p, dp, settle, stall = evaluate(z)
             if not (cmath.isfinite(p) and cmath.isfinite(dp)):
                 # evaluation overflowed; pull the point toward the cluster
                 zs[k] = center + (z - center) * 0.5
@@ -360,6 +371,12 @@ def _aberth(
                 moved = True
                 continue
             w = p / dp
+            # a step that no longer halves inside the band is at the noise
+            # floor of the evaluation: exact Newton finishes the point
+            if abs(p) <= stall and abs(w) > last[k] / 2:
+                settled[k] = True
+                continue
+            last[k] = abs(w)
             tiny = 1e-12 * (1 + abs(z))
             acc = sum([1 / ((z - zj) or tiny) for zj in zs[:k] + zs[k + 1:]])
             denom = 1 - w * acc
@@ -595,7 +612,10 @@ def _stages(int_fac: List[int], b, c, whole: bool) -> Iterator[Tuple[Evaluator, 
     primitive integer polynomial int_fac and the sweep budget of each (a
     float F is _solve_float, one Horner pass of its own).  A stage is built,
     and its budget read, only when the solve reaches it; the recurrence
-    stage only where F is solved whole at full degree (`whole`).
+    stage only where F is solved whole at full degree (`whole`).  The two
+    stages after the Horner pass settle on the Newton step (_settle_on_step),
+    also where it stalls inside ROOT_BAND; the Horner pass settles on its
+    backward error alone, so it never hands on a point by the band.
     """
     yield _settle_on_residual(_normalised(int_fac)), MAX_SWEEPS  # the Horner pass
     if whole:
@@ -676,14 +696,15 @@ def all_roots(q: Poly, b, c) -> RootSet:
     at full degree) and the exact rescue (_exact_eval_pair).  Only exact
     Newton steps move and certify its points (_exact_newton, _sound_mask);
     they give up on a point that is not converging after two exact
-    evaluations.  Each stage starts where the one before stopped: it keeps
-    what it settled, also when its sweeps run out, and the next one starts
-    each point still unsound where it was left; no stage is built once
-    every point is sound.  So a failed exact solve ends in one place: a
-    point the rescue leaves uncertified is a NonConvergenceError.  The
-    Horner pass and the rescue have MAX_SWEEPS sweeps each, the recurrence
-    RECURRENCE_SWEEPS; the iterations of the RootSet count the sweeps of
-    every stage that ran.
+    evaluations, and by the same test the recurrence stage hands on a point
+    whose float step stalls inside ROOT_BAND (_settle_on_step).  Each stage
+    starts where the one before stopped: it keeps what it settled, also
+    when its sweeps run out, and the next one starts each point still
+    unsound where it was left; no stage is built once every point is
+    sound.  So a failed exact solve ends in one place: a point the rescue
+    leaves uncertified is a NonConvergenceError.  The Horner pass and the
+    rescue have MAX_SWEEPS sweeps each, the recurrence RECURRENCE_SWEEPS;
+    the iterations of the RootSet count the sweeps of every stage that ran.
 
     A degree above the cap of 100 is an InvalidParameterError
     (check_degree).  A value beyond the float range (a huge exact

@@ -561,9 +561,11 @@ def test_recurrence_stage_leaves_every_root_bit_identical(n, b, c, monkeypatch):
 
 def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeypatch):
     # here the recurrence settles some unsound points within its budget and
-    # not the others; the settled ones are certified and frozen, so the
-    # exact rescue restarts only the others, each where the recurrence left it
-    p = Params(35, Fraction(113, 12), Fraction(-19, 3))
+    # not the others (12 of 30: the noise floor of its float steps lies above
+    # the root band at the rest); the settled ones are certified and frozen,
+    # so the exact rescue restarts only the others, each where the
+    # recurrence left it
+    p = Params(35, Fraction(-407, 9), Fraction(-523, 12))
     calls = []  # (sweep budget, start, frozen mask, positions, settled mask if it ran out)
     aberth = oracle._aberth
 
@@ -586,6 +588,78 @@ def test_recurrence_stage_keeps_what_it_settled_when_its_budget_runs_out(monkeyp
     certified = [z if ok else oracle._refine(int_fac, z)[0] for z, ok in zip(left, sound)]
     assert start == [zc if ok else z for z, zc, ok in zip(left, certified, rescue)]
     assert verify(p).status == "pass"
+
+
+@pytest.mark.parametrize("n,b,c", [
+    (20, Fraction(-205, 11), Fraction(-53, 2)),  # 18 + 60 + 2 sweeps before
+    (35, Fraction(113, 12), Fraction(-19, 3)),   # 18 + 60 + 2 sweeps before
+], ids=str)
+def test_recurrence_stage_hands_stalled_points_to_exact_newton(n, b, c, monkeypatch):
+    # forward recursion is unstable here: the float steps of the recurrence
+    # stall inside the root band, short of its 1e-13 step test.  The stage
+    # settles them there, exact Newton certifies them, and no rescue runs
+    calls = []  # (sweep budget, sweeps, whether every point settled)
+    aberth = oracle._aberth
+
+    def spy(coeffs, max_sweeps, evaluate, start, frozen):
+        zs, settled, sweeps = aberth(coeffs, max_sweeps, evaluate, start, frozen)
+        calls.append((max_sweeps, sweeps, all(settled)))
+        return zs, settled, sweeps
+
+    monkeypatch.setattr(oracle, "_aberth", spy)
+    p = Params(n, b, c)
+    rs = all_roots(coefficients(p), b, c)
+    assert rs.total_multiplicity == n
+    (_, _, first_done), (budget, sweeps, done) = calls
+    assert first_done and budget == oracle.RECURRENCE_SWEEPS
+    assert done and sweeps < budget
+    assert verify(p).status == "pass"
+
+
+def _noisy_step_run(eta):
+    """An _aberth run on a sextic with known roots, whose _settle_on_step
+    evaluator adds to the exact p a deterministic noise of relative size eta
+    on the scale sum |a_k| |z|**k, as float recursion does.  Returns the
+    points, their settled mask, the sweeps, each point's distance to its
+    root over 1 + |z|, and whether each settled on a stalled step."""
+    roots = [Fraction(1), Fraction(2), Fraction(3), Fraction(5, 2), Fraction(-1, 3),
+             Fraction(7, 4)]
+    fac = [float(a) for a in from_roots(roots)]
+
+    def pair(z):
+        p, dp = horner_with_derivative(fac, z)
+        noise = random.Random(z.real.hex() + z.imag.hex()).uniform(-1, 1)
+        return p + eta * noise * oracle._residual_scale(fac, z), dp
+
+    settle_on_step = oracle._settle_on_step(pair, 1e-13)
+    last = {}  # the evaluation at each point reached
+
+    def evaluate(z):
+        last[z] = settle_on_step(z)
+        return last[z]
+
+    zs, settled, sweeps = oracle._aberth(fac, oracle.RECURRENCE_SWEEPS, evaluate,
+                                         oracle._newton_polygon_starts(fac), [False] * 6)
+    dist = [min(abs(z - r) for r in roots) / (1 + abs(z)) for z in zs]
+    # a settled point is never moved, so its last evaluation is at its place
+    stalled = [ok and abs(last[z][0]) > last[z][2] for z, ok in zip(zs, settled)]
+    return zs, settled, sweeps, dist, stalled
+
+
+def test_a_step_stalled_inside_the_root_band_settles():
+    # the noise puts a floor under the float Newton steps above the 1e-13
+    # step test and below ROOT_BAND: the stalled points settle in the band
+    _, settled, sweeps, dist, stalled = _noisy_step_run(1e-13)
+    assert all(settled) and sweeps < oracle.RECURRENCE_SWEEPS
+    assert any(stalled)
+    assert max(dist) <= oracle.ROOT_BAND
+    # without the noise every point meets the step test: no stall clause
+    zs, settled, _, dist, stalled = _noisy_step_run(0.0)
+    assert all(settled) and not any(stalled)
+    assert max(dist) <= 1e-12
+    # the Horner pass settles on its backward error alone
+    fac = [float(a) for a in from_roots(range(1, 7))]
+    assert {oracle._settle_on_residual(fac)(z)[3] for z in zs} == {0.0}
 
 
 def test_float_roots_do_not_take_the_recurrence_stage(monkeypatch):
