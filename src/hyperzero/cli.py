@@ -37,7 +37,7 @@ from .core import (
     gegenbauer_point,
     jacobi,
     pochhammer,
-    ratio_code,
+    ratio_codes,
     side,
 )
 
@@ -332,7 +332,10 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
     """The b values and the c values of a (b, c) grid, each list of one type.
 
     An axis is a MIN:MAX:STEPS range, stepped exactly when its endpoints
-    are rational, or a pinned -b or -c, which is a one-step range.  The
+    are rational, or a pinned -b or -c, which is a one-step range.  A range
+    whose endpoints and margin are all exact is stepped in integers, as one
+    progression of numerators over L (STEPS - 1), where L is the least
+    common denominator of the three; each value is reduced once.  The
     margin is a rational offset added to every point of a range of more
     than one step, to land strictly inside theorem windows; when supplied
     it must be positive, and a range must be given.  A float value that is
@@ -366,6 +369,13 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
             # a single-step range is a pinned value; the boundary-avoidance
             # offset only makes sense for generated grids
             axes.append([lo])
+        elif all(isinstance(v, Fraction) for v in (lo, hi, margin)):
+            # lo + (hi - lo) k / (steps - 1) + margin over one denominator,
+            # so each value costs one gcd and not three Fraction operations
+            den = math.lcm(lo.denominator, hi.denominator, margin.denominator)
+            a, h, m = (v.numerator * (den // v.denominator) for v in (lo, hi, margin))
+            s = steps - 1
+            axes.append([Fraction((a + m) * s + (h - a) * k, den * s) for k in range(steps)])
         else:
             span = hi - lo
             axes.append([lo + span * k / (steps - 1) + margin for k in range(steps)])
@@ -389,9 +399,10 @@ def cmd_sweep(args) -> int:
     klein.classify_cell reads nothing but the cell codes of (b, c, c - b),
     and tells apart only the codes of klein.code_window, so each code is
     clamped into that window and the memo is keyed on the clamped triple:
-    an axis code once per axis value, the code of c - b once per point.
-    Exact grids put every value over one common denominator, so each code
-    comes from integer // and %.  Float grids read the floats and the float
+    an axis code once per axis value, the codes of c - b once per row, in
+    one list pass over the row's differences.  Exact grids put every value
+    over one common denominator, so each code comes from integer floor
+    division (core.ratio_codes).  Float grids read the floats and the float
     c - b that Params would hold; a point where either is missing or not
     finite is undefined, as is a row whose c Params rejects.
     """
@@ -403,22 +414,14 @@ def cmd_sweep(args) -> int:
     if exact:
         den = math.lcm(*(v.denominator for v in bs + cs))
         ys = [v.numerator * (den // v.denominator) for v in bs + cs]
-        codes = [ratio_code(y, den) for y in ys]
-
-        def diff_code(yb, yc):
-            return ratio_code(yc - yb, den)
-
+        codes = ratio_codes(ys, den)
     else:
         ys = [_float_or_none(v) for v in bs + cs]
         codes = [None if y is None else cell_code(y) for y in ys]
-
-        def diff_code(yb, yc):
-            d = math.inf if yb is None else yc - yb
-            return cell_code(d) if math.isfinite(d) else None
-
     lo, hi = klein.code_window(n)
     codes = [code if code is None else min(max(code, lo), hi) for code in codes]
-    columns = list(zip([f"{n},{format_scalar(b)}," for b in bs], ys, codes))
+    ybs = ys[:len(bs)]
+    columns = list(zip([f"{n},{format_scalar(b)}," for b in bs], codes))
     undefined = _sweep_tail(mode, None, "undefined")
     probe = Fraction(0) if exact else 0.0
     memo = {}  # clamped cell code triple -> row tail
@@ -428,14 +431,18 @@ def cmd_sweep(args) -> int:
         try:
             Params(n, probe, c)  # the checks Params makes of n and c
         except InvalidParameterError:
-            lines.extend(head + mid + undefined for head, _, _ in columns)
+            lines.extend(head + mid + undefined for head, _ in columns)
             continue
-        for head, yb, code_b in columns:
-            code_cb = diff_code(yb, yc)
+        if exact:
+            row = ratio_codes([yc - yb for yb in ybs], den)
+        else:
+            diffs = [math.inf if yb is None else yc - yb for yb in ybs]
+            row = [cell_code(d) if math.isfinite(d) else None for d in diffs]
+        for (head, code_b), code_cb in zip(columns, row):
             if code_cb is None:
                 lines.append(head + mid + undefined)
                 continue
-            # clamped inline: min(max(...)) costs twice the code of c - b itself
+            # clamped inline, where min(max(...)) would make two calls per point
             key = (code_b, code_c, lo if code_cb < lo else hi if code_cb > hi else code_cb)
             tail = memo.get(key)
             if tail is None:

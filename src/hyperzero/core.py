@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -80,10 +80,18 @@ def cell_code(value: Scalar) -> int:
     return ratio_code(value.numerator, value.denominator)
 
 
+def ratio_codes(nums: Iterable[int], den: int) -> List[int]:
+    """cell_code of each exact value num / den, for den > 0.
+
+    The code is floor + ceil of the value: 2k on the integer k, 2k + 1
+    between k and k + 1.
+    """
+    return [num // den - (-num // den) for num in nums]
+
+
 def ratio_code(num: int, den: int) -> int:
     """cell_code of the exact value num / den, for den > 0."""
-    k, r = divmod(num, den)
-    return 2 * k + 1 if r else 2 * k
+    return ratio_codes((num,), den)[0]
 
 
 def half_code(value: Scalar) -> int:

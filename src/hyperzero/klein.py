@@ -114,7 +114,7 @@ def _prediction(n, n1, n2, n3, provenance) -> Counts:
     rest = n - n1 - n2 - n3
     if min(n1, n2, n3) < 0 or rest < 0 or rest % 2:
         raise RuntimeError(f"count accounting failed: ({n1},{n2},{n3}) vs degree {n}")
-    return Counts(n1, n2, n3, nonreal_pairs=rest // 2, provenance=provenance)
+    return Counts(n1, n2, n3, 0, rest // 2, provenance)
 
 
 def _index(code: int) -> int:
@@ -172,17 +172,22 @@ def _reduced(n: int, codes, classify, *maps: str) -> Counts:
 
     The codes go through each map's code map in transforms.REDUCTIONS, in
     order; the counts come back through each map's interval swap, last map
-    first, and each map's equation tag is prefixed to the provenance.
+    first, and each map's equation tag is prefixed to the provenance.  A
+    swap keeps n1 + n2 + n3 and the nonreal pairs, so the record that
+    classify built, which passed _prediction's accounting, is permuted and
+    not built again.
     """
-    for name in maps:
-        codes = transforms.REDUCTIONS[name].codes(n, *codes)
+    reductions = [transforms.REDUCTIONS[name] for name in maps]
+    for r in reductions:
+        codes = r.codes(n, *codes)
     sub = classify(n, *codes)
-    counts = list(sub.counts)
-    for name in reversed(maps):
-        i, j = transforms.REDUCTIONS[name].swap
+    counts = [sub.n1, sub.n2, sub.n3]
+    provenance = sub.provenance
+    for r in reversed(reductions):
+        i, j = r.swap
         counts[i], counts[j] = counts[j], counts[i]
-    via = "".join(f"reduced-via-{transforms.REDUCTIONS[name].tag}->" for name in maps)
-    return _prediction(n, *counts, via + sub.provenance)
+        provenance = f"reduced-via-{r.tag}->{provenance}"
+    return Counts(*counts, 0, sub.nonreal_pairs, provenance)
 
 
 def classify_cell(n: int, B: int, C: int, D: int) -> Counts:

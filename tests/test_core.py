@@ -27,6 +27,7 @@ from hyperzero.core import (
     excluded_code,
     gegenbauer_point,
     in_excluded_set,
+    ratio_codes,
 )
 
 from conftest import assert_float_band, random_params
@@ -96,6 +97,24 @@ def test_excluded_c_float_proximity():
                    st.fractions(-14, 2, max_denominator=12)))
 def test_excluded_code_is_membership_in_the_excluded_set(n, v):
     assert excluded_code(cell_code(v), n) == any(v == -k for k in range(n))
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 7, 12, 2 ** 70 + 1])
+def test_ratio_codes_is_the_cell_code_of_each_ratio(den):
+    # negative values, zero and every multiple of den in [-3 den, 3 den],
+    # and values beyond a machine word on and next to a multiple
+    if den < 100:
+        nums = list(range(-3 * den, 3 * den + 1))
+    else:
+        nums = [0, den, -den, 5 * den, -5 * den, den - 1, 1 - den, 3 * den + 2, -3 * den - 2]
+    big = 10 ** 30 * den
+    nums += [big, -big, big + 1, -big - 1]
+    codes = ratio_codes(nums, den)
+    for num, code in zip(nums, codes):
+        x = Fraction(num, den)
+        k = math.floor(x)
+        assert code == cell_code(x) == (2 * k if x == k else 2 * k + 1), (num, den)
+    assert ratio_codes([], den) == []
 
 
 def _refuse_excluded(v, n):

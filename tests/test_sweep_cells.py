@@ -9,7 +9,9 @@ every cell against the exact Sturm count, check that float points away
 from the lines agree with the exact cell, check that a code beyond
 klein.code_window classifies as the window's edge, and check sweep's
 output against a plain per-point loop and its classifier calls against
-the code triples clamped into that window.
+the code triples clamped into that window.  They also check the grid
+builder against the plain formula of a range, and that a reduced cell's
+record, permuted and not rebuilt, is the one the accounting check builds.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperzero import Params, classify_region, cli, coefficients, klein, sturm_counts
+from hyperzero import Params, classify_region, cli, coefficients, klein, sturm_counts, transforms
 from hyperzero.core import (
     BoundaryParameterError,
     InvalidParameterError,
@@ -302,3 +304,83 @@ def test_a_code_beyond_the_window_classifies_as_the_windows_edge(n):
             moved += 1
             assert _cell_answer(n, codes) == _cell_answer(n, clamped), (n, codes)
     assert moved > len(triples) // 2
+
+
+def _plain_axis(lo, hi, steps, margin):
+    """An axis the plain way: lo + (hi - lo) k / (steps - 1) + margin."""
+    if lo > hi:
+        return []
+    if steps == 1:
+        return [lo]
+    return [lo + (hi - lo) * k / (steps - 1) + margin for k in range(steps)]
+
+
+def _random_exact(rng):
+    return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 5, 6, 7, 12, 35)))
+
+
+def test_axes_equal_the_plain_formula_on_random_ranges():
+    # _reference_sweep reads its grid from _axes, so this pins the grid itself
+    rng = random.Random(32)
+    kinds = {"empty": 0, "flat": 0, "one step": 0, "float margin": 0}
+    for _ in range(600):
+        lo, hi = _random_exact(rng), _random_exact(rng)
+        if rng.random() < 0.1:
+            hi = lo  # lo == hi, steps copies of lo + margin
+        steps = rng.choice((1, 2, 3, rng.randint(4, 40)))
+        margin = rng.choice((None, None, Fraction(rng.randint(1, 9), rng.randint(1, 40)),
+                             rng.choice((1e-12, 0.013, 0.25))))
+        axis = rng.choice("bc")
+        argv = ["sweep", "-n", "3", f"--{axis}-range={lo}:{hi}:{steps}",
+                f"-{'c' if axis == 'b' else 'b'}", "1/2"]
+        if margin is not None:
+            argv += ["--margin", str(margin) if isinstance(margin, Fraction) else repr(margin)]
+        bs, cs = cli._axes(cli.build_parser().parse_args(argv))
+        got = bs if axis == "b" else cs
+        expected = _plain_axis(lo, hi, steps, Fraction(0) if margin is None else margin)
+        assert got == expected, argv
+        assert [type(v) for v in got] == [type(v) for v in expected], argv
+        kinds["empty"] += lo > hi
+        kinds["flat"] += lo == hi and steps > 1
+        kinds["one step"] += lo <= hi and steps == 1
+        kinds["float margin"] += lo < hi and steps > 1 and isinstance(margin, float)
+    assert min(kinds.values()) >= 10, kinds
+
+
+def _recorded_reductions(monkeypatch, n):
+    """Every _reduced call classify_cell makes on the realizable triples of n."""
+    calls = []
+    reduced = klein._reduced
+
+    def recording(n, codes, classify, *maps):
+        got = reduced(n, codes, classify, *maps)
+        calls.append((codes, classify, maps, got))
+        return got
+
+    monkeypatch.setattr(klein, "_reduced", recording)
+    for codes in _realizable_triples(n):
+        _cell_answer(n, codes)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_reduced_record_is_the_checked_record_of_its_swapped_counts(monkeypatch, n):
+    # _reduced permutes the record its classifier built and does not rebuild
+    # it; the rebuilt one, with the accounting check, must be the same record
+    chains = set()
+    for codes, classify, maps, got in _recorded_reductions(monkeypatch, n):
+        for name in maps:
+            codes = transforms.REDUCTIONS[name].codes(n, *codes)
+        sub = classify(n, *codes)
+        counts = list(sub.counts)
+        for name in reversed(maps):
+            i, j = transforms.REDUCTIONS[name].swap
+            counts[i], counts[j] = counts[j], counts[i]
+        prefixes = "".join(f"reduced-via-{transforms.REDUCTIONS[name].tag}->" for name in maps)
+        assert got == klein._prediction(n, *counts, prefixes + sub.provenance), (n, maps)
+        chains.add(maps)
+    # at n = 1 the window 1 - n < b < 0 that the Pfaff chains start from is empty
+    expected = {("euler_reflect",), ("invert",)}
+    if n > 1:
+        expected |= {("pfaff",), ("euler_reflect", "pfaff")}
+    assert chains == expected
