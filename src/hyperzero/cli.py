@@ -56,11 +56,10 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Let negative rationals like -3/2, decimals like -1e-3 and ranges like
-        # -5:8:14 pass as option values instead of being mistaken for option names.
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+/\d+|(\d+|\d*\.\d+)([eE][+-]?\d+)?)(:\S*)?$"
-        )
+        # A minus sign before a digit or a point starts a value: a negative
+        # rational like -3/2, a decimal like -5. or -1e-3, or a range like
+        # -5:8:14, never an option name.  parse_scalar validates it.
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         raise UsageError(message)

@@ -156,7 +156,7 @@ def _cell_c_negative_b_positive(n: int, B: int, C: int, D: int) -> Counts:
     j = _index(-D)
     nj_odd = (n - j) % 2
     k_odd = k % 2
-    sub = {(0, 0): "a", (1, 0): "b", (0, 1): "c", (1, 1): "d"}[(nj_odd, k_odd)]
+    sub = "abcd"[nj_odd + 2 * k_odd]
     return _prediction(n, nj_odd, j - k, k_odd, f"thm3.3.ii.{sub}(j={j},k={k})")
 
 

@@ -11,8 +11,8 @@ evaluates F by Gauss's contiguous relation in a, and a rescue with exact
 evaluation, each built only when the one before leaves a root unsound.
 Only exact Newton steps certify its roots; the float stages merely steer
 the search.
-verify() runs both sides against the predictions and reports field-by-field
-agreement.
+verify() checks the predictions against both sides, off the theorem
+boundaries, and reports field-by-field agreement.
 
 Sturm chains are kept as integer polynomials: every element may be scaled
 by a positive constant without changing sign variations, so remainders are
@@ -891,9 +891,6 @@ class VerificationReport:
     status: str  # pass | fail | boundary
     prediction: Optional[Counts]
     geometry_prediction: Optional[Geometry]
-    sturm: Optional[Counts]
-    numeric: Optional[Counts]
-    observation: Optional[Geometry]
     checks: Tuple[Check, ...]
     notes: Tuple[str, ...]
 
@@ -906,23 +903,21 @@ class VerificationReport:
         # "exact" when Sturm counting applied, else "numeric"
         return "exact" if self.params.is_exact else "numeric"
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
 
 def verify(p: Params) -> VerificationReport:
-    """Predict counts (and geometry where a template applies), then check both
-    against the Sturm counter and the numeric solver.
+    """Predict counts (and geometry where a template applies), then check them
+    against the numeric solver and, for exact parameters, the Sturm counter.
 
-    Boundary parameters yield status "boundary" with the oracle output still
-    attached; they are unclassifiable, not wrong.  The solve comes first: a
-    NonConvergenceError from all_roots ends verify before sturm_counts
-    builds its exact chain.
+    A point on a boundary of the classifier (b or c - b in {0, ..., 1-n})
+    gets status "boundary" and no checks: it is unclassifiable, not wrong.
+    Every geometry template raises there too, since such a b lies on a
+    window boundary of c = 2b, c = 1/2 and c = -2n alike, so no check could
+    read an oracle, and verify returns before it builds F.  The degree cap
+    comes first, so a point above it is refused, boundary or not.
+    Elsewhere the solve comes before the count: a NonConvergenceError from
+    all_roots ends verify before sturm_counts builds its exact chain.
     """
     notes: List[str] = []
-    checks: List[Check] = []
-
     prediction = None
     try:
         prediction = klein.classify_region(p)
@@ -931,59 +926,39 @@ def verify(p: Params) -> VerificationReport:
 
     # the geometry template is the first of c = 2b, c = 1/2 and c = -2n that
     # (n, b, c) lies on, by the one boundary rule
-    geometry_pred = None
+    g = None
     try:
         if side(p.c - 2 * p.b) == 0:
-            geometry_pred = special.predict_2b(p.n, p.b)
+            g = special.predict_2b(p.n, p.b)
         elif side(p.c, Fraction(1, 2)) == 0:
-            geometry_pred = special.predict_half(p.n, p.b)
+            g = special.predict_half(p.n, p.b)
         elif side(p.c, -2 * p.n) == 0:
-            geometry_pred = special.predict_minus2n(p.n, p.b)
+            g = special.predict_minus2n(p.n, p.b)
     except BoundaryParameterError as exc:
         notes.append(f"geometry unclassifiable: boundary ({exc})")
+    if not p.is_exact:
+        notes.append("numeric-confidence: float parameters, no exact counting path")
 
     check_degree(p.n - p.degeneration)
+    if prediction is None:
+        return VerificationReport(p, "boundary", None, g, (), tuple(notes))
+
     q = coefficients(p)
     rootset = all_roots(q, p.b, p.c)
-    sturm = sturm_counts(q) if p.is_exact else None
     numeric = interval_counts(rootset)
-    observation = geometry_report(rootset)
-
-    if prediction is not None:
-        # only the exact counter checks the multiplicity at 1
-        if sturm is not None:
-            checks += _checks(COUNT_CHECKS, prediction, sturm)
-        else:
-            checks += _checks(COUNT_CHECKS[:3], prediction, numeric)
-        checks.append(Check("nonreal pairs", prediction.nonreal_pairs, numeric.nonreal_pairs))
-
-    if geometry_pred is not None:
-        g, obs = geometry_pred, observation
-        if g.regions is not None:
+    # only the exact counter checks the multiplicity at 1
+    observed = sturm_counts(q) if p.is_exact else numeric
+    checks = _checks(COUNT_CHECKS[:4 if p.is_exact else 3], prediction, observed)
+    checks.append(Check("nonreal pairs", prediction.nonreal_pairs, numeric.nonreal_pairs))
+    if g is not None:
+        if g.regions is None:
+            checks += _checks(TEMPLATE_CHECKS, g[1:5], (*numeric.counts, numeric.nonreal_pairs))
+        else:  # the c = 2b template
+            obs = geometry_report(rootset)
             checks.append(Check("on circle", g.on_circle, obs.on_circle))
             checks += _checks([f"region {k}" for k in special.REGIONS],
                               g.regions.values(), obs.regions.values())
             checks += _checks(OFF_CIRCLE_CHECKS, g[1:4], obs[1:4])
-        else:
-            checks += _checks(TEMPLATE_CHECKS, g[1:5], (*numeric.counts, numeric.nonreal_pairs))
 
-    if any(not c.ok for c in checks):
-        status = "fail"
-    elif prediction is None:
-        status = "boundary"
-    else:
-        status = "pass"
-    if not p.is_exact:
-        notes.append("numeric-confidence: float parameters, no exact counting path")
-
-    return VerificationReport(
-        params=p,
-        status=status,
-        prediction=prediction,
-        geometry_prediction=geometry_pred,
-        sturm=sturm,
-        numeric=numeric,
-        observation=observation,
-        checks=tuple(checks),
-        notes=tuple(notes),
-    )
+    status = "fail" if any(not c.ok for c in checks) else "pass"
+    return VerificationReport(p, status, prediction, g, tuple(checks), tuple(notes))

@@ -183,6 +183,13 @@ def test_verify_boundary_exit(capsys):
     assert "BOUNDARY" in out
 
 
+def test_a_boundary_verify_exits_2_without_a_solve(capsys):
+    # b = -99 lies on a line; the solve of F, of degree 99, would not converge
+    code, out, err = run(capsys, "verify", "-n", "100", "-b", "-99", "-c", "-7/3")
+    assert (code, err) == (2, "")
+    assert out.startswith("verify n=100 b=-99 c=-7/3 [exact, exact] -> BOUNDARY\n")
+
+
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     from hyperzero import klein
     from hyperzero.core import Counts
@@ -675,6 +682,20 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
 def test_negative_exponent_literal_is_an_option_value(capsys, value):
     _, want, _ = run(capsys, "classify", "-n", "3", f"-b={value}", "-c", "2")
     assert run(capsys, "classify", "-n", "3", "-b", value, "-c", "2") == (0, want, "")
+
+
+@pytest.mark.parametrize("value", ["5", "5.", ".5", "5e-3", "7/3"])
+def test_a_negated_literal_is_an_option_value(capsys, value):
+    # a minus sign before a digit or a point starts a value, never an option
+    _, want, _ = run(capsys, "classify", "-n", "3", f"-b=-{value}", "-c", "2")
+    assert run(capsys, "classify", "-n", "3", "-b", f"-{value}", "-c", "2") == (0, want, "")
+    _, want, _ = run(capsys, "sweep", "-n", "2", f"--b-range=-{value}:3:3", "-c", "5")
+    assert run(capsys, "sweep", "-n", "2", "--b-range", f"-{value}:3:3", "-c", "5") == (0, want, "")
+
+
+def test_a_malformed_negative_value_is_a_parse_error(capsys):
+    assert run(capsys, "classify", "-n", "3", "-b", "-5x", "-c", "2") == \
+        (1, "", "usage error: cannot parse scalar '-5x'\n")
 
 
 # ---------------------------------------------------------------------------

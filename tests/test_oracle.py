@@ -15,6 +15,7 @@ from hyperzero import (
     evaluate,
     geometry_report,
     interval_counts,
+    klein,
     oracle,
     poly,
     quadratic_class_match,
@@ -23,6 +24,7 @@ from hyperzero import (
     verify,
 )
 from hyperzero.core import (
+    BoundaryParameterError,
     InvalidParameterError,
     NonConvergenceError,
     Root,
@@ -869,12 +871,17 @@ def test_verify_pass_unit_interval():
     assert rep.prediction.counts == (0, 3, 0)
 
 
+def _observed(rep):
+    """What each check row of a report observed, by row name."""
+    return {c.name: c.observed for c in rep.checks}
+
+
 def test_verify_pass_circle():
     rep = verify(Params(2, 1, 2))
     assert rep.status == "pass"
     assert rep.geometry_prediction is not None
     assert rep.geometry_prediction.on_circle == 2
-    assert rep.observation.on_circle == 2
+    assert _observed(rep)["on circle"] == 2
 
 
 def test_verify_pass_minus2n_case():
@@ -887,7 +894,7 @@ def test_verify_pass_minus2n_case():
 def test_verify_boundary_is_not_failure():
     rep = verify(Params(2, 1, 1))
     assert rep.status == "boundary"
-    assert rep.passed
+    assert rep.checks == ()
     assert any("unclassifiable: boundary" in note for note in rep.notes)
 
 
@@ -895,7 +902,8 @@ def test_verify_float_mode_is_numeric_confidence():
     rep = verify(Params(3, 0.35, 1.7))
     assert rep.status == "pass"
     assert rep.confidence == "numeric"
-    assert rep.sturm is None
+    # three count rows from the numeric counts, no Sturm row for the multiplicity at 1
+    assert list(_observed(rep))[:4] == [*oracle.COUNT_CHECKS[:3], "nonreal pairs"]
     assert any("numeric-confidence" in note for note in rep.notes)
 
 
@@ -959,6 +967,63 @@ def test_verify_reads_the_first_geometry_template_that_matches(p):
 ], ids=str)
 def test_verify_geometry_template_examples(p, tag):
     assert _verify_template(p) == _first_geometry_match(p) == tag
+
+
+def _template_line_boundaries(n):
+    """The points of c = 2b, c = 1/2 and c = -2n where classify_region raises,
+    exact and in floats, on the line and inside the float band beside it.
+
+    Those are b or c - b in {0, ..., 1-n}, so b is an integer or a half
+    integer in [-2n, n].
+    """
+    lines = [lambda b: 2 * b, lambda b: Fraction(1, 2), lambda b: Fraction(-2 * n)]
+    points = []
+    for k in range(-4 * n, 2 * n + 1):
+        b = Fraction(k, 2)
+        for line in lines:
+            for p in (b, line(b)), (float(b), float(line(b))), (b + 3e-13, float(line(b + 3e-13))):
+                try:
+                    p = Params(n, *p)
+                    klein.classify_region(p)
+                except BoundaryParameterError:
+                    points.append(p)
+                except InvalidParameterError:
+                    pass
+    return points
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_template_raises_at_a_classifier_boundary(n):
+    # why a boundary verify may return before it builds F: no check there
+    # could read an oracle
+    points = _template_line_boundaries(n)
+    # at n = 1, c = 2b meets a line only at b = 0, where c = 0 is excluded
+    expected = {"c=1/2", "c=-2n"} | ({"c=2b"} if n > 1 else set())
+    assert {_first_geometry_match(p) for p in points} == expected
+    assert {p.is_exact for p in points} == {True, False}
+    for p in points:
+        with pytest.raises(BoundaryParameterError):
+            getattr(special, GEOMETRY_TEMPLATES[_first_geometry_match(p)])(p.n, p.b)
+
+
+@pytest.mark.parametrize("p", [
+    Params(2, 1, 1),                                  # c - b = 0
+    Params(2, 1.0, 1.0),
+    Params(4, Fraction(-1), 2),                       # b = -1
+    Params(4, -1.0 + 1e-13, 2.0),                     # inside the float band
+    Params(2, Fraction(-1), -2),                      # b = -1 on c = 2b
+    Params(3, 2.5, 0.5),                              # c - b = -2 on c = 1/2
+    Params(100, Fraction(-99), Fraction(-7, 3)),      # F of degree 99 would not converge
+], ids=str)
+def test_a_boundary_verify_runs_no_oracle(p, monkeypatch):
+    def unread(*args):
+        raise AssertionError("an oracle ran at a boundary")
+
+    for name in ("coefficients", "all_roots", "sturm_counts", "geometry_report"):
+        monkeypatch.setattr(oracle, name, unread)
+    rep = verify(p)
+    assert (rep.status, rep.prediction, rep.checks) == ("boundary", None, ())
+    assert any("unclassifiable: boundary" in note for note in rep.notes)
 
 
 def _count_remainders(monkeypatch):

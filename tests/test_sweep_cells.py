@@ -10,11 +10,14 @@ from the lines agree with the exact cell, check that a code beyond
 klein.code_window classifies as the window's edge, and check sweep's
 output against a plain per-point loop and its classifier calls against
 the code triples clamped into that window.  They also check the grid
-builder against the plain formula of a range, and that a reduced cell's
-record, permuted and not rebuilt, is the one the accounting check builds.
+builder against the plain formula of a range, that a reduced cell's
+record, permuted and not rebuilt, is the one the accounting check builds,
+and classify_cell and each reduction on every window cell against the
+count read from the contiguous relation (tests/contiguous.py).
 """
 
 import contextlib
+import functools
 import io
 import math
 import random
@@ -29,6 +32,8 @@ from hyperzero.core import (
     cell_code,
     excluded_code,
 )
+
+from contiguous import contiguous_counts
 
 
 def _cells(n):
@@ -304,6 +309,73 @@ def test_a_code_beyond_the_window_classifies_as_the_windows_edge(n):
             moved += 1
             assert _cell_answer(n, codes) == _cell_answer(n, clamped), (n, codes)
     assert moved > len(triples) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def _window_cells(n):
+    """The realizable code triples of n clamped into code_window: every cell
+    classify_cell tells apart, and each one that a point of the plane has."""
+    return frozenset(_clamped(n, codes) for codes in _realizable_triples(n))
+
+
+def _contiguous_or_boundary(n, codes):
+    try:
+        return contiguous_counts(n, *codes)
+    except ValueError:  # b or c - b on a line
+        return None
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_classify_cell_is_the_contiguous_sturm_count_on_every_window_cell(n):
+    # classify_cell reads only the clamped codes, so this certifies it on
+    # the whole plane at degree n, against a derivation that never reads
+    # the count formulas or the coefficients of F
+    checked = 0
+    for codes in _window_cells(n):
+        want = _contiguous_or_boundary(n, codes)
+        if want is None:
+            with pytest.raises(BoundaryParameterError):
+                klein.classify_cell(n, *codes)
+        else:
+            assert klein.classify_cell(n, *codes).counts == want, (n, codes)
+            checked += 1
+    assert checked >= 28
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_each_reduction_carries_the_contiguous_sturm_count(n):
+    # the counts of a cell's image under a map, swapped back, are the cell's;
+    # contiguous_counts reads each code only through the signs of code + 2j,
+    # j < n, which the clamp keeps and which each map's X -> 2(1-n) - X
+    # carries over, so a clamped cell stands for every point of its cell
+    for codes in _window_cells(n):
+        want = _contiguous_or_boundary(n, codes)
+        if want is None:
+            continue
+        for name, r in transforms.REDUCTIONS.items():
+            got = list(contiguous_counts(n, *r.codes(n, *codes)))
+            i, j = r.swap
+            got[i], got[j] = got[j], got[i]
+            assert tuple(got) == want, (n, codes, name)
+
+
+def test_the_contiguous_sturm_count_is_the_sturm_count_of_f():
+    # the helper itself, against the exact Sturm chain of F on random points
+    rng = random.Random(33)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        b = Fraction(rng.randint(-90, 90), rng.choice((1, 2, 3, 7)))
+        c = Fraction(rng.randint(-90, 90), rng.choice((1, 2, 5, 12)))
+        try:
+            p = Params(n, b, c)
+        except InvalidParameterError:
+            continue
+        want = _contiguous_or_boundary(n, (cell_code(b), cell_code(c), cell_code(c - b)))
+        if want is not None:
+            assert want == sturm_counts(coefficients(p)).counts, p
+            checked += 1
+    assert checked > 200
 
 
 def _plain_axis(lo, hi, steps, margin):
