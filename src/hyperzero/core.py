@@ -37,11 +37,8 @@ class BoundaryParameterError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Root iteration hit its sweep cap; carries the best iterate found."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """A root solve failed: its sweeps ran out, a root stayed uncertified,
+    or a value left the float range."""
 
 
 def as_scalar(value) -> Scalar:

@@ -224,25 +224,6 @@ def _residual_scale(coeffs: List[float], z: complex) -> float:
     return scale
 
 
-def _root_bound(coeffs: List[float]) -> float:
-    """Fujiwara-style upper bound on root magnitudes, computed in log space.
-
-    The plain Cauchy bound max|a_i/a_d| explodes for tiny leading
-    coefficients, and evaluating the polynomial on a circle that large
-    overflows doubles; the k-th-root form stays on the scale of the
-    actual roots.
-    """
-    d = len(coeffs) - 1
-    log_lead = math.log(abs(coeffs[-1]))
-    best = 0.0
-    for k in range(1, d + 1):
-        a = coeffs[d - k]
-        if a == 0:
-            continue
-        best = max(best, (math.log(abs(a)) - log_lead) / k)
-    return 2.0 * math.exp(best) + 1e-3
-
-
 def _newton_polygon_starts(coeffs: List[float]) -> List[complex]:
     """Initial guesses on the circles of the Newton polygon (Bini 1996).
 
@@ -318,12 +299,18 @@ def _aberth(
 ) -> Tuple[List[complex], List[bool], int]:
     """Simultaneous Aberth iteration from the points `start`.
 
-    Termination is residual-driven: a sweep with no movement but leftover
-    residual means the configuration stalled (typically two points
-    shadowing one root), and the unconverged points are reseeded at fresh
-    angles on the `_root_bound` circle instead of being accepted.  It
-    returns each point, whether it settled, and its sweeps: max_sweeps,
-    with some point unsettled, when they run out; it never raises on that.
+    Its estimate of where the roots lie is read from `start` alone: the
+    centre is their mean, and the reseed circle is the circle about it
+    through the farthest start point.  Termination is residual-driven: a
+    sweep with no movement but leftover residual means the configuration
+    stalled (typically two points shadowing one root), and the unconverged
+    points are reseeded at fresh angles on the reseed circle instead of
+    being accepted.  A point moves when its step exceeds 1e-15 of its own
+    modulus: a step onto a root near 0 lands within about 1e-16 of it, and
+    the step after that is no stall however far below 1e-15 it is.  A point whose p, p' or step is not finite is pulled
+    halfway toward the centre.  It returns each point, whether it settled,
+    and its sweeps: max_sweeps, with some point unsettled, when they run
+    out; it never raises on that.
 
     `evaluate` maps z to p(z), p'(z), the bound |p| must meet for z to
     settle, and the bound it must meet for z to settle where its Newton step
@@ -338,10 +325,9 @@ def _aberth(
     d = len(coeffs) - 1
     if d == 1:
         return [complex(-coeffs[0] / coeffs[1])], [True], 0
-    center = complex(-coeffs[-2] / (d * coeffs[-1]))
-    if not cmath.isfinite(center) or abs(center) > 1e12:
-        center = 0j
-    radius = _root_bound(coeffs)
+    # each start over d: a sum of starts near the float range overflows
+    center = sum(z / d for z in start)
+    radius = max(abs(z - center) for z in start)
 
     def reseed(k: int, salt: int) -> complex:
         angle = 2 * math.pi * (k + 0.5) / d + 0.4 + 0.77 * salt
@@ -359,7 +345,7 @@ def _aberth(
             z = zs[k]
             p, dp, settle, stall = evaluate(z)
             if not (cmath.isfinite(p) and cmath.isfinite(dp)):
-                # evaluation overflowed; pull the point toward the cluster
+                # evaluation overflowed; pull the point toward the centre
                 zs[k] = center + (z - center) * 0.5
                 moved = True
                 continue
@@ -386,7 +372,7 @@ def _aberth(
                 moved = True
                 continue
             zs[k] = z - step
-            if abs(step) > 1e-15 * (1 + abs(z)):
+            if abs(step) > 1e-15 * abs(z):
                 moved = True
         if not moved:
             stuck = [k for k in range(d) if not settled[k]]
@@ -759,8 +745,7 @@ def _solve_float(full: Tuple[float, ...]) -> Tuple[List[complex], int]:
     zs, settled, sweeps = _aberth(fac, MAX_SWEEPS, _settle_on_residual(fac),
                                   _newton_polygon_starts(fac), [False] * (len(fac) - 1))
     if not all(settled):
-        raise NonConvergenceError(f"root iteration did not settle within {MAX_SWEEPS} sweeps",
-                                  best=list(zip(zs, settled)))
+        raise NonConvergenceError(f"root iteration did not settle within {MAX_SWEEPS} sweeps")
     return [_real_snap(fac, *_newton_polish(fac, z))[0] for z in zs], sweeps
 
 
@@ -791,7 +776,7 @@ def _solve_exact(q: Poly, b, c) -> Tuple[List[complex], int, int]:
         if all(sound):
             break
     else:
-        raise NonConvergenceError("exact-evaluation rescue left unverified roots", best=refined)
+        raise NonConvergenceError("exact-evaluation rescue left unverified roots")
     return [z for z, _ in refined], total_sweeps, m
 
 

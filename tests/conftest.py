@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+import hyperzero
 from hyperzero import Params
 from hyperzero.core import InvalidParameterError
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the hyperzero package the run imported, also under -q.
+
+    pyproject's pythonpath puts this tree's src first on sys.path, so a
+    PYTHONPATH naming another tree's src does not make the run test it.
+    """
+    terminalreporter.write_line(
+        f"hyperzero imported from {os.path.dirname(hyperzero.__file__)}")
 
 
 def assert_float_band(call, edge, error):

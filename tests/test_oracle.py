@@ -256,28 +256,24 @@ def test_roots_degree_cap():
         all_roots(coefficients(p), p.b, p.c)
 
 
-def test_roots_nonconvergence_reports_best_iterate(monkeypatch):
+def test_an_exact_run_out_raises_the_rescue_error(monkeypatch):
     # F(-2, 6; 1; z) = 1 - 12z + 21z^2; with no sweeps in any stage the
     # exact solve ends where every failed exact solve ends
     p = Params(2, 6, 1)
     monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
     monkeypatch.setattr(oracle, "RECURRENCE_SWEEPS", 0)
-    with pytest.raises(NonConvergenceError, match="rescue left unverified roots") as excinfo:
+    with pytest.raises(NonConvergenceError) as excinfo:
         all_roots(coefficients(p), p.b, p.c)
-    assert excinfo.value.best is not None
+    assert str(excinfo.value) == "exact-evaluation rescue left unverified roots"
 
 
-def test_a_float_run_out_raises_with_every_point(monkeypatch):
+def test_a_float_run_out_raises_nonconvergence(monkeypatch):
     # a float F has one Horner pass, and its run-out is the error
     p = Params(20, 17.518, 7.02)
     monkeypatch.setattr(oracle, "MAX_SWEEPS", 3)
     with pytest.raises(NonConvergenceError) as excinfo:
         all_roots(coefficients(p), p.b, p.c)
     assert str(excinfo.value) == "root iteration did not settle within 3 sweeps"
-    best = excinfo.value.best
-    assert len(best) == 20
-    assert all(isinstance(z, complex) and isinstance(done, bool) for z, done in best)
-    assert not all(done for _, done in best)
 
 
 @pytest.mark.parametrize("budget", [0, 3])
@@ -300,6 +296,152 @@ def test_aberth_settles_a_degree_one_polynomial_at_once():
     fac = [-3.0, 2.0]
     assert oracle._aberth(fac, 0, oracle._settle_on_residual(fac), [0j], [False]) == (
         [1.5 + 0j], [True], 0)
+
+
+def _recording(evaluate):
+    """evaluate, and the list of every point it is called at, in order."""
+    seen = []
+
+    def record(z):
+        seen.append(z)
+        return evaluate(z)
+    return record, seen
+
+
+@pytest.mark.parametrize("n,b,c", [
+    (20, -13.014, -5.393),
+    (5, 3.222, -1.932),
+    (5, 11.240, -1.166),
+], ids=str)
+def test_a_float_solve_beside_a_small_root_settles_without_a_reseed(n, b, c):
+    # a point landing on a root of modulus well below 1 takes a last Newton
+    # step far below 1e-15 but large beside the point itself; that step is
+    # a move, not a stall, so the point settles where it is and no point is
+    # ever put on the reseed circle
+    p = Params(n, b, c)
+    q = coefficients(p)
+    fac = oracle._normalised(q.coeffs)
+    start = oracle._newton_polygon_starts(fac)
+    centre = sum(start) / n
+    radius = max(abs(z - centre) for z in start)
+    evaluate, seen = _recording(oracle._settle_on_residual(fac))
+    _, settled, _ = oracle._aberth(fac, oracle.MAX_SWEEPS, evaluate, start, [False] * n)
+    assert all(settled)
+    assert not any(math.isclose(abs(z - centre), radius, rel_tol=1e-12) for z in seen[n:])
+    rs = all_roots(q, p.b, p.c)
+    assert rs.total_multiplicity == n
+    fc = q.float_coeffs()
+    for root in rs.roots:
+        assert root.residual <= 1e-10 * oracle._residual_scale(fc, root.value), root
+    exact = Params(n, Fraction(str(b)), Fraction(str(c)))
+    assert interval_counts(rs)[:3] == sturm_counts(coefficients(exact))[:3]
+
+
+@pytest.mark.parametrize("b,c", [(1.0, 1e-10), (-10.0, 1e-12), (-9.5, -1e-10)], ids=str)
+def test_a_quadratic_with_a_root_near_0_settles(b, c):
+    # F = 1 - (2b/c) z + (b(b + 1)/(c(c + 1))) z^2 has a root near c/(2b);
+    # every step onto it lands within about 1e-16 of it, which is a move
+    # for a point that small, so the point settles on the next sweep in
+    # place of being reseeded there again until the sweeps run out
+    p = Params(2, b, c)
+    q = coefficients(p)
+    rs = all_roots(q, p.b, p.c)
+    assert rs.iterations < 20
+    fc = q.float_coeffs()
+    for root in rs.roots:
+        assert root.residual <= 1e-10 * oracle._residual_scale(fc, root.value), root
+    assert min(abs(r.value) for r in rs.roots) == pytest.approx(abs(c / (2 * b)), rel=1e-6)
+
+
+# (z - 9)(z - 10)(z - 11)(z - 12), three starts near its roots and one far
+_CLUSTER = [11880.0, -4578.0, 659.0, -42.0, 1.0]
+_CLUSTER_START = [9.5 + 0.5j, 10.5 - 0.5j, 11.5 + 0.5j, 10.5 + 40j]
+
+
+@pytest.mark.parametrize("fault", [
+    (math.nan, 1.0),     # p not finite
+    (1.0, math.inf),     # p' not finite
+    (1e300, 1e-300),     # p and p' finite, the step p/p' overflows
+])
+def test_a_point_that_leaves_the_float_range_is_pulled_toward_the_centre(fault):
+    # the far start evaluates to the fault once; it moves halfway toward
+    # the mean of the starts, and every point still settles on a root
+    horner = oracle._settle_on_residual(_CLUSTER)
+    far = _CLUSTER_START[-1]
+    faults = [far]  # where the next evaluation returns the fault
+
+    def evaluate(z):
+        if z in faults:
+            faults.remove(z)
+            return complex(fault[0]), complex(fault[1]), 0.0, 0.0
+        return horner(z)
+    evaluate, seen = _recording(evaluate)
+    zs, settled, _ = oracle._aberth(_CLUSTER, 100, evaluate, list(_CLUSTER_START), [False] * 4)
+    centre = sum(_CLUSTER_START) / 4
+    pulled = centre + (far - centre) / 2
+    assert any(abs(z - pulled) <= 1e-12 * abs(pulled) for z in seen)
+    assert all(settled)
+    assert sorted(round(z.real, 9) for z in zs) == [9, 10, 11, 12]
+
+
+def test_a_point_where_p_prime_vanishes_is_nudged_and_settles():
+    # p' reads 0 at the far start: the point steps off by 1e-8 (1 + |z|)
+    horner = oracle._settle_on_residual(_CLUSTER)
+    far = _CLUSTER_START[-1]
+
+    def evaluate(z):
+        p, dp, settle, stall = horner(z)
+        return p, (0j if z == far else dp), settle, stall
+    evaluate, seen = _recording(evaluate)
+    zs, settled, _ = oracle._aberth(_CLUSTER, 100, evaluate, list(_CLUSTER_START), [False] * 4)
+    assert seen.count(far) == 1
+    assert far + (1e-8 + 1e-8j) * (1 + abs(far)) in seen
+    assert all(settled)
+    assert sorted(round(z.real, 9) for z in zs) == [9, 10, 11, 12]
+
+
+def test_a_stalled_point_is_reseeded_on_the_circle_and_settles():
+    # the far start reads as stalled: its Newton step is 1e-300 of itself
+    # and leaves it in place, so once the others have settled a sweep moves
+    # nothing and it is reseeded on the circle
+    # about the mean of the starts through the farthest one; from there
+    # every point settles on a root, where a run-out would leave it unsettled
+    horner = oracle._settle_on_residual(_CLUSTER)
+    far = _CLUSTER_START[-1]
+
+    def evaluate(z):
+        if z == far:
+            return 1e-300 * z, 1 + 0j, 0.0, 0.0
+        return horner(z)
+    evaluate, seen = _recording(evaluate)
+    zs, settled, _ = oracle._aberth(_CLUSTER, 100, evaluate, list(_CLUSTER_START), [False] * 4)
+    centre = sum(_CLUSTER_START) / 4
+    radius = max(abs(z - centre) for z in _CLUSTER_START)
+    # the sweep after the other three settled moved nothing; the next one
+    # evaluates the reseeded point alone
+    reseeded = seen[len(seen) - seen[::-1].index(far)]
+    assert math.isclose(abs(reseeded - centre), radius, rel_tol=1e-12)
+    assert all(settled)
+    assert sorted(round(z.real, 9) for z in zs) == [9, 10, 11, 12]
+
+
+def test_starts_near_the_float_range_give_a_finite_centre_and_circle():
+    # twenty starts of modulus 1.6e308 sum beyond the float range; the
+    # reseed circle about their mean still has a finite centre and radius
+    start = [complex(1.6e308, 1e306 * k) for k in range(-10, 10)]
+    centre = complex(1.6e308, -5e305)
+    radius = abs(start[0] - centre)
+
+    def stuck(z):
+        # p never settles and its Newton step 1e-300 z moves no point
+        return 1e-300 * z, 1 + 0j, -1.0, 0.0
+    evaluate, seen = _recording(stuck)
+    _, settled, sweeps = oracle._aberth([1.0] * 21, 2, evaluate, start, [False] * 20)
+    assert sweeps == 2 and not any(settled)
+    # the second sweep evaluates the points the first one reseeded
+    for z in seen[20:]:
+        assert cmath.isfinite(z)
+        assert math.isclose(abs(z - centre), radius, rel_tol=1e-9)
 
 
 def test_a_horner_run_out_on_an_exact_f_hands_its_points_on(monkeypatch):
