@@ -30,9 +30,9 @@ from .core import (
     NonConvergenceError,
     Params,
     Scalar,
-    cell_code,
     coefficients,
     evaluate,
+    float_codes,
     gegenbauer,
     gegenbauer_point,
     jacobi,
@@ -385,11 +385,16 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
     return bs, cs
 
 
-def _float_or_none(v: Scalar) -> Optional[float]:
+def _float_or_inf(v: Scalar) -> float:
+    """float(v), or inf for an exact value too large for a float.
+
+    Its sign does not matter: every difference with inf is inf, -inf or
+    nan, which float_codes reads as undefined.
+    """
     try:
         return float(v)
-    except OverflowError:  # an exact value too large for a float
-        return None
+    except OverflowError:
+        return math.inf
 
 
 def cmd_sweep(args) -> int:
@@ -402,8 +407,10 @@ def cmd_sweep(args) -> int:
     one list pass over the row's differences.  Exact grids put every value
     over one common denominator, so each code comes from integer floor
     division (core.ratio_codes).  Float grids read the floats and the float
-    c - b that Params would hold; a point where either is missing or not
-    finite is undefined, as is a row whose c Params rejects.
+    c - b that Params would hold, and take their codes from math.floor
+    (core.float_codes); an exact value too large for a float is inf on its
+    axis, so a point where b or c - b is not finite has no code and is
+    undefined, as is a row whose c Params rejects.
     """
     n = args.n
     bs, cs = _axes(args)
@@ -415,8 +422,8 @@ def cmd_sweep(args) -> int:
         ys = [v.numerator * (den // v.denominator) for v in bs + cs]
         codes = ratio_codes(ys, den)
     else:
-        ys = [_float_or_none(v) for v in bs + cs]
-        codes = [None if y is None else cell_code(y) for y in ys]
+        ys = [_float_or_inf(v) for v in bs + cs]
+        codes = float_codes(ys)
     lo, hi = klein.code_window(n)
     codes = [code if code is None else min(max(code, lo), hi) for code in codes]
     ybs = ys[:len(bs)]
@@ -435,8 +442,7 @@ def cmd_sweep(args) -> int:
         if exact:
             row = ratio_codes([yc - yb for yb in ybs], den)
         else:
-            diffs = [math.inf if yb is None else yc - yb for yb in ybs]
-            row = [cell_code(d) if math.isfinite(d) else None for d in diffs]
+            row = float_codes([yc - yb for yb in ybs])
         for (head, code_b), code_cb in zip(columns, row):
             if code_cb is None:
                 lines.append(head + mid + undefined)

@@ -70,11 +70,38 @@ def cell_code(value: Scalar) -> int:
     -value has code -cell_code(value), and value + m has cell_code(value) + 2m
     for an integer m, so every comparison of value, negated or shifted by an
     integer, with an integer is a comparison of its code with an even number.
+    A float is read by float_codes and an exact value by ratio_codes; a float
+    that is not finite has no code and raises ValueError.
     """
     if isinstance(value, float):
-        k = round(value)
-        return 2 * k if side(value, k) == 0 else 2 * math.floor(value) + 1
+        code = float_codes((value,))[0]
+        if code is None:
+            raise ValueError(f"{value} is not finite and has no cell code")
+        return code
     return ratio_code(value.numerator, value.denominator)
+
+
+def float_codes(values: Iterable[float]) -> List[Optional[int]]:
+    """cell_code of each float, or None for one that is not finite.
+
+    With f = floor(v), the code is 2f when v - f < INTEGRALITY_TOL, 2f + 2
+    when f + 1 - v < INTEGRALITY_TOL, and 2f + 1 otherwise.  That is side's
+    rule at the nearest integer k: the band is narrower than 1/2, so v is
+    within it of k only if k is f or f + 1.  Each float test answers as the
+    exact difference would, and so as side(v, k) == 0 does: inside the band
+    the float difference is exact (Sterbenz: v and the integer lie within a
+    factor 2 of each other, or the integer is 0), and outside it the rounded
+    difference cannot fall below the float INTEGRALITY_TOL, since rounding
+    is monotone.  A float of magnitude 2^52 or more is an integer, so there
+    v - f is 0 and f + 1 - v, which could round, is not formed.
+    """
+    tol = INTEGRALITY_TOL
+    floor, isfinite = math.floor, math.isfinite
+    return [
+        2 * (f := floor(v)) + (0 if v - f < tol else 2 if f + 1 - v < tol else 1)
+        if isfinite(v) else None
+        for v in values
+    ]
 
 
 def ratio_codes(nums: Iterable[int], den: int) -> List[int]:

@@ -374,6 +374,26 @@ def test_sweep_point_whose_difference_overflows_is_undefined(capsys):
     assert out.splitlines()[1:] == ["3,1e+308,-1e+308,float,,,,,,undefined"]
 
 
+def test_sweep_reads_c_minus_b_by_the_float_band(capsys):
+    # 0.3 - 2.3 is -1.9999999999999998, one ulp off the excluded -2
+    code, out, err = run(capsys, "sweep", "-n", "3", "-b", "2.3", "-c", "0.3")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(",boundary")
+    code, out, err = run(capsys, "sweep", "-n", "3", "-b", "2.3", "-c", "0.3000000001")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].endswith(",ok")
+
+
+@pytest.mark.parametrize("axis, other", [("-b", "--c-range"), ("-c", "--b-range")])
+def test_sweep_exact_value_beyond_the_float_range_is_undefined(capsys, axis, other):
+    # a float grid whose other axis holds an exact 10**400
+    code, out, err = run(capsys, "sweep", "-n", "3", axis, "1" + "0" * 400, other, "0.5:1.5:3")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",float,,,,,,undefined") for row in rows)
+
+
 def test_sweep_range_whose_span_overflows_is_usage_error(capsys):
     code, out, err = run(capsys, "sweep", "-n", "3", "--b-range=-1e308:1e308:3",
                          "--c-range=-1:1:3")

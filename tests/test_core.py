@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hyperzero
 from hyperzero import (
@@ -25,9 +25,11 @@ from hyperzero.core import (
     InvalidParameterError,
     cell_code,
     excluded_code,
+    float_codes,
     gegenbauer_point,
     in_excluded_set,
     ratio_codes,
+    side,
 )
 
 from conftest import assert_float_band, random_params
@@ -115,6 +117,55 @@ def test_ratio_codes_is_the_cell_code_of_each_ratio(den):
         k = math.floor(x)
         assert code == cell_code(x) == (2 * k if x == k else 2 * k + 1), (num, den)
     assert ratio_codes([], den) == []
+
+
+def _code_by_side(v):
+    """The float cell code by the one boundary rule at the nearest integer."""
+    k = round(v)
+    return 2 * k if side(v, k) == 0 else 2 * math.floor(v) + 1
+
+
+def _around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# the floats next to each edge of the band about k, both signs of 0 and of
+# the smallest subnormal, a value whose floor is -1 but whose code is 0, two
+# ties of round, and the largest floats
+_FLOAT_EDGES = [
+    v
+    for k in [*range(-3, 4), 2 ** 52, -2 ** 52, 2 ** 53, -2 ** 53]
+    for v in _around(k - 1e-12) + _around(k + 1e-12)
+] + [0.0, -0.0, 5e-324, -5e-324, -1e-20, 0.5, 2.5,
+     1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _with_examples(values):
+    def wrap(test):
+        for v in values:
+            test = example(v)(test)
+        return test
+    return wrap
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # near an integer, where the band decides
+    st.builds(lambda k, d: k + d, st.integers(-2 ** 53, 2 ** 53), st.floats(-3e-12, 3e-12)),
+))
+@_with_examples(_FLOAT_EDGES)
+def test_float_codes_is_the_boundary_rule_at_the_nearest_integer(v):
+    assert float_codes([v]) == [_code_by_side(v)] == [cell_code(v)], v
+
+
+def test_a_float_that_is_not_finite_has_no_code():
+    values = [math.inf, -math.inf, math.nan]
+    assert float_codes(values) == [None, None, None]
+    assert float_codes([]) == []
+    for v in values:
+        with pytest.raises(ValueError):
+            cell_code(v)
 
 
 def _refuse_excluded(v, n):
