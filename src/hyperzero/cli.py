@@ -32,6 +32,7 @@ from .core import (
     Scalar,
     coefficients,
     evaluate,
+    excluded_code,
     float_codes,
     gegenbauer,
     gegenbauer_point,
@@ -400,17 +401,19 @@ def _float_or_inf(v: Scalar) -> float:
 def cmd_sweep(args) -> int:
     """The grid's rows, one classification per distinct window cell.
 
-    klein.classify_cell reads nothing but the cell codes of (b, c, c - b),
-    and tells apart only the codes of klein.code_window, so each code is
-    clamped into that window and the memo is keyed on the clamped triple:
-    an axis code once per axis value, the codes of c - b once per row, in
-    one list pass over the row's differences.  Exact grids put every value
-    over one common denominator, so each code comes from integer floor
-    division (core.ratio_codes).  Float grids read the floats and the float
-    c - b that Params would hold, and take their codes from math.floor
-    (core.float_codes); an exact value too large for a float is inf on its
-    axis, so a point where b or c - b is not finite has no code and is
-    undefined, as is a row whose c Params rejects.
+    klein.classify_cell reads only the cell codes of (b, c, c - b), and
+    tells apart only those of klein.code_window, so each code is clamped
+    into it and the memo is keyed on the clamped triple.  One code rule
+    gives the axis codes and each row's codes of c - b, in one list pass:
+    core.ratio_codes over one common denominator on an exact grid, else
+    core.float_codes of the floats Params would hold, with inf for an
+    exact value too large for a float, so a point where b or c - b is not
+    finite has no code and is undefined.  A row is undefined when n < 1
+    or c has no code or an excluded one, which is where Params(n, 0 or
+    0.0, c) raises: an excluded code is even and in [2(1 - n), 0], inside
+    code_window(n), so the clamp never moves one, and a clamped code is
+    odd; float_codes gives None exactly where Params' finiteness check on
+    c and on c - 0.0 fails; and Params rejects every row when n < 1.
     """
     n = args.n
     bs, cs = _axes(args)
@@ -420,29 +423,23 @@ def cmd_sweep(args) -> int:
     if exact:
         den = math.lcm(*(v.denominator for v in bs + cs))
         ys = [v.numerator * (den // v.denominator) for v in bs + cs]
-        codes = ratio_codes(ys, den)
+        codes_of = functools.partial(ratio_codes, den=den)
     else:
         ys = [_float_or_inf(v) for v in bs + cs]
-        codes = float_codes(ys)
+        codes_of = float_codes
     lo, hi = klein.code_window(n)
-    codes = [code if code is None else min(max(code, lo), hi) for code in codes]
+    codes = [code if code is None else min(max(code, lo), hi) for code in codes_of(ys)]
     ybs = ys[:len(bs)]
     columns = list(zip([f"{n},{format_scalar(b)}," for b in bs], codes))
     undefined = _sweep_tail(mode, None, "undefined")
-    probe = Fraction(0) if exact else 0.0
     memo = {}  # clamped cell code triple -> row tail
     lines = [SWEEP_COLUMNS]
     for c, yc, code_c in zip(cs, ys[len(bs):], codes[len(bs):]):
         mid = f"{format_scalar(c)},"
-        try:
-            Params(n, probe, c)  # the checks Params makes of n and c
-        except InvalidParameterError:
+        if n < 1 or code_c is None or excluded_code(code_c, n):
             lines.extend(head + mid + undefined for head, _ in columns)
             continue
-        if exact:
-            row = ratio_codes([yc - yb for yb in ybs], den)
-        else:
-            row = float_codes([yc - yb for yb in ybs])
+        row = codes_of([yc - yb for yb in ybs])
         for (head, code_b), code_cb in zip(columns, row):
             if code_cb is None:
                 lines.append(head + mid + undefined)

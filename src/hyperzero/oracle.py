@@ -593,17 +593,18 @@ def _pair_conjugates(zs: List[complex]) -> List[complex]:
     return out
 
 
-def _stages(int_fac: List[int], b, c, whole: bool) -> Iterator[Tuple[Evaluator, int]]:
+def _stages(int_fac: List[int], fac, b, c, whole: bool) -> Iterator[Tuple[Evaluator, int]]:
     """The stages of the exact solve, in order: the _aberth evaluator of the
-    primitive integer polynomial int_fac and the sweep budget of each (a
-    float F is _solve_float, one Horner pass of its own).  A stage is built,
-    and its budget read, only when the solve reaches it; the recurrence
-    stage only where F is solved whole at full degree (`whole`).  The two
-    stages after the Horner pass settle on the Newton step (_settle_on_step),
-    also where it stalls inside ROOT_BAND; the Horner pass settles on its
-    backward error alone, so it never hands on a point by the band.
+    primitive integer polynomial int_fac, whose floats the Horner pass reads
+    as fac (_normalised), and the sweep budget of each (a float F is
+    _solve_float, one Horner pass of its own).  A stage is built, and its
+    budget read, only when the solve reaches it; the recurrence stage only
+    where F is solved whole at full degree (`whole`).  The two stages after
+    the Horner pass settle on the Newton step (_settle_on_step), also where
+    it stalls inside ROOT_BAND; the Horner pass settles on its backward
+    error alone, so it never hands on a point by the band.
     """
-    yield _settle_on_residual(_normalised(int_fac)), MAX_SWEEPS  # the Horner pass
+    yield _settle_on_residual(fac), MAX_SWEEPS  # the Horner pass
     if whole:
         # the recurrence stage: where the float landscape of the monomial
         # coefficients is flat, F by Gauss's contiguous relation is on its
@@ -754,7 +755,7 @@ def _solve_exact(q: Poly, b, c) -> Tuple[List[complex], int, int]:
     and the multiplicity m of z = 1 divided out of F (0 where m <= 1)."""
     int_cs = _to_int_coeffs(q)
     int_fac, m = _deflate_at_one(int_cs)
-    if m <= 1:
+    if m <= 1:  # a simple zero at z = 1 stays: the recurrence stage needs F whole
         int_fac, m = int_cs, 0
     if len(int_fac) == 1:  # F = (1 - z)^m leaves nothing to solve
         return [], 0, m
@@ -767,7 +768,7 @@ def _solve_exact(q: Poly, b, c) -> Tuple[List[complex], int, int]:
     # a stage starts each unsound point where the stage before left it,
     # freezes the sound ones at their certified positions, and keeps what it
     # settled when it runs out
-    for evaluate, budget in _stages(int_fac, b, c, len(int_fac) == len(q.coeffs)):
+    for evaluate, budget in _stages(int_fac, fac, b, c, len(int_fac) == len(q.coeffs)):
         zs, settled, sweeps = _aberth(fac, budget, evaluate, _restart(refined, zs, sound), sound)
         total_sweeps += sweeps
         refined = [_refine(int_fac, z) if done and not ok else old

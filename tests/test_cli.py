@@ -247,6 +247,32 @@ def test_verify_range_goes_on_past_a_point_that_does_not_converge(capsys, fmt):
         assert out.splitlines()[-1] == f"verify n=3 b={big} c=1/3 -> NONCONVERGENCE"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_range_exits_3_when_a_grid_point_fails(capsys, monkeypatch, fmt):
+    # the middle point's report is a mismatch; the rows after it still print
+    verify = oracle.verify
+
+    def failing_at_4_3(p):
+        if p.b != Fraction(4, 3):
+            return verify(p)
+        wrong = (oracle.Check("count in (1,inf)", 1, 2),)
+        return oracle.VerificationReport(p, "fail", None, None, wrong, ())
+
+    monkeypatch.setattr(oracle, "verify", failing_at_4_3)
+    code, out, err = run(capsys, "verify", "-n", "3", "--b-range", "1/3:7/3:3",
+                         "-c", "5/2", "--format", fmt)
+    assert (code, err) == (3, "")
+    if fmt == "json":
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [(line["b"], line["status"]) for line in lines] == [
+            ("1/3", "pass"), ("4/3", "fail"), ("7/3", "pass")]
+    else:
+        assert [line for line in out.splitlines() if line.startswith("verify")] == [
+            f"verify n=3 b={b} c=5/2 [exact, exact] -> {status}"
+            for b, status in (("1/3", "PASS"), ("4/3", "FAIL"), ("7/3", "PASS"))]
+        assert "  [FAIL] count in (1,inf): predicted 1, observed 2" in out.splitlines()
+
+
 CAP_MESSAGE = "invalid parameters: degree 101 exceeds the cap of 100\n"
 
 
@@ -359,10 +385,17 @@ def test_sweep_empty_range_header_only(capsys):
     assert out.strip() == "n,b,c,mode,provenance,n1,n2,n3,nonreal_pairs,status"
 
 
-def test_sweep_rejects_bad_steps(capsys):
-    code, _, err = run(capsys, "sweep", "-n", "2", "--b-range", "0:1:0", "-c", "2")
-    assert code == 1
-    assert "steps" in err
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("grid, message", [
+    (("--b-range", "0:1:0", "-c", "2"), "steps must be >= 1"),
+    (("--b-range", "1:2", "-c", "2"), "range must be MIN:MAX:STEPS, got '1:2'"),
+    (("--b-range", "0:1:x", "-c", "2"), "steps must be an integer in '0:1:x'"),
+    (("--c-range", "1:2:2"), "need -b or --b-range"),
+], ids=["steps=0", "two-fields", "steps=x", "no-b"])
+def test_sweep_rejects_bad_steps(capsys, command, grid, message):
+    code, out, err = run(capsys, command, "-n", "2", *grid)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: {message}\n"
 
 
 def test_sweep_point_whose_difference_overflows_is_undefined(capsys):

@@ -839,6 +839,23 @@ def test_recurrence_stage_runs_only_on_f_whole_at_full_degree(n, b, c, monkeypat
     assert recurrence == []
 
 
+def test_a_simple_zero_at_one_stays_in_f_for_the_recurrence_stage(monkeypatch):
+    # c - b = 1 - n, so F(1) = (c - b)_n / (c)_n = 0 with multiplicity 1; F is
+    # solved whole at full degree, so the recurrence stage runs on it, where
+    # dividing z - 1 out would leave only the slower exact rescue
+    n, b, c = 50, Fraction(151, 7), Fraction(-192, 7)
+    q = coefficients(Params(n, b, c))
+    assert oracle._deflate_at_one(oracle._to_int_coeffs(q))[1] == 1
+    recurrence = []
+    contiguous = oracle._contiguous_pair
+    monkeypatch.setattr(oracle, "_contiguous_pair",
+                        lambda *args: recurrence.append(1) or contiguous(*args))
+    rs = all_roots(q, b, c)
+    assert rs.total_multiplicity == n
+    assert [r.multiplicity for r in rs.roots if r.value == 1] == [1]
+    assert recurrence
+
+
 @pytest.mark.parametrize("n,b,c,built", [
     # the Horner pass certifies every root
     (8, Fraction(7, 3), Fraction(-11, 5), []),

@@ -9,7 +9,8 @@ every cell against the exact Sturm count, check that float points away
 from the lines agree with the exact cell, check that a code beyond
 klein.code_window classifies as the window's edge, and check sweep's
 output against a plain per-point loop and its classifier calls against
-the code triples clamped into that window.  They also check the grid
+the code triples clamped into that window, and that a row is undefined
+exactly where Params rejects its c.  They also check the grid
 builder against the plain formula of a range, that a reduced cell's
 record, permuted and not rebuilt, is the one the accounting check builds,
 and classify_cell and each reduction on every window cell against the
@@ -24,6 +25,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hyperzero import Params, classify_region, cli, coefficients, klein, sturm_counts, transforms
 from hyperzero.core import (
@@ -268,7 +270,56 @@ def test_sweep_classifies_once_per_code_triple_and_builds_no_params_per_point(
     _sweep(argv)
     assert sorted(classified) == sorted({_clamped(args.n, t) for t in triples})
     assert len(classified) < len(triples)
-    assert len(built) == len(cs)  # one per row, for the checks of n and c
+    assert built == []  # each row's checks of n and c read its code of c
+
+
+@st.composite
+def _one_row(draw):
+    """n, whether the b axis is float, and a value of c for a one-row sweep:
+    exact, float, on an excluded integer, within 3e-13 of one or 2e-12 and
+    more outside it, or exact beyond the float range beside float b."""
+    n = draw(st.integers(-1, 6))
+    float_b = draw(st.booleans())
+    k = draw(st.integers(0, 7))  # -k is excluded for k < n
+    kind = draw(st.sampled_from(("exact", "float", "excluded", "near", "off", "huge")))
+    if kind == "exact":
+        c = draw(st.fractions(-20, 20, max_denominator=12))
+    elif kind == "float":
+        c = draw(st.floats(allow_nan=False, allow_infinity=False))
+    elif kind == "excluded":
+        c = draw(st.sampled_from((Fraction(-k), float(-k))))
+    elif kind == "near":
+        c = -k + draw(st.floats(-3e-13, 3e-13))
+    elif kind == "off":
+        c = -k + draw(st.sampled_from((-1, 1))) * draw(st.floats(2e-12, 1e-3))
+    else:
+        c, float_b = Fraction(10 ** 400), True
+    return n, float_b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_row())
+@example((3, False, Fraction(-2)))
+@example((3, True, -2 + 3e-13))
+@example((3, True, -2 - 2e-12))
+@example((3, True, Fraction(10 ** 400)))
+@example((3, False, Fraction(10 ** 400)))
+@example((0, False, Fraction(1, 2)))
+@example((-1, True, 0.5))
+def test_a_row_is_undefined_exactly_where_params_rejects_its_c(case):
+    # the row's b are 0, 1/2 and 1: where Params accepts c, each c - b is
+    # finite too, so no point of the row is undefined
+    n, float_b, c = case
+    text = repr(c) if isinstance(c, float) else str(c)
+    b_range = "0.0:1.0:3" if float_b else "0:1:3"
+    out = _sweep(["sweep", f"-n={n}", f"--b-range={b_range}", f"-c={text}"])
+    statuses = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    try:
+        Params(n, 0.0 if float_b else Fraction(0), c)
+    except InvalidParameterError:
+        assert statuses == ["undefined"] * 3, case
+    else:
+        assert "undefined" not in statuses and len(statuses) == 3, case
 
 
 def _realizable_triples(n):
