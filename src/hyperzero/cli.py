@@ -34,6 +34,7 @@ from .core import (
     evaluate,
     excluded_code,
     float_codes,
+    float_or_inf,
     gegenbauer,
     gegenbauer_point,
     jacobi,
@@ -292,8 +293,8 @@ def _verify_sweep(args) -> int:
     for c in cs:
         for b in bs:
             try:
-                # a point whose float coefficients overflow is as undefined
-                # as one that Params rejects
+                # a point whose float coefficients overflow or underflow
+                # to zero is as undefined as one that Params rejects
                 rep = oracle.verify(Params(args.n, b, c))
             except InvalidParameterError:
                 status = "undefined"
@@ -386,18 +387,6 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
     return bs, cs
 
 
-def _float_or_inf(v: Scalar) -> float:
-    """float(v), or inf for an exact value too large for a float.
-
-    Its sign does not matter: every difference with inf is inf, -inf or
-    nan, which float_codes reads as undefined.
-    """
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf
-
-
 def cmd_sweep(args) -> int:
     """The grid's rows, one classification per distinct window cell.
 
@@ -406,8 +395,8 @@ def cmd_sweep(args) -> int:
     into it and the memo is keyed on the clamped triple.  One code rule
     gives the axis codes and each row's codes of c - b, in one list pass:
     core.ratio_codes over one common denominator on an exact grid, else
-    core.float_codes of the floats Params would hold, with inf for an
-    exact value too large for a float, so a point where b or c - b is not
+    core.float_codes of the floats Params would hold, with a signed inf for
+    an exact value too large for a float, so a point where b or c - b is not
     finite has no code and is undefined.  A row is undefined when n < 1
     or c has no code or an excluded one, which is where Params(n, 0 or
     0.0, c) raises: an excluded code is even and in [2(1 - n), 0], inside
@@ -425,7 +414,7 @@ def cmd_sweep(args) -> int:
         ys = [v.numerator * (den // v.denominator) for v in bs + cs]
         codes_of = functools.partial(ratio_codes, den=den)
     else:
-        ys = [_float_or_inf(v) for v in bs + cs]
+        ys = [float_or_inf(v) for v in bs + cs]
         codes_of = float_codes
     lo, hi = klein.code_window(n)
     codes = [code if code is None else min(max(code, lo), hi) for code in codes_of(ys)]

@@ -52,6 +52,14 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
 
 
+def float_or_inf(value: Scalar) -> float:
+    """float(value), or inf with value's sign for an exact value too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def side(value: Scalar, edge=0) -> int:
     """Which side of edge value lies on: the sign of value - edge, 0 on the edge.
 
@@ -162,10 +170,7 @@ class Params:
         b = as_scalar(self.b)
         c = as_scalar(self.c)
         if isinstance(b, float) or isinstance(c, float):
-            try:
-                b, c = float(b), float(c)
-            except OverflowError:  # an exact value too large for a float
-                b = math.inf
+            b, c = float_or_inf(b), float_or_inf(c)
             # c - b is checked too: the classifier reads it, and two finite
             # floats of opposite sign can differ by more than a float holds
             if not (math.isfinite(b) and math.isfinite(c) and math.isfinite(c - b)):
@@ -277,8 +282,10 @@ def coefficients(p: Params) -> Poly:
     denominator times those integers.  For b = -m with m < n the factor
     (b+m) is zero and every later coefficient is exactly zero, in both
     modes, which realizes the limiting convention for integer b.  A float
-    coefficient that overflows (|b| near 1e300 at n = 3) raises
-    InvalidParameterError: the polynomial has no float form.
+    coefficient that overflows (|b| near 1e300 at n = 3), or one up to the
+    degree n - p.degeneration that underflows to zero (c near 1e200 at
+    n = 5), raises InvalidParameterError: the polynomial has no float form
+    of its degree.
     """
     n, b, c = p.n, p.b, p.c
     if p.is_exact:
@@ -296,6 +303,10 @@ def coefficients(p: Params) -> Poly:
     if not all(math.isfinite(a) for a in coeffs):
         raise InvalidParameterError(
             f"a float coefficient of F(-{n}, {b}; {c}; z) overflows"
+        )
+    if 0.0 in coeffs[:n - p.degeneration + 1]:
+        raise InvalidParameterError(
+            f"a float coefficient of F(-{n}, {b}; {c}; z) underflows to zero"
         )
     return Poly(tuple(coeffs))
 
@@ -386,6 +397,16 @@ class Counts(NamedTuple):
 
 @dataclass(frozen=True)
 class Root:
+    """One computed root of F with its multiplicity.
+
+    residual is |F(value)| by float Horner on F's unscaled coefficients, so
+    it grows with them and says little about the root by itself: at the
+    exact root z = 1 of F(-50, 151/7; -192/7; z), whose coefficients reach
+    3.4e37, it reads 1.84e21.  A root of an exact F is certified in exact
+    arithmetic (z = 1 by the exact split of F, every other root by an exact
+    Newton step), not by its residual.
+    """
+
     value: complex
     multiplicity: int
     residual: float

@@ -11,10 +11,10 @@ c = -2n the structure is pure interval counts, keyed on the b-window.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
 from . import klein
-from .core import BoundaryParameterError, Params, as_scalar, cell_code, excluded_code, half_code
+from .core import BoundaryParameterError, Params, cell_code, excluded_code, half_code
 
 # The four regions cut out by the circle |z-1| = 1 and the real axis.
 REGIONS = ("inside_upper", "inside_lower", "outside_upper", "outside_lower")
@@ -36,7 +36,6 @@ class Geometry(NamedTuple):
     real_neg: int
     nonreal_pairs: int
     regions: Optional[Dict[str, int]] = None
-    fixed_points: Tuple[int, ...] = ()
     provenance: str = ""
 
     @property
@@ -48,20 +47,10 @@ class Geometry(NamedTuple):
         return vals.pop() if len(vals) == 1 else None
 
 
-def _geometry(n: int, on_circle, real_gt1, real_in01, real_neg, nonreal_pairs,
-              per_region=None, fixed_points=(), provenance="") -> Geometry:
-    """A predicted Geometry, checked against the degree:
-
-        on_circle + real_gt1 + real_in01 + real_neg + 2*nonreal_pairs = n.
-    """
-    total = on_circle + real_gt1 + real_in01 + real_neg + 2 * nonreal_pairs
-    if total != n:
-        raise ValueError(f"geometry accounts for {total} zeros, degree is {n}")
-    if per_region is not None and nonreal_pairs != 2 * per_region:
-        raise ValueError("per-region counts inconsistent with off-circle pairs")
-    regions = None if per_region is None else dict.fromkeys(REGIONS, per_region)
-    return Geometry(on_circle, real_gt1, real_in01, real_neg, nonreal_pairs,
-                    regions, fixed_points, provenance)
+def _intervals(n: int, n1: int, n2: int, n3: int, provenance: str) -> Geometry:
+    """Interval counts off the circle; klein._prediction makes the rest pairs."""
+    g = klein._prediction(n, n1, n2, n3, provenance)
+    return Geometry(0, *g.counts, g.nonreal_pairs, provenance=g.provenance)
 
 
 def predict_2b(n: int, b) -> Geometry:
@@ -81,8 +70,8 @@ def predict_2b(n: int, b) -> Geometry:
     (for n = 1, G = 1).  A boundary of G, or b + 1/2 in G's excluded set,
     is a window boundary of c = 2b; F's own boundaries raise after it.
     """
-    b = as_scalar(b)
     params = Params(n, b, 2 * b)  # rejects b in {0, -1/2, ..., -(n-1)/2}
+    b = params.b
     m, odd = divmod(n, 2)
     if m == 0:
         g = klein._prediction(0, 0, 0, 0, "G=1")
@@ -96,10 +85,11 @@ def predict_2b(n: int, b) -> Geometry:
             raise BoundaryParameterError(
                 f"b={b} sits on a window boundary for c=2b, n={n}") from None
     klein._require_hypothesis(params)
-    return _geometry(
-        n, 2 * g.n3 + odd, 2 * g.n1, g.n2, g.n2, 2 * g.nonreal_pairs, g.nonreal_pairs,
-        fixed_points=(2,) if odd else (), provenance="thm2.1-via-(15.3.16)->" + g.provenance,
-    )
+    # G's record passed klein._prediction at degree m, so n1 + n2 + n3 +
+    # 2 pairs = m for G, and the zeros below add up to 2m + odd = n.
+    return Geometry(2 * g.n3 + odd, 2 * g.n1, g.n2, g.n2, 2 * g.nonreal_pairs,
+                    dict.fromkeys(REGIONS, g.nonreal_pairs),
+                    "thm2.1-via-(15.3.16)->" + g.provenance)
 
 
 def predict_half(n: int, b) -> Geometry:
@@ -108,25 +98,23 @@ def predict_half(n: int, b) -> Geometry:
     The windows are read from the half code H of b - 1/2 above b = 1/2 and
     from the cell code B of b below it.
     """
-    b = as_scalar(b)
-    Params(n, b, Fraction(1, 2))  # validity only; c = 1/2 is never excluded
+    b = Params(n, b, Fraction(1, 2)).b  # c = 1/2 is never excluded
     H = half_code(b)
     if H > 0:
         if H > 2 * (n - 1):  # b > n - 1/2
-            return _geometry(n, 0, 0, n, 0, 0, provenance="thm2.2.i")
+            return _intervals(n, 0, n, 0, "thm2.2.i")
         if H % 2:  # n - 1/2 - j < b < n + 1/2 - j
             j = n - klein._index(H)
-            return _geometry(n, 0, j % 2, n - j, 0, j // 2, provenance=f"thm2.2.ii(j={j})")
+            return _intervals(n, j % 2, n - j, 0, f"thm2.2.ii(j={j})")
     elif H < 0:
         B = cell_code(b)
         if B > 0:  # 0 < b < 1/2
-            return _geometry(n, 0, n % 2, 0, 0, n // 2, provenance="thm2.2.iii")
+            return _intervals(n, n % 2, 0, 0, "thm2.2.iii")
         if B < 2 * (1 - n):  # b < 1 - n
-            return _geometry(n, 0, 0, 0, n, 0, provenance="thm2.2.v")
+            return _intervals(n, 0, 0, n, "thm2.2.v")
         if B % 2:  # -j < b < 1 - j
             j = klein._index(-B)
-            return _geometry(n, 0, (n - j) % 2, 0, j, (n - j) // 2,
-                             provenance=f"thm2.2.iv(j={j})")
+            return _intervals(n, (n - j) % 2, 0, j, f"thm2.2.iv(j={j})")
     raise BoundaryParameterError(f"b={b} sits on a window boundary for c=1/2, n={n}")
 
 
@@ -139,17 +127,16 @@ def predict_minus2n(n: int, b) -> Geometry:
     a count jump: it reads as the cell just above it (klein._above_edge),
     and thm2.3.ii(k=n) and thm2.3.iii(k=0) agree there.
     """
-    b = as_scalar(b)
-    Params(n, b, -2 * n)
+    b = Params(n, b, -2 * n).b
     B = klein._above_edge(cell_code(b), n)
     if B > 0:
-        return _geometry(n, 0, 0, 0, n % 2, n // 2, provenance="thm2.3.i")
+        return _intervals(n, 0, 0, n % 2, "thm2.3.i")
     if B < -4 * n:
-        return _geometry(n, 0, 0, n % 2, 0, n // 2, provenance="thm2.3.iv")
+        return _intervals(n, 0, n % 2, 0, "thm2.3.iv")
     if B % 2 == 0:
         raise BoundaryParameterError(f"b={b} sits on a window boundary for c=-2n, n={n}")
     k = klein._index(-B)  # -k < b < 1 - k
     if k <= n:
-        return _geometry(n, 0, k, 0, (n - k) % 2, (n - k) // 2, provenance=f"thm2.3.ii(k={k})")
+        return _intervals(n, k, 0, (n - k) % 2, f"thm2.3.ii(k={k})")
     k -= n + 1  # -n - k - 1 < b < -n - k
-    return _geometry(n, 0, n - k, k % 2, 0, k // 2, provenance=f"thm2.3.iii(k={k})")
+    return _intervals(n, n - k, k % 2, 0, f"thm2.3.iii(k={k})")

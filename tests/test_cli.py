@@ -661,6 +661,26 @@ def test_overflowing_float_parameters_are_invalid(capsys, argv):
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("roots", "-n", "5", "-b", "0.5", "-c", "1e200", "--format", "json"),
+    ("verify", "-n", "5", "-b", "0.5", "-c", "1e200"),
+])
+def test_underflowing_float_coefficients_are_invalid(capsys, argv):
+    # F's degree-2 coefficient, about 1e-400, underflows to zero: without
+    # the check roots gave one root, and verify a false nonreal-pair mismatch
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("invalid parameters: a float coefficient of "
+                   "F(-5, 0.5; 1e+200; z) underflows to zero\n")
+
+
+def test_verify_range_over_underflowing_points_is_undefined(capsys):
+    code, out, err = run(capsys, "verify", "-n", "3", "--b-range", "0.5:1.5:3", "-c", "1e200")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"verify n=3 b={b} c=1e+200 -> UNDEFINED\n"
+                          for b in ("0.5", "1.0", "1.5"))
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["classify", "-n", "3", "-b", "7/3", "-c", "11/5"]
     _, want, _ = run(capsys, *argv)

@@ -87,6 +87,34 @@ def test_overflowing_float_coefficients_rejected():
     assert coefficients(Params(3, Fraction(10) ** 300, Fraction(5, 2))).coeffs[3] != 0
 
 
+@pytest.mark.parametrize("b, c, shown", [
+    (Fraction(10) ** 400, 0.5, "b=inf, c=0.5"),
+    (-Fraction(10) ** 400, 0.5, "b=-inf, c=0.5"),
+    (0.5, Fraction(10) ** 400, "b=0.5, c=inf"),
+    (0.5, -Fraction(10) ** 400, "b=0.5, c=-inf"),
+])
+def test_overflow_message_names_the_parameter(b, c, shown):
+    with pytest.raises(InvalidParameterError) as exc:
+        Params(3, b, c)
+    assert str(exc.value).endswith(f"got {shown}")
+
+
+_wide_floats = st.floats(-100, 100) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), _wide_floats | st.integers(-29, 0).map(float), _wide_floats)
+@example(5, 0.5, 1e200)  # its degree-2 coefficient underflows: rejected
+@example(3, -2.0, 1e-200)  # degenerate, with coefficients near 6e200
+def test_accepted_float_coefficients_keep_their_degree(n, b, c):
+    try:
+        p = Params(n, b, c)
+        q = coefficients(p)
+    except InvalidParameterError:
+        return
+    assert q.effective_degree == n - p.degeneration
+
+
 def test_excluded_c_float_proximity():
     with pytest.raises(InvalidParameterError):
         Params(3, 1.0, -1.0 + 1e-14)

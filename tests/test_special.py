@@ -42,7 +42,6 @@ def test_2b_terminal_window_odd_n():
     g = predict_2b(5, Fraction(-29, 10))
     assert g.provenance == "thm2.1-via-(15.3.16)->reduced-via-(2.2)->thm3.2.iii"
     assert g.on_circle == 1
-    assert g.fixed_points == (2,)
     assert g.quadrant_pairs == 1
     assert g.real_gt1 == g.real_in01 == g.real_neg == 0
 
@@ -134,7 +133,6 @@ def test_2b_degree_one_has_no_boundaries():
     for b in (Fraction(5), Fraction(-1, 2), Fraction(-1), Fraction(-7)):
         g = predict_2b(1, b)
         assert g.on_circle == 1
-        assert g.fixed_points == (2,)
 
 
 @pytest.mark.parametrize("n", [6, 7])
