@@ -340,7 +340,8 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
     margin is a rational offset added to every point of a range of more
     than one step, to land strictly inside theorem windows; when supplied
     it must be positive, and a range must be given.  A float value that is
-    not finite (the span of a range overflowed) is a usage error.  The grid
+    not finite (the span of a range overflowed), and an exact end or margin
+    of a float range beyond the float range, are usage errors.  The grid
     is row-ordered: c outer, b inner.
     """
     for name in "bc":
@@ -378,8 +379,12 @@ def _axes(args) -> Tuple[List[Scalar], List[Scalar]]:
             s = steps - 1
             axes.append([Fraction((a + m) * s + (h - a) * k, den * s) for k in range(steps)])
         else:
-            span = hi - lo
-            axes.append([lo + span * k / (steps - 1) + margin for k in range(steps)])
+            try:
+                span = hi - lo
+                axes.append([lo + span * k / (steps - 1) + margin for k in range(steps)])
+            except OverflowError:  # an exact end or margin that no float holds
+                raise UsageError("a float grid's range end or margin lies beyond "
+                                 "the float range") from None
     bs, cs = axes
     for v in bs + cs:
         if isinstance(v, float) and not math.isfinite(v):

@@ -6,8 +6,9 @@ by Klein's step function E and by signs of generalized binomial
 coefficients; both are integer-valued, so boundary inputs raise rather
 than round.  The regional classifier reproduces the same counts but keyed
 on which parameter window fired; it reads only the cell codes of b, c and
-c - b, and reduces c < 0 inputs through the code maps of the reflection,
-inversion and Pfaff maps until a directly analyzed region is reached.
+c - b, and reduces a c < 0 input by one of the reflection, inversion and
+Pfaff maps on its codes and classifies the image again, until a directly
+analyzed region is reached.
 """
 
 from __future__ import annotations
@@ -167,27 +168,21 @@ def _cell_all_negative(n: int, B: int, C: int, D: int) -> Counts:
                        f"thm3.4(j={j},k={k},l={ell})")
 
 
-def _reduced(n: int, codes, classify, *maps: str) -> Counts:
-    """Counts of codes, which classify decides on their image under maps.
+def _reduced(n: int, codes, name: str) -> Counts:
+    """Counts of codes, which classify_cell decides on their image under one map.
 
-    The codes go through each map's code map in transforms.REDUCTIONS, in
-    order; the counts come back through each map's interval swap, last map
-    first, and each map's equation tag is prefixed to the provenance.  A
-    swap keeps n1 + n2 + n3 and the nonreal pairs, so the record that
-    classify built, which passed _prediction's accounting, is permuted and
-    not built again.
+    The codes go through the code map of transforms.REDUCTIONS[name]; the
+    counts come back through its interval swap, and its equation tag is
+    prefixed to the provenance.  A swap keeps n1 + n2 + n3 and the nonreal
+    pairs, so the record that classify_cell built, which passed
+    _prediction's accounting, is permuted and not built again.
     """
-    reductions = [transforms.REDUCTIONS[name] for name in maps]
-    for r in reductions:
-        codes = r.codes(n, *codes)
-    sub = classify(n, *codes)
+    r = transforms.REDUCTIONS[name]
+    sub = classify_cell(n, *r.codes(n, *codes))
     counts = [sub.n1, sub.n2, sub.n3]
-    provenance = sub.provenance
-    for r in reversed(reductions):
-        i, j = r.swap
-        counts[i], counts[j] = counts[j], counts[i]
-        provenance = f"reduced-via-{r.tag}->{provenance}"
-    return Counts(*counts, 0, sub.nonreal_pairs, provenance)
+    i, j = r.swap
+    counts[i], counts[j] = counts[j], counts[i]
+    return Counts(*counts, 0, sub.nonreal_pairs, f"reduced-via-{r.tag}->{sub.provenance}")
 
 
 def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
@@ -209,10 +204,11 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
     lines.  For a float the codes are read by core.side, so a value within
     INTEGRALITY_TOL of an integer is on it.
 
-    c > 0 is handled directly.  For c < 0 the codes are reduced through the
-    reflection, inversion and Pfaff maps until a directly analyzed region
-    applies; the counts are carried back through the interval swaps, and
-    each map's equation tag ("(2.1)", "(2.2)", "(3.8)") is recorded as a
+    c > 0 is handled directly.  For c < 0 a region that is not analyzed
+    directly is mapped by one of the reflection, inversion and Pfaff maps,
+    and classify_cell decides the image, reducing it again where it must;
+    the counts are carried back through each interval swap, and each map's
+    equation tag ("(2.1)", "(2.2)", "(3.8)") is recorded as a
     "reduced-via-<tag>->" provenance prefix.  c itself must be valid for
     Params.  A boundary raises BoundaryParameterError naming its edge, "b"
     or "c-b" (in {0, ..., 1-n}): these 3n lines of b, c and c - b, with c's
@@ -243,21 +239,20 @@ def classify_cell(n: int, B: int, C: int, D: int) -> Counts:
         return _cell_c_positive(n, *codes)
     if D < lo:
         # Reflection target has c' = 1-n+b-c > 0.
-        return _reduced(n, codes, _cell_c_positive, "euler_reflect")
+        return _reduced(n, codes, "euler_reflect")
     if B < lo:
         # Inversion target has c' = 1-b-n > 0.
-        return _reduced(n, codes, _cell_c_positive, "invert")
+        return _reduced(n, codes, "invert")
     if B > 0:
         return _cell_c_negative_b_positive(n, *codes)
     if D > 0:
         # Pfaff target has numerator parameter c-b > 0 and the same c < 0.
-        return _reduced(n, codes, _cell_c_negative_b_positive, "pfaff")
+        return _reduced(n, codes, "pfaff")
     if C > lo:
         return _cell_all_negative(n, *codes)
-    # Remaining sliver: b, c-b in (1-n, 0) with c < 1-n.  Reflect first
-    # (new c' lands in (1-n, 0) with c'-b > 0), then Pfaff into the
-    # directly analyzed region.
-    return _reduced(n, codes, _cell_c_negative_b_positive, "euler_reflect", "pfaff")
+    # Remaining sliver: b, c-b in (1-n, 0) with c < 1-n.  Reflection target
+    # has c' in (1-n, 0) and c'-b > 0, which the Pfaff branch reduces.
+    return _reduced(n, codes, "euler_reflect")
 
 
 def code_window(n: int) -> Tuple[int, int]:

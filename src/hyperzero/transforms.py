@@ -4,8 +4,9 @@ Each transform here is a parameter map between two hypergeometric
 polynomials tied by a two-sided functional identity, together with the
 Moebius map that carries zeros of one onto zeros of the other.  Each
 Moebius map swaps two of the intervals (1,inf), (0,1), (-inf,0) and fixes
-the third; REDUCTIONS states those swaps and each map's action on cell
-codes once, so interval zero counts can be carried between parameter regions.
+the third; REDUCTIONS states each map once, as its image of (b, c, c-b),
+with the swap, and reads that image on values and on cell codes, so
+interval zero counts can be carried between parameter regions.
 """
 
 from __future__ import annotations
@@ -18,32 +19,30 @@ from .core import InvalidParameterError, Params, in_excluded_set, side
 
 class Reduction(NamedTuple):
     """Equation tag of a parameter map, the two count positions it swaps,
-    and the map on cell codes.
+    and the map itself, as its image of (b, c, c-b).
 
     Count positions index (n1, n2, n3): 0 is (1,inf), 1 is (0,1) and 2 is
-    (-inf,0).  codes(n, B, C, D) sends the cell codes (core.cell_code) of
-    (b, c, c-b) to those of the image point; a code of 1-n-x is 2(1-n)
-    minus the code of x.
+    (-inf,0).  image(r, b, c, d = c-b) is (b', c', c'-b'), with r: x -> 1-n-x.
     """
 
     tag: str
     swap: Tuple[int, int]
-    codes: Callable[[int, int, int, int], Tuple[int, int, int]]
+    image: Callable
+
+    def codes(self, n: int, B: int, C: int, D: int) -> Tuple[int, int, int]:
+        """The image on cell codes (core.cell_code): that of 1-n-x is 2(1-n) minus x's."""
+        lo = 2 * (1 - n)
+        return self.image(lambda X: lo - X, B, C, D)
 
 
 # Keyed by the name of the parameter map in this module.
 REDUCTIONS = {
     # z -> 1-z swaps (1,inf) and (-inf,0), fixes (0,1) as a set.
-    # (b, c, c-b) -> (b, 1-n-(c-b), 1-n-c)
-    "euler_reflect": Reduction("(2.1)", (0, 2),
-                               lambda n, B, C, D: (B, 2 * (1 - n) - D, 2 * (1 - n) - C)),
+    "euler_reflect": Reduction("(2.1)", (0, 2), lambda r, b, c, d: (b, r(d), r(c))),
     # z -> 1/z swaps (1,inf) and (0,1), fixes (-inf,0) as a set.
-    # (b, c, c-b) -> (1-n-c, 1-n-b, c-b)
-    "invert": Reduction("(2.2)", (0, 1),
-                        lambda n, B, C, D: (2 * (1 - n) - C, 2 * (1 - n) - B, D)),
+    "invert": Reduction("(2.2)", (0, 1), lambda r, b, c, d: (r(c), r(b), d)),
     # z -> z/(z-1) swaps (0,1) and (-inf,0), fixes (1,inf) as a set.
-    # (b, c, c-b) -> (c-b, c, b)
-    "pfaff": Reduction("(3.8)", (1, 2), lambda n, B, C, D: (D, C, B)),
+    "pfaff": Reduction("(3.8)", (1, 2), lambda r, b, c, d: (d, c, b)),
 }
 
 
@@ -59,19 +58,22 @@ def inversion_point(z):
     return 1 / z
 
 
+def _image(name: str, p: Params) -> Params:
+    """The image of p under REDUCTIONS[name]; its c' must avoid the excluded set."""
+    n = p.n
+    b, c, _ = REDUCTIONS[name].image(lambda x: 1 - n - x, p.b, p.c, p.c - p.b)
+    if in_excluded_set(c, n):
+        raise InvalidParameterError(f"{name} target c'={c} lies in the excluded set for n={n}")
+    return Params(n, b, c)
+
+
 def euler_reflect(p: Params) -> Params:
     """Reflection z -> 1-z as a parameter map to (n, b, 1-n+b-c).
 
     F_source(1-z) = (c-b)_n / (c)_n * F_target(z), so zeros transport
     through z -> 1-z.
     """
-    n, b, c = p.n, p.b, p.c
-    c_target = 1 - n + b - c
-    if in_excluded_set(c_target, n):
-        raise InvalidParameterError(
-            f"reflection target c'={c_target} lies in the excluded set for n={n}"
-        )
-    return Params(n, b, c_target)
+    return _image("euler_reflect", p)
 
 
 def invert(p: Params) -> Params:
@@ -80,13 +82,7 @@ def invert(p: Params) -> Params:
     F_source(z) = (b)_n / (c)_n * (-z)^n * F_target(1/z).  Applying it
     twice restores the original parameters exactly.
     """
-    n, b, c = p.n, p.b, p.c
-    c_target = 1 - b - n
-    if in_excluded_set(c_target, n):
-        raise InvalidParameterError(
-            f"inversion target c'={c_target} lies in the excluded set for n={n}"
-        )
-    return Params(n, 1 - c - n, c_target)
+    return _image("invert", p)
 
 
 def pfaff(p: Params) -> Params:
@@ -98,7 +94,7 @@ def pfaff(p: Params) -> Params:
     rather than raised as an error, because the underlying identity still
     holds in the degenerate limit.
     """
-    return Params(p.n, p.c - p.b, p.c)
+    return _image("pfaff", p)
 
 
 # The twelve parameter constraints admitting a quadratic transformation,

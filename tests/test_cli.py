@@ -435,6 +435,21 @@ def test_sweep_range_whose_span_overflows_is_usage_error(capsys):
     assert "usage error" in err and "not finite" in err
 
 
+_BEYOND_FLOATS = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "-n", "2", f"--b-range=0.5:{_BEYOND_FLOATS}:3", "-c", "1"),
+    ("sweep", "-n", "2", "--b-range=0.5:1:3", "--margin", _BEYOND_FLOATS, "-c", "1"),
+    ("verify", "-n", "3", f"--b-range=-{_BEYOND_FLOATS}:1e16:3", "-c", "1/2"),
+    ("verify", "-n", "3", "--b-range=0.5:1:3", "--margin", _BEYOND_FLOATS, "-c", "1/2"),
+], ids=["sweep end", "sweep margin", "verify end", "verify margin"])
+def test_float_range_with_an_exact_end_or_margin_beyond_floats_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "usage error: a float grid's range end or margin lies beyond the float range\n"
+
+
 @pytest.mark.parametrize("where", ["missing/x.csv", "."], ids=["missing directory", "directory"])
 def test_sweep_out_that_cannot_be_written_is_usage_error(capsys, tmp_path, where):
     code, out, err = run(capsys, "sweep", "-n", "3", "-b", "1/2", "-c", "2",

@@ -13,8 +13,9 @@ the code triples clamped into that window, and that a row is undefined
 exactly where Params rejects its c.  They also check the grid
 builder against the plain formula of a range, that a reduced cell's
 record, permuted and not rebuilt, is the one the accounting check builds,
-and classify_cell and each reduction on every window cell against the
-count read from the contiguous relation (tests/contiguous.py).
+that each reduction is its own inverse on codes and on values, and
+classify_cell and each reduction on every window cell against the count
+read from the contiguous relation (tests/contiguous.py).
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import functools
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,6 +37,7 @@ from hyperzero.core import (
     excluded_code,
 )
 
+from conftest import random_params
 from contiguous import contiguous_counts
 
 
@@ -256,10 +259,17 @@ def test_sweep_classifies_once_per_code_triple_and_builds_no_params_per_point(
             pass
     classified, built = [], []
     classify_cell, params = klein.classify_cell, cli.Params
+    depth = [0]
 
     def counted_classify(n, *codes):
-        classified.append(codes)
-        return classify_cell(n, *codes)
+        # only sweep's own calls: a reduced cell re-enters classify_cell
+        if not depth[0]:
+            classified.append(codes)
+        depth[0] += 1
+        try:
+            return classify_cell(n, *codes)
+        finally:
+            depth[0] -= 1
 
     def counted_params(*a):
         built.append(a)
@@ -410,6 +420,40 @@ def test_each_reduction_carries_the_contiguous_sturm_count(n):
             assert tuple(got) == want, (n, codes, name)
 
 
+# the identity that checks each map's target, with -n -b -c whose image has c' = -2
+_TARGET_CHECKS = {"euler_reflect": ("euler", "3", "1", "1"), "invert": ("invert", "3", "0", "1/2")}
+
+
+@pytest.mark.parametrize("name", sorted(transforms.REDUCTIONS))
+def test_each_reduction_is_one_involution_on_codes_and_on_values(capsys, name):
+    # REDUCTIONS states each map once, as its image of (b, c, c - b); read
+    # on codes and on values it is its own inverse
+    r = transforms.REDUCTIONS[name]
+    for n in range(1, 9):
+        for codes in _realizable_triples(n):
+            assert r.codes(n, *r.codes(n, *codes)) == codes, (n, codes)
+    value_map = getattr(transforms, name)
+    rng = random.Random(39)
+    mapped = 0
+    for _ in range(300):
+        p = random_params(rng, n_hi=10, den=rng.choice((1, 2, 8)))
+        try:
+            image = value_map(p)
+        except InvalidParameterError:
+            continue
+        twice = value_map(image)
+        assert (twice.n, twice.b, twice.c) == (p.n, p.b, p.c), (name, p)
+        mapped += 1
+    assert mapped > 200
+    if name in _TARGET_CHECKS:
+        which, n, b, c = _TARGET_CHECKS[name]
+        assert cli.main(["identity", which, "-n", n, "-b", b, "-c", c]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"invalid parameters: {name} target c'=-2 lies in the "
+                                "excluded set for n=3\n")
+
+
 def test_the_contiguous_sturm_count_is_the_sturm_count_of_f():
     # the helper itself, against the exact Sturm chain of F on random points
     rng = random.Random(33)
@@ -471,38 +515,42 @@ def test_axes_equal_the_plain_formula_on_random_ranges():
 
 
 def _recorded_reductions(monkeypatch, n):
-    """Every _reduced call classify_cell makes on the realizable triples of n."""
+    """Every _reduced call classify_cell makes on the realizable triples of n,
+    those of its re-entered calls too, as (codes, map name, record)."""
     calls = []
     reduced = klein._reduced
 
-    def recording(n, codes, classify, *maps):
-        got = reduced(n, codes, classify, *maps)
-        calls.append((codes, classify, maps, got))
+    def recording(n, codes, name):
+        got = reduced(n, codes, name)
+        calls.append((codes, name, got))
         return got
 
-    monkeypatch.setattr(klein, "_reduced", recording)
-    for codes in _realizable_triples(n):
-        _cell_answer(n, codes)
+    with monkeypatch.context() as m:
+        m.setattr(klein, "_reduced", recording)
+        for codes in _realizable_triples(n):
+            _cell_answer(n, codes)
     return calls
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_reduced_record_is_the_checked_record_of_its_swapped_counts(monkeypatch, n):
-    # _reduced permutes the record its classifier built and does not rebuild
-    # it; the rebuilt one, with the accounting check, must be the same record
+    # _reduced permutes the record classify_cell built for the image and
+    # does not rebuild it; the rebuilt one, with the accounting check, must
+    # be the same record
+    names = {r.tag: name for name, r in transforms.REDUCTIONS.items()}
     chains = set()
-    for codes, classify, maps, got in _recorded_reductions(monkeypatch, n):
-        for name in maps:
-            codes = transforms.REDUCTIONS[name].codes(n, *codes)
-        sub = classify(n, *codes)
+    for codes, name, got in _recorded_reductions(monkeypatch, n):
+        r = transforms.REDUCTIONS[name]
+        sub = klein.classify_cell(n, *r.codes(n, *codes))
         counts = list(sub.counts)
-        for name in reversed(maps):
-            i, j = transforms.REDUCTIONS[name].swap
-            counts[i], counts[j] = counts[j], counts[i]
-        prefixes = "".join(f"reduced-via-{transforms.REDUCTIONS[name].tag}->" for name in maps)
-        assert got == klein._prediction(n, *counts, prefixes + sub.provenance), (n, maps)
-        chains.add(maps)
-    # at n = 1 the window 1 - n < b < 0 that the Pfaff chains start from is empty
+        i, j = r.swap
+        counts[i], counts[j] = counts[j], counts[i]
+        assert got == klein._prediction(n, *counts, f"reduced-via-{r.tag}->{sub.provenance}"), \
+            (n, codes, name)
+        # the map, then those that reduced the image's record again
+        chains.add((name,) + tuple(names[t] for t in re.findall(r"reduced-via-(.*?)->",
+                                                                 sub.provenance)))
+    # at n = 1 the window 1 - n < b < 0 that the Pfaff reductions start from is empty
     expected = {("euler_reflect",), ("invert",)}
     if n > 1:
         expected |= {("pfaff",), ("euler_reflect", "pfaff")}
